@@ -1,7 +1,7 @@
 """Kernel vs reference engine: wall-clock comparison + equivalence gate.
 
 Runs ``match_plus``, ``match``, ``dual_simulation`` and the distributed
-``Cluster.run`` protocol with both execution engines over the Figure-8(g)
+``Cluster.run`` protocol on the execution engines over the Figure-8(g)
 synthetic shapes (``generate_graph`` with ``alpha=1.2`` and patterns
 sampled from the data), at the scale selected by ``REPRO_BENCH_SCALE``
 (``small`` default / ``large``), plus an **incremental** section — an
@@ -33,7 +33,7 @@ from typing import Dict, List
 from repro.core.matchplus import match_plus
 from repro.core.dualsim import dual_simulation
 from repro.core.kernel import dual_simulation_kernel, get_index
-from repro.core.npkernel import dual_simulation_numpy, get_array_view
+from repro.core.npkernel import get_array_view
 from repro.core.strong import match
 from repro.experiments.performance import (
     random_insertion_stream,
@@ -60,6 +60,14 @@ INCREMENTAL_PATTERN_SIZE = 6
 #: hot paths may cost at most this fraction of a match_plus query.
 OBS_DISABLED_OVERHEAD_BAR = 0.02
 OBS_NOOP_TIMING_CALLS = 200_000
+#: The engines timed per algorithm.  The numpy engine's ``match`` and
+#: ``dual`` cells are the kernel's (repro.core.engines), so they have no
+#: column of their own.
+TIMED_ENGINES = {
+    "match_plus": ("python", "kernel", "numpy"),
+    "match": ("python", "kernel"),
+    "dual": ("python", "kernel"),
+}
 
 
 def _canonical(result) -> frozenset:
@@ -72,6 +80,17 @@ def _relation_canonical(relation) -> frozenset:
     return relation.pair_set()
 
 
+def _timing_entry(seconds: Dict[str, float]) -> Dict:
+    """Per-engine seconds plus each compiled engine's speedup."""
+    python_s = seconds["python"]
+    entry = {f"{engine}_s": round(s, 6) for engine, s in seconds.items()}
+    for engine, key in (("kernel", "speedup"), ("numpy", "numpy_speedup")):
+        if engine in seconds:
+            engine_s = seconds[engine]
+            entry[key] = round(python_s / engine_s, 3) if engine_s else None
+    return entry
+
+
 def test_kernel_vs_python_engines(scale):
     smoke = os.environ.get("REPRO_KERNEL_BENCH_SMOKE") == "1"
     sweep = [scale["perf_v_sweep"][0]] if smoke else scale["perf_v_sweep"]
@@ -79,10 +98,9 @@ def test_kernel_vs_python_engines(scale):
     # to the smaller sizes so the benchmark stays minutes, not hours.
     match_sizes = set(sweep[: 1 if smoke else 2])
 
-    engines = ("python", "kernel", "numpy")
     rows: List[Dict] = []
-    totals = {key: {engine: 0.0 for engine in engines}
-              for key in ("match_plus", "match", "dual")}
+    totals = {key: dict.fromkeys(engines, 0.0)
+              for key, engines in TIMED_ENGINES.items()}
     for n in sweep:
         data = generate_graph(
             int(n), alpha=1.2, num_labels=scale["labels"], seed=29
@@ -90,7 +108,8 @@ def test_kernel_vs_python_engines(scale):
         get_array_view(get_index(data))  # compile + array view once;
         # the row times show amortized cost for all three engines.
         row = {"n": int(n), "patterns": 0}
-        times = {key: {engine: 0.0 for engine in engines} for key in totals}
+        times = {key: dict.fromkeys(engines, 0.0)
+                 for key, engines in TIMED_ENGINES.items()}
         for repeat in range(PATTERN_REPEATS):
             pattern = sample_pattern_from_data(
                 data, PATTERN_SIZE, seed=441 + repeat
@@ -107,7 +126,7 @@ def test_kernel_vs_python_engines(scale):
                     f"match_plus/{engine} diverged at |V|={n}, "
                     f"repeat={repeat}"
                 )
-            for engine in engines:
+            for engine in TIMED_ENGINES["match_plus"]:
                 times["match_plus"][engine] += best_of(
                     lambda engine=engine: match_plus(
                         pattern, data, engine=engine
@@ -121,32 +140,23 @@ def test_kernel_vs_python_engines(scale):
             assert _relation_canonical(
                 dual_simulation_kernel(pattern, data)
             ) == dual_reference
-            assert _relation_canonical(
-                dual_simulation_numpy(pattern, data)
-            ) == dual_reference
             dual_fns = {
                 "python": dual_simulation,
                 "kernel": dual_simulation_kernel,
-                "numpy": dual_simulation_numpy,
             }
-            for engine in engines:
+            for engine in TIMED_ENGINES["dual"]:
                 times["dual"][engine] += best_of(
                     lambda engine=engine: dual_fns[engine](pattern, data),
                     TIMING_REPS,
                 )
 
             if n in match_sizes:
-                match_reference = _canonical(
-                    match(pattern, data, engine="python")
+                assert _canonical(
+                    match(pattern, data, engine="kernel")
+                ) == _canonical(match(pattern, data, engine="python")), (
+                    f"match/kernel diverged at |V|={n}, repeat={repeat}"
                 )
-                for engine in ("kernel", "numpy"):
-                    assert _canonical(
-                        match(pattern, data, engine=engine)
-                    ) == match_reference, (
-                        f"match/{engine} diverged at |V|={n}, "
-                        f"repeat={repeat}"
-                    )
-                for engine in engines:
+                for engine in TIMED_ENGINES["match"]:
                     times["match"][engine] += best_of(
                         lambda engine=engine: match(
                             pattern, data, engine=engine
@@ -155,25 +165,11 @@ def test_kernel_vs_python_engines(scale):
                     )
 
         for key in totals:
-            python_s = times[key]["python"]
-            kernel_s = times[key]["kernel"]
-            numpy_s = times[key]["numpy"]
-            for engine in engines:
+            for engine in totals[key]:
                 totals[key][engine] += times[key][engine]
-            row[key] = {
-                "python_s": round(python_s, 6),
-                "kernel_s": round(kernel_s, 6),
-                "numpy_s": round(numpy_s, 6),
-                "speedup": round(python_s / kernel_s, 3) if kernel_s else None,
-                "numpy_speedup": (
-                    round(python_s / numpy_s, 3) if numpy_s else None
-                ),
-            }
+            row[key] = _timing_entry(times[key])
         rows.append(row)
-
-    def speedup(key: str, engine: str = "kernel"):
-        engine_s = totals[key][engine]
-        return round(totals[key]["python"] / engine_s, 3) if engine_s else None
+    total_entries = {key: _timing_entry(totals[key]) for key in totals}
 
     # ------------------------------------------------------------------
     # Distributed protocol: python vs kernel cluster on one small
@@ -361,16 +357,7 @@ def test_kernel_vs_python_engines(scale):
         "pattern_size": PATTERN_SIZE,
         "timing": f"best of {TIMING_REPS}, summed over sampled patterns",
         "rows": rows,
-        "totals": {
-            key: {
-                "python_s": round(totals[key]["python"], 6),
-                "kernel_s": round(totals[key]["kernel"], 6),
-                "numpy_s": round(totals[key]["numpy"], 6),
-                "speedup": speedup(key),
-                "numpy_speedup": speedup(key, "numpy"),
-            }
-            for key in totals
-        },
+        "totals": total_entries,
         "distributed": distributed_section,
         "incremental": incremental_section,
         "numpy_vs_kernel": numpy_section,
@@ -381,24 +368,28 @@ def test_kernel_vs_python_engines(scale):
     lines = ["Compiled engines vs reference engine (seconds, lower is better)",
              f"{'|V|':>8} {'algorithm':>11} {'python':>10} {'kernel':>10} "
              f"{'numpy':>10} {'speedup':>8}"]
+
+    def numpy_cell(seconds) -> str:
+        return f"{'-':>10}" if seconds is None else f"{seconds:>10.4f}"
+
     for row in rows:
-        for key in ("match_plus", "match", "dual"):
+        for key in TIMED_ENGINES:
             if row[key]["kernel_s"]:
                 lines.append(
                     f"{row['n']:>8} {key:>11} "
                     f"{row[key]['python_s']:>10.4f} "
                     f"{row[key]['kernel_s']:>10.4f} "
-                    f"{row[key]['numpy_s']:>10.4f} "
+                    f"{numpy_cell(row[key].get('numpy_s'))} "
                     f"{row[key]['speedup']:>8.2f}"
                 )
-    for key in ("match_plus", "match", "dual"):
+    for key in TIMED_ENGINES:
         if totals[key]["kernel"]:
             lines.append(
                 f"{'TOTAL':>8} {key:>11} "
                 f"{totals[key]['python']:>10.4f} "
                 f"{totals[key]['kernel']:>10.4f} "
-                f"{totals[key]['numpy']:>10.4f} "
-                f"{speedup(key):>8.2f}"
+                f"{numpy_cell(totals[key].get('numpy'))} "
+                f"{total_entries[key]['speedup']:>8.2f}"
             )
     if dist_speedup is not None:
         lines.append(
@@ -421,8 +412,9 @@ def test_kernel_vs_python_engines(scale):
     emit("bench_kernel", "\n".join(lines))
 
     if not smoke and payload["scale"] == "small":
-        assert speedup("match_plus") >= MATCH_PLUS_SMALL_SCALE_BAR, (
-            f"kernel match_plus speedup {speedup('match_plus')} fell below "
+        match_plus_speedup = total_entries["match_plus"]["speedup"]
+        assert match_plus_speedup >= MATCH_PLUS_SMALL_SCALE_BAR, (
+            f"kernel match_plus speedup {match_plus_speedup} fell below "
             f"{MATCH_PLUS_SMALL_SCALE_BAR}x on the small synthetic workload"
         )
         assert dist_speedup >= DISTRIBUTED_SMALL_SCALE_BAR, (

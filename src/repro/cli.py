@@ -23,13 +23,11 @@ import sys
 from typing import Optional, Sequence
 
 from repro.core.digraph import DiGraph
-from repro.core.dualsim import dual_simulation
-from repro.core.kernel import ENGINES, dual_simulation_kernel, resolve_engine
-from repro.core.npkernel import dual_simulation_numpy
+from repro.core.engines import ENGINE_TABLE
+from repro.core.kernel import ENGINES, resolve_engine
 from repro.core.matchplus import match_plus
 from repro.core.pattern import Pattern
 from repro.core.ranking import rank_matches, score_match
-from repro.core.simulation import graph_simulation
 from repro.core.strong import match
 from repro.distributed.partition import PARTITIONERS
 from repro.io.edgelist import read_edgelist, write_edgelist
@@ -198,16 +196,9 @@ def _cmd_match(args: argparse.Namespace) -> int:
     engine = resolve_engine(args.engine, data)
 
     if args.algorithm in ("sim", "dual"):
-        if args.algorithm == "dual":
-            if engine == "kernel":
-                runner = dual_simulation_kernel
-            elif engine == "numpy":
-                runner = dual_simulation_numpy
-            else:
-                runner = dual_simulation
-        else:
-            runner = lambda q, g: graph_simulation(q, g, engine=engine)
-        return _print_relation(runner(pattern, data))
+        row = ENGINE_TABLE[engine]
+        cell = row.dual if args.algorithm == "dual" else row.sim
+        return _print_relation(cell(pattern, data))
 
     if args.algorithm == "strong-plus":
         result = match_plus(pattern, data, engine=engine)
@@ -552,10 +543,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_match.add_argument(
         "--engine", choices=ENGINES, default="auto",
         help="execution engine: 'kernel' compiles the data graph to a "
-             "CSR integer index (fast), 'numpy' runs vectorized array "
-             "passes over the same index (needs numpy; fastest on large "
-             "graphs), 'python' forces the reference implementation, "
-             "'auto' picks for you (default: auto)",
+             "CSR integer index (fast), 'numpy' is the kernel with the "
+             "strong-plus ball scan refined as batched array passes "
+             "(needs numpy), 'python' forces the reference "
+             "implementation, 'auto' picks for you (default: auto)",
     )
     p_match.add_argument("--top", type=int, default=0,
                          help="show only the k best-ranked matches")
@@ -581,11 +572,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_dist.add_argument(
         "--engine", choices=ENGINES, default="auto",
-        help="per-site execution engine: 'kernel' compiles each fragment "
-             "to a CSR index extended with fetched remote records, "
-             "'numpy' vectorizes the per-ball fixpoints over that index, "
-             "'python' forces the reference per-ball path; traffic "
-             "accounting is identical in all cases (default: auto)",
+        help="per-site execution engine: 'kernel' (and 'numpy', which "
+             "runs the kernel at the sites) compiles each fragment to a "
+             "CSR index extended with fetched remote records, 'python' "
+             "forces the reference per-ball path; traffic accounting is "
+             "identical in all cases (default: auto)",
     )
     p_dist.add_argument(
         "--show-bound", action="store_true",

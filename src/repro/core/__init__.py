@@ -40,8 +40,6 @@ from repro.core.kernel import (
     index_maintenance,
     set_index_maintenance,
 )
-from repro.core.npkernel import dual_simulation_numpy, graph_simulation_numpy
-from repro.core.indexing import IndexedMatcher, NeighborhoodLabelIndex
 from repro.core.reach import (
     PATH_ENGINES,
     ReachIndex,
@@ -117,10 +115,8 @@ __all__ = [
     "IndexStats",
     "IncrementalDualSimulation",
     "IncrementalMatcher",
-    "IndexedMatcher",
     "LabelNfa",
     "LazyDfa",
-    "NeighborhoodLabelIndex",
     "PATH_ENGINES",
     "RankingWeights",
     "ReachIndex",
@@ -156,8 +152,6 @@ __all__ = [
     "dual_simulation",
     "dual_simulation_kernel",
     "dual_simulation_naive",
-    "dual_simulation_numpy",
-    "graph_simulation_numpy",
     "extract_ball",
     "extract_ball_restricted",
     "extract_max_perfect_subgraph",

@@ -24,32 +24,25 @@ implements both observations:
   within d_Q).  Only those balls are re-evaluated.
 
 Both classes take an ``engine`` argument (``"auto"`` | ``"kernel"`` |
-``"numpy"`` | ``"python"``), mirroring the matching entry points:
+``"numpy"`` | ``"python"``), resolved once at construction by
+:func:`~repro.core.kernel.resolve_engine`.  Each keeps two substrates,
+and the ``compiled`` flag of the engine's row in
+:data:`repro.core.engines.ENGINE_TABLE` picks one:
 
-* ``"python"`` — the reference path: the cascade revalidates pairs with
-  set scans over ``DiGraph`` adjacency, insertions re-run the set-based
-  fixpoint, and balls are rebuilt as per-ball ``DiGraph`` objects.
-* ``"kernel"`` — the update path runs on the same compiled substrate as
-  the query path.  Graph mutations flow through the
-  :class:`~repro.core.digraph.GraphDelta` pipeline into an incrementally
-  maintained :class:`~repro.core.kernel.GraphIndex` (no recompiles under
-  insertions); the deletion cascade decrements the kernel's persistent
-  *witness counters* directly (O(1) per surviving witness instead of a
-  revalidation scan); insertion re-expansion re-runs the counter fixpoint
-  over the CSR arrays; and :class:`IncrementalMatcher` re-evaluates
-  affected balls via kernel ball extraction.  Output-identical to the
-  reference path after every update.
-* ``"numpy"`` — the same compiled substrate walked by the vectorized
-  passes of :mod:`repro.core.npkernel`.  Deletions and insertions alike
-  re-establish the relation with a warm vectorized full fixpoint (array
-  recomputation replaces pointer-chasing counter maintenance — the
-  whole-array pass is the cheaper primitive on this engine), and
-  :class:`IncrementalMatcher` re-evaluates affected balls with the array
-  ball matcher.  Output-identical again.
-* ``"auto"`` (default) — the standard heuristic of
-  :func:`~repro.core.kernel.resolve_engine` (kernel unless the graph is
-  tiny and unindexed, numpy past the large-graph threshold), resolved
-  once at construction.
+* reference (``python``) — the cascade revalidates pairs with set scans
+  over ``DiGraph`` adjacency, insertions re-run the set-based fixpoint,
+  and balls are rebuilt as per-ball ``DiGraph`` objects.
+* compiled (``kernel`` and ``numpy``) — the update path runs on the same
+  compiled substrate as the query path.  Graph mutations flow through
+  the :class:`~repro.core.digraph.GraphDelta` pipeline into an
+  incrementally maintained :class:`~repro.core.kernel.GraphIndex` (no
+  recompiles under insertions); the deletion cascade decrements the
+  kernel's persistent *witness counters* directly (O(1) per surviving
+  witness instead of a revalidation scan); insertion re-expansion
+  re-runs the counter fixpoint over the CSR arrays; and
+  :class:`IncrementalMatcher` re-evaluates affected balls via kernel
+  ball extraction.  Output-identical to the reference path after every
+  update.
 """
 
 from __future__ import annotations
@@ -60,6 +53,7 @@ from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 from repro.core.ball import extract_ball
 from repro.core.digraph import DiGraph, Node
 from repro.core.dualsim import dual_simulation
+from repro.core.engines import ENGINE_TABLE
 from repro.core.kernel import (
     GraphIndex,
     Pair,
@@ -73,7 +67,6 @@ from repro.core.kernel import (
     resolve_engine,
 )
 from repro.core.matchrel import MatchRelation
-from repro.core.npkernel import np_dual_sim_ids, np_evaluate_ball
 from repro.core.pattern import Pattern
 from repro.core.result import MatchResult, PerfectSubgraph
 from repro.core.simulation import initial_candidates
@@ -109,15 +102,13 @@ class IncrementalDualSimulation:
         self.pattern = pattern
         self.data = data
         self.engine = resolve_engine(engine, data)
+        self._compiled = ENGINE_TABLE[self.engine].compiled
         self.recomputations = 0  # full fixpoints run (observability)
         self.cascade_removals = 0  # pairs removed incrementally
-        if self.engine == "kernel":
+        if self._compiled:
             self._cp = _CompiledPattern(pattern)
             self._gi: GraphIndex  # set (with _compiles_seen) by the call:
             self._kernel_refixpoint()
-        elif self.engine == "numpy":
-            self._cp = _CompiledPattern(pattern)
-            self._np_refixpoint()
         else:
             self._sim: Dict[Node, Set[Node]] = dual_simulation(
                 pattern, data
@@ -127,7 +118,7 @@ class IncrementalDualSimulation:
     @property
     def relation(self) -> MatchRelation:
         """The current maximum dual-simulation relation."""
-        if self.engine != "python":
+        if self._compiled:
             nodes = self._gi.nodes
             cp = self._cp
             return MatchRelation(
@@ -189,29 +180,6 @@ class IncrementalDualSimulation:
         self._cnt_up = cnt_up
         self._gi = gi
         self._compiles_seen = gi.stats.full_compiles
-
-    # ------------------------------------------------------------------
-    # NumPy substrate: warm vectorized refixpoints over the same index
-    # ------------------------------------------------------------------
-    def _np_refixpoint(self) -> None:
-        """Re-establish the gfp with one vectorized array fixpoint.
-
-        On this engine the whole-array pass *is* the cheap primitive, so
-        deletions and insertions alike re-run it from label seeds over
-        the warm (delta-maintained) index instead of maintaining sparse
-        witness counters pair by pair; the unique greatest fixpoint makes
-        the result identical to the kernel's incremental cascade.
-        """
-        gi = get_index(self.data)
-        self._sim_ids = np_dual_sim_ids(self._cp, gi)
-        self._gi = gi
-        self._compiles_seen = gi.stats.full_compiles
-
-    def _np_reestablish_after_deletion(self) -> None:
-        """Refixpoint a deletion, keeping the removal count observable."""
-        before = sum(len(s) for s in self._sim_ids)
-        self._np_refixpoint()
-        self.cascade_removals += before - sum(len(s) for s in self._sim_ids)
 
     def _kernel_seed_removed_edge(
         self, v: int, w: int, pending: Deque[Pair]
@@ -336,12 +304,8 @@ class IncrementalDualSimulation:
         the cascade is seeded there.  On the kernel engine the seeding is
         a counter decrement per surviving witness pair, not a scan.
         """
-        if self.engine == "kernel":
+        if self._compiled:
             self._kernel_remove_edge(source, target)
-            return
-        if self.engine == "numpy":
-            self.data.remove_edge(source, target)
-            self._np_reestablish_after_deletion()
             return
         self.data.remove_edge(source, target)
         seeds = [
@@ -353,7 +317,7 @@ class IncrementalDualSimulation:
 
     def remove_node(self, node: Node) -> None:
         """Delete a data node (and incident edges), repairing incrementally."""
-        if self.engine == "kernel":
+        if self._compiled:
             # Exact decomposition: cascade each incident edge deletion on
             # the counters, then drop the (now isolated) node's own pairs
             # — an isolated node witnesses nothing, so no further cascade.
@@ -367,10 +331,6 @@ class IncrementalDualSimulation:
                 s.discard(node_id)
             self.data.remove_node(node)
             self._sync_index()
-            return
-        if self.engine == "numpy":
-            self.data.remove_node(node)
-            self._np_reestablish_after_deletion()
             return
         neighbors = set(self.data.successors_raw(node)) | set(
             self.data.predecessors_raw(node)
@@ -402,11 +362,8 @@ class IncrementalDualSimulation:
         """
         self.data.add_edge(source, target)
         self.recomputations += 1
-        if self.engine == "kernel":
+        if self._compiled:
             self._kernel_refixpoint()
-            return
-        if self.engine == "numpy":
-            self._np_refixpoint()
             return
         seeds = initial_candidates(self.pattern, self.data)
         self._sim = dual_simulation(
@@ -421,14 +378,11 @@ class IncrementalDualSimulation:
         relation is unchanged, so no fixpoint is needed.
         """
         self.data.add_node(node, label)
-        if self.engine == "kernel":
+        if self._compiled:
             gi = self._sync_index()
             cp = self._cp
             if cp.size == 1 and not cp.edges and cp.labels[0] == label:
                 self._sim_ids[0].add(gi.index_of[node])
-            return
-        if self.engine == "numpy":
-            self._np_refixpoint()
             return
         if self.pattern.num_nodes == 1:
             u = next(iter(self.pattern.nodes()))
@@ -445,11 +399,11 @@ class IncrementalMatcher:
     present — before a deletion, after an insertion).  Everything else is
     provably untouched by the update (locality).
 
-    On the kernel engine, affected-region discovery and ball
-    re-evaluation both run over the incrementally maintained
-    :class:`~repro.core.kernel.GraphIndex` — epoch-stamped CSR ball BFS
-    plus the counter fixpoint — so an update costs O(affected balls) with
-    no index recompilation.
+    On the compiled substrate (``kernel`` and ``numpy``), affected-region
+    discovery and ball re-evaluation both run over the incrementally
+    maintained :class:`~repro.core.kernel.GraphIndex` — epoch-stamped CSR
+    ball BFS plus the counter fixpoint — so an update costs O(affected
+    balls) with no index recompilation.
     """
 
     def __init__(
@@ -458,24 +412,18 @@ class IncrementalMatcher:
         self.pattern = pattern
         self.data = data
         self.engine = resolve_engine(engine, data)
+        self._compiled = ENGINE_TABLE[self.engine].compiled
         self.radius = pattern.diameter
-        self._cp = (
-            _CompiledPattern(pattern) if self.engine != "python" else None
-        )
+        self._cp = _CompiledPattern(pattern) if self._compiled else None
         self._cache: Dict[Node, Optional[PerfectSubgraph]] = {}
         self.balls_recomputed = 0
         self._evaluate_all()
 
     def _evaluate_ball(self, center: Node) -> Optional[PerfectSubgraph]:
         self.balls_recomputed += 1
-        if self.engine == "kernel":
+        if self._compiled:
             gi = get_index(self.data)
             return _match_ball(
-                self._cp, gi, gi.index_of[center], self.radius
-            )
-        if self.engine == "numpy":
-            gi = get_index(self.data)
-            return np_evaluate_ball(
                 self._cp, gi, gi.index_of[center], self.radius
             )
         ball = extract_ball(self.data, center, self.radius)
@@ -501,7 +449,7 @@ class IncrementalMatcher:
         """Centers within d_Q of either endpoint (edge currently present)."""
         affected: Set[Node] = set()
         endpoints = (source,) if source == target else (source, target)
-        if self.engine != "python":  # both compiled engines share the BFS
+        if self._compiled:
             gi = get_index(self.data)
             for endpoint in endpoints:
                 endpoint_id = gi.index_of.get(endpoint)

@@ -69,10 +69,11 @@ layout.
 
 Callers normally do not import this module directly: ``match`` and
 ``match_plus`` take an ``engine`` argument (``"auto"`` | ``"kernel"`` |
-``"numpy"`` | ``"python"``) and route here, as does the CLI via
-``--engine``.  The ``"numpy"`` engine (:mod:`repro.core.npkernel`)
-shares this module's compiled indexes but replaces the per-node loops
-with vectorized array passes.
+``"numpy"`` | ``"python"``) and route through the engine table of
+:mod:`repro.core.engines`, as does the CLI via ``--engine``.  The
+``kernel`` row is this module; the ``numpy`` row is this module too,
+except that ``match_plus`` refines all balls at once over array views
+of the same compiled index (:mod:`repro.core.npkernel`).
 """
 
 from __future__ import annotations
@@ -133,18 +134,20 @@ _DEAD = object()
 def resolve_engine(engine: str, data: Optional[DiGraph] = None) -> str:
     """Validate ``engine`` and collapse ``"auto"`` to a concrete choice.
 
-    ``"auto"`` selects a compiled engine — output-identical to the
-    reference path and at least as fast on every workload we benchmark —
-    by size: when ``data`` is given, is tiny (``|V| + |E| <``
-    :data:`TINY_AUTO_THRESHOLD`) and has no compiled index cached yet,
-    the reference engine is chosen, because a one-shot query on a tiny
-    graph cannot amortize compilation (a cached index — even one with
-    pending deltas, syncing is cheaper than compiling — always means a
-    compiled engine); at or above :data:`NUMPY_AUTO_THRESHOLD` the
-    vectorized numpy engine is chosen when numpy is installed (it shares
-    the same cached :class:`GraphIndex`); everything in between is the
-    per-node kernel.  Without ``data`` the answer is ``"kernel"``,
-    preserving the pre-heuristic behavior for callers that validate only.
+    The answer names a row of :data:`repro.core.engines.ENGINE_TABLE`.
+    ``"auto"`` picks by size alone: when ``data`` is given, is tiny
+    (``|V| + |E| <`` :data:`TINY_AUTO_THRESHOLD`) and has no compiled
+    index cached yet, the reference engine is chosen, because a one-shot
+    query on a tiny graph cannot amortize compilation (a cached index —
+    even one with pending deltas, syncing is cheaper than compiling —
+    always means a compiled engine); at or above
+    :data:`NUMPY_AUTO_THRESHOLD` the ``numpy`` row is chosen when numpy
+    is installed (it shares the same cached :class:`GraphIndex` and
+    differs from the kernel only in its batched ``match_plus``);
+    everything in between is the kernel.  Size
+    does not predict the faster row on every workload.  Without ``data``
+    the answer is ``"kernel"``, preserving the pre-heuristic behavior
+    for callers that validate only.
 
     ``"numpy"`` requested explicitly without numpy installed raises
     :class:`~repro.exceptions.MatchingError` — the ``python`` and
@@ -233,7 +236,6 @@ class GrowableCSRIndex:
         "rev_rows",
         "und_rows",
         "_visit_tls",
-        "_np_view",
         "__weakref__",
     )
 
@@ -245,10 +247,6 @@ class GrowableCSRIndex:
         self.rev_rows: List[List[int]] = []
         self.und_rows: List[List[int]] = []
         self._visit_tls = threading.local()
-        # Cached numpy array view of the rows (built lazily by
-        # repro.core.npkernel); every mutation drops it, so a stale view
-        # can never be served.  None also when numpy is not installed.
-        self._np_view = None
 
     def _new_slot(self, node: Node) -> int:
         """Append an empty slot for ``node``; returns its (stable) id."""
@@ -259,7 +257,6 @@ class GrowableCSRIndex:
         self.fwd_rows.append([])
         self.rev_rows.append([])
         self.und_rows.append([])
-        self._np_view = None
         return i
 
     def _csr_add_edge(self, s: int, t: int) -> None:
@@ -278,7 +275,6 @@ class GrowableCSRIndex:
             und_t = self.und_rows[t]
             if s not in und_t:
                 und_t.append(s)
-        self._np_view = None
 
     def _csr_remove_edge(self, s: int, t: int) -> None:
         """Patch all three views for a removed edge ``s -> t`` (both rows)."""
@@ -290,7 +286,6 @@ class GrowableCSRIndex:
             self.und_rows[s].remove(t)
             if s != t:
                 self.und_rows[t].remove(s)
-        self._np_view = None
 
     def visit_state(self) -> _VisitState:
         """This thread's visited buffer, grown to cover every slot.
@@ -449,6 +444,7 @@ class GraphIndex(GrowableCSRIndex):
         "_overflowed",
         "_removed_weight",
         "_read_guard",
+        "_np_view",
         "_reach",
     )
 
@@ -458,6 +454,10 @@ class GraphIndex(GrowableCSRIndex):
         self._pending: List[GraphDelta] = []
         self._overflowed = False
         self._read_guard = _ReadGuard()
+        # Cached numpy array view of the rows (built lazily by
+        # repro.core.npkernel); every mutation drops it, so a stale view
+        # can never be served.  None also when numpy is not installed.
+        self._np_view = None
         # Lazily built reachability/distance labeling (repro.core.reach);
         # cached like _np_view and maintained off the delta stream.
         self._reach = None
@@ -674,6 +674,10 @@ class GraphIndex(GrowableCSRIndex):
 
     def _apply_delta(self, delta: GraphDelta) -> None:
         kind = delta.kind
+        if kind != RELABEL:
+            # Every row or slot change drops the array view; relabels
+            # drop it in _move_label_groups when a label actually moves.
+            self._np_view = None
         if kind == ADD_EDGE:
             a = self.index_of[delta.source]
             b = self.index_of[delta.target]
@@ -708,7 +712,6 @@ class GraphIndex(GrowableCSRIndex):
             self.labels[i] = _DEAD
             self.nodes[i] = None
             self._removed_weight += 1
-            self._np_view = None
             self._drop_reach()
         elif kind == RELABEL:
             # Normally coalesced by _apply_delta_group; kept for callers

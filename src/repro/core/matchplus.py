@@ -20,13 +20,15 @@ all three.  The result is always identical to plain ``Match`` (asserted in
 the integration tests); only the running time differs.
 
 Like :func:`repro.core.strong.match`, ``match_plus`` takes an ``engine``
-argument: ``"python"`` runs the reference path below, ``"kernel"`` runs
-the same algorithm over the compiled CSR kernel of
-:mod:`repro.core.kernel`, and ``"numpy"``
-(:mod:`repro.core.npkernel`) walks the same compiled arrays with
-vectorized passes — output-identical for every option combination.  The
-default ``"auto"`` picks by graph size.  Query minimization always
-happens here (pattern-side work is engine-independent).
+argument and runs the ``match_plus`` cell of that engine's row in
+:data:`repro.core.engines.ENGINE_TABLE`: ``"python"`` is the reference
+path below (:func:`match_plus_reference`), ``"kernel"`` the same
+algorithm over the compiled CSR kernel of :mod:`repro.core.kernel`, and
+``"numpy"`` refines all balls of the scan in one batched array fixpoint
+(:mod:`repro.core.npkernel`) — output-identical for every option
+combination.  The default ``"auto"`` picks by graph size.  Query
+minimization always happens here (pattern-side work is
+engine-independent).
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ from repro.core.ball import Ball, extract_ball, extract_ball_restricted
 from repro.core.digraph import DiGraph, Node
 from repro.core.dualfilter import dual_filter
 from repro.core.dualsim import dual_simulation
-from repro.core.kernel import kernel_match_plus, resolve_engine
-from repro.core.npkernel import np_match_plus
 from repro.core.matchrel import MatchRelation
 from repro.core.minimize import minimize_pattern
 from repro.core.pattern import Pattern
@@ -97,57 +97,67 @@ def match_plus(
         working_pattern = pattern
         radius = pattern.diameter
 
-    resolved = resolve_engine(engine, data)
-    if resolved in ("kernel", "numpy"):
-        runner = kernel_match_plus if resolved == "kernel" else np_match_plus
-        return runner(
-            working_pattern,
-            data,
-            radius,
-            use_dual_filter=options.use_dual_filter,
-            use_pruning=options.use_pruning,
-            restrict_centers_by_label=options.restrict_centers_by_label,
-        )
+    from repro.core.engines import engine_for  # the table imports this module
 
-    result = MatchResult(working_pattern)
+    return engine_for(engine, data).match_plus(
+        working_pattern,
+        data,
+        radius,
+        use_dual_filter=options.use_dual_filter,
+        use_pruning=options.use_pruning,
+        restrict_centers_by_label=options.restrict_centers_by_label,
+    )
 
-    if options.use_dual_filter:
-        global_relation = dual_simulation(working_pattern, data)
+
+def match_plus_reference(
+    pattern: Pattern,
+    data: DiGraph,
+    radius: int,
+    use_dual_filter: bool = True,
+    use_pruning: bool = True,
+    restrict_centers_by_label: bool = True,
+) -> MatchResult:
+    """The ``python`` engine's ``match_plus`` cell.
+
+    ``pattern`` is the (possibly minimized) working pattern and
+    ``radius`` the original diameter; :func:`match_plus` owns the option
+    handling and minimization.
+    """
+    result = MatchResult(pattern)
+
+    if use_dual_filter:
+        global_relation = dual_simulation(pattern, data)
         if global_relation.is_empty():
             return result
         matched_nodes = global_relation.data_nodes()
         for center in matched_nodes:
             ball = extract_ball_restricted(data, center, radius, matched_nodes)
-            subgraph = _refine_ball(
-                working_pattern, global_relation, ball, options
-            )
+            subgraph = _refine_ball(pattern, global_relation, ball, use_pruning)
             if subgraph is not None:
                 result.add(subgraph)
         return result
 
     # Dual filter off: fall back to per-ball dual simulation, optionally
     # with label-restricted centers and connectivity pruning.
-    if options.restrict_centers_by_label:
-        centers = candidate_centers(working_pattern, data)
+    if restrict_centers_by_label:
+        centers = candidate_centers(pattern, data)
     else:
         centers = set(data.nodes())
     for center in centers:
         ball = extract_ball(data, center, radius)
         seeds = {
-            u: set(ball.graph.nodes_with_label(working_pattern.label(u)))
-            for u in working_pattern.nodes()
+            u: set(ball.graph.nodes_with_label(pattern.label(u)))
+            for u in pattern.nodes()
         }
-        if options.use_pruning:
-            pruned = prune_candidates_by_connectivity(
-                working_pattern, ball, seeds
-            )
+        if use_pruning:
+            pruned = prune_candidates_by_connectivity(pattern, ball, seeds)
             if pruned is None:
                 continue
             seeds = pruned
-        relation = dual_simulation(working_pattern, ball.graph, seeds=seeds)
+        relation = dual_simulation(pattern, ball.graph, seeds=seeds)
         if relation.is_empty():
             continue
-        subgraph = extract_max_perfect_subgraph(working_pattern, ball, relation)
+        subgraph = extract_max_perfect_subgraph(pattern, ball, relation)
         if subgraph is not None:
             result.add(subgraph)
     return result
@@ -157,11 +167,11 @@ def _refine_ball(
     pattern: Pattern,
     global_relation: MatchRelation,
     ball: Ball,
-    options: MatchPlusOptions,
+    use_pruning: bool,
 ) -> Optional[PerfectSubgraph]:
     """Per-ball refinement: projection + pruning + border-seeded deletion."""
     extra_removals: Optional[Set[Tuple[Node, Node]]] = None
-    if options.use_pruning:
+    if use_pruning:
         ball_nodes = set(ball.graph.nodes())
         projected = {
             u: global_relation.matches_of_raw(u) & ball_nodes

@@ -1,43 +1,30 @@
-"""Vectorized NumPy execution engine over the flat CSR rows.
+"""The ``numpy`` engine's cells: batched ball refinement over flat arrays.
 
-The kernel engine (:mod:`repro.core.kernel`) already compiles every data
-graph into integer ids plus CSR adjacency rows, but walks them with
-per-node Python loops — the dominant remaining constant factor at scale.
-This module keeps the *same* compiled indexes (:class:`GraphIndex`,
-and the per-site :class:`~repro.distributed.sitekernel.SiteGraphIndex`)
-and re-implements the inner engines as whole-array passes:
+In the engine table (:mod:`repro.core.engines`) the ``numpy`` row is the
+kernel row with one cell replaced by this module: ``match_plus``
+(:func:`np_match_plus`) refines *every* ball of a scan in one array
+program instead of one ball at a time, over the kernel's compiled
+:class:`~repro.core.kernel.GraphIndex`:
 
-* ball extraction is a frontier BFS over ``indptr``/``indices`` gathers
-  with a boolean membership stamp per layer;
-* every per-ball pass is *compacted* first: ball members are remapped to
-  a dense ``0..m-1`` id space and their CSR rows re-pointed into a
-  ball-local adjacency, so the per-ball fixpoint costs ``O(ball)``
-  instead of ``O(|V|)`` (dropping edges to non-members is sound because
-  candidates are always ball members, so a non-member can never be a
-  witness);
-* the HHK witness-counter fixpoint becomes ``np.add.at`` scatter
-  decrements against per-edge count arrays, with boolean pending masks
-  as the worklist;
-* the label-seed mass extinction is a label-partition mask intersection
-  instead of per-node set construction;
-* intermediate id streams are deduplicated by sorted-array uniquing
-  (``np.unique``) rather than hash sets.
-
-The array view of an index (:class:`_ArrayView`) is built lazily from
-the list-of-lists rows and cached on the index itself
-(``index._np_view``); every row mutation — incremental sync, site
-materialization, owned-fragment updates — drops the cache, so a stale
-view can never be served.
+* the CSR rows are materialized as flat int64 arrays
+  (:func:`get_array_view`), built lazily and cached on the index itself
+  (``index._np_view``); every row mutation drops the cache, so a stale
+  view can never be served;
+* label seeding is a label-partition mask intersection, one vectorized
+  pass per pattern node;
+* a multi-ball BFS over flat ``ball * n + node`` keys grows all balls of
+  a chunk at once, and one block-diagonal union CSR holds every ball
+  subgraph;
+* the HHK witness-counter fixpoint runs once over that union as
+  ``np.add.at`` scatter decrements against per-edge count arrays, with
+  boolean pending masks as the worklist.
 
 Output identity with the other two engines is by construction: the
-maximum (dual) simulation relation is the unique greatest fixpoint below
-the label seeds (Lemma 1), so the round-based simultaneous removal
-performed here converges to exactly the relation the kernel's
-one-at-a-time worklist computes; ball membership, pruning and result
-extraction reuse the kernel's own primitives and dedup keys.  Because
-the heavy passes run inside NumPy ufuncs, they release the GIL for most
-of their runtime — ``backend="threads"`` in the distributed runtime can
-actually scale with cores under this engine.
+maximum dual-simulation relation is the unique greatest fixpoint below
+the seeds (Lemma 1), so the round-based simultaneous removal performed
+here converges to exactly the relation the kernel's one-at-a-time
+worklist computes; pruning and result extraction reuse the kernel's own
+primitives and dedup keys.
 
 This module imports cleanly *without* numpy installed (``np`` is then
 ``None``); :func:`repro.core.kernel.resolve_engine` refuses
@@ -47,41 +34,28 @@ fails loud as a backstop.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 try:
     import numpy as np
 except ImportError:  # pragma: no cover - exercised via a subprocess test
     np = None
 
-from repro.core.digraph import DiGraph, Label, Node
+from repro.core.digraph import DiGraph, Label
 from repro.core.kernel import (
     _DEAD,
     GraphIndex,
-    GrowableCSRIndex,
     Pair,
     _CompiledPattern,
     _extract_perfect_subgraph,
-    _resolve_centers,
     get_index,
 )
-from repro.core.matchrel import MatchRelation
 from repro.core.pattern import Pattern
 from repro.core.result import MatchResult
-from repro.exceptions import GraphError, MatchingError
+from repro.exceptions import MatchingError
 from repro.obs.trace import span as _obs_span
 
-__all__ = [
-    "np_match",
-    "np_match_plus",
-    "np_matches_via_strong_simulation",
-    "dual_simulation_numpy",
-    "graph_simulation_numpy",
-    "np_dual_sim_ids",
-    "np_evaluate_ball",
-    "dual_fixpoint_id_sets",
-    "get_array_view",
-]
+__all__ = ["np_match_plus", "get_array_view"]
 
 
 def _require_numpy() -> None:
@@ -93,7 +67,7 @@ def _require_numpy() -> None:
 
 
 # ======================================================================
-# Array view of a GrowableCSRIndex
+# Array view of a GraphIndex
 # ======================================================================
 class _ArrayView:
     """Immutable flat-array snapshot of an index's CSR rows.
@@ -115,7 +89,7 @@ class _ArrayView:
         "label_masks",
     )
 
-    def __init__(self, index: GrowableCSRIndex) -> None:
+    def __init__(self, index: GraphIndex) -> None:
         n = len(index.labels)
         self.n = n
         self.fwd_indptr, self.fwd_indices = _pack_rows(index.fwd_rows, n)
@@ -138,7 +112,7 @@ def _pack_rows(
     return indptr, indices
 
 
-def get_array_view(index: GrowableCSRIndex) -> _ArrayView:
+def get_array_view(index: GraphIndex) -> _ArrayView:
     """The cached array view of ``index``, rebuilt after any mutation."""
     _require_numpy()
     view = index._np_view
@@ -149,19 +123,13 @@ def get_array_view(index: GrowableCSRIndex) -> _ArrayView:
 
 
 def _label_mask(
-    view: _ArrayView, index: GrowableCSRIndex, label: Label
+    view: _ArrayView, index: GraphIndex, label: Label
 ) -> "np.ndarray":
     """Boolean mask of the data nodes carrying ``label`` (cached)."""
     mask = view.label_masks.get(label)
     if mask is None:
         mask = np.zeros(view.n, dtype=bool)
-        groups = getattr(index, "label_groups", None)
-        if groups is not None:  # GraphIndex keeps a label partition
-            ids: Iterable[int] = groups.get(label, ())
-        else:  # SiteGraphIndex: scan the label column once
-            labels = index.labels
-            ids = [i for i in range(view.n) if labels[i] == label]
-        ids = list(ids)
+        ids = list(index.label_groups.get(label, ()))
         if ids:
             mask[np.asarray(ids, dtype=np.int64)] = True
         view.label_masks[label] = mask
@@ -218,142 +186,6 @@ def _masked_row_sums(
         (np.zeros(1, dtype=np.int64), np.cumsum(flags, dtype=np.int64))
     )
     return prefix[ends_cum] - prefix[ends_cum - lens]
-
-
-# ======================================================================
-# Ball-local compaction
-# ======================================================================
-def _compact_rows(
-    indptr: "np.ndarray", indices: "np.ndarray", member_ids: "np.ndarray"
-) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-    """Restrict the CSR rows of ``member_ids`` to in-member targets.
-
-    ``member_ids`` must be sorted.  Returns ``(l_indptr, l_indices,
-    l_sources)`` where targets are remapped to local ids (positions in
-    ``member_ids``) and ``l_sources`` is the local source id of each kept
-    edge — the COO companion used to transpose without a second gather.
-    Membership is a binary search against the sorted id array, so the
-    whole pass is ``O(E_ball log m)`` with no graph-width allocation.
-    """
-    m = int(member_ids.size)
-    targets = _gather_rows(indptr, indices, member_ids)
-    lens = indptr[member_ids + 1] - indptr[member_ids]
-    pos = np.searchsorted(member_ids, targets)
-    inside = member_ids[np.minimum(pos, m - 1)] == targets
-    l_sources = np.repeat(np.arange(m, dtype=np.int64), lens)[inside]
-    l_indices = pos[inside]
-    l_indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(l_sources, minlength=m), out=l_indptr[1:])
-    return l_indptr, l_indices, l_sources
-
-
-class _LocalBall:
-    """Ball-local CSR adjacency over a compact ``0..m-1`` id space.
-
-    Duck-types the ``_ArrayView`` attributes the fixpoints read
-    (``n``, ``fwd_*``, ``rev_*``, ``und_*``), so they run unchanged on
-    arrays sized to the ball.  Reverse rows are the transpose of the
-    compacted forward rows (identical edge set: an edge survives
-    compaction iff both endpoints are members); undirected rows are
-    compacted only when the caller needs pruning.
-    """
-
-    __slots__ = (
-        "member_ids",
-        "n",
-        "fwd_indptr",
-        "fwd_indices",
-        "rev_indptr",
-        "rev_indices",
-        "und_indptr",
-        "und_indices",
-    )
-
-    def __init__(
-        self,
-        view: _ArrayView,
-        member_ids: "np.ndarray",
-        need_und: bool = False,
-    ) -> None:
-        self.member_ids = member_ids
-        m = int(member_ids.size)
-        self.n = m
-        self.fwd_indptr, self.fwd_indices, sources = _compact_rows(
-            view.fwd_indptr, view.fwd_indices, member_ids
-        )
-        order = np.argsort(self.fwd_indices, kind="stable")
-        self.rev_indices = sources[order]
-        self.rev_indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(self.fwd_indices, minlength=m),
-            out=self.rev_indptr[1:],
-        )
-        if need_und:
-            self.und_indptr, self.und_indices, _ = _compact_rows(
-                view.und_indptr, view.und_indices, member_ids
-            )
-        else:
-            self.und_indptr = self.und_indices = None
-
-    def to_global_sets(self, cand: "np.ndarray") -> List[Set[int]]:
-        """Local candidate matrix → per-pattern-node *global* id sets."""
-        member_ids = self.member_ids
-        return [
-            set(member_ids[np.nonzero(row)[0]].tolist()) for row in cand
-        ]
-
-
-# ======================================================================
-# Ball primitives
-# ======================================================================
-def _np_ball(
-    view: _ArrayView, center: int, radius: int
-) -> Tuple["np.ndarray", "np.ndarray"]:
-    """Bounded undirected BFS from ``center`` as layered array gathers.
-
-    Returns ``(member, border)``: a boolean membership mask over all
-    slots and the ids at distance exactly ``radius`` (matching the
-    kernel's ``_ball_bfs`` border semantics — ``[center]`` when
-    ``radius == 0``, empty when the ball exhausts its component early).
-    """
-    member = np.zeros(view.n, dtype=bool)
-    member[center] = True
-    frontier = np.asarray([center], dtype=np.int64)
-    if radius == 0:
-        return member, frontier
-    indptr, indices = view.und_indptr, view.und_indices
-    depth = 0
-    while frontier.size and depth < radius:
-        neigh = _gather_rows(indptr, indices, frontier)
-        neigh = neigh[~member[neigh]]
-        frontier = np.unique(neigh)  # sorted-array dedup of the layer
-        member[frontier] = True
-        depth += 1
-    border = frontier if depth == radius else np.empty(0, dtype=np.int64)
-    return member, border
-
-
-def _np_component(
-    view: _ArrayView, center: int, allowed: "np.ndarray"
-) -> Optional["np.ndarray"]:
-    """Connected component of ``center`` inside the ``allowed`` mask.
-
-    The array form of the kernel's ``_center_component`` (undirected
-    reachability restricted to surviving candidates); ``None`` when the
-    center itself is not allowed.
-    """
-    if not allowed[center]:
-        return None
-    comp = np.zeros(view.n, dtype=bool)
-    comp[center] = True
-    frontier = np.asarray([center], dtype=np.int64)
-    indptr, indices = view.und_indptr, view.und_indices
-    while frontier.size:
-        neigh = _gather_rows(indptr, indices, frontier)
-        neigh = neigh[allowed[neigh] & ~comp[neigh]]
-        frontier = np.unique(neigh)
-        comp[frontier] = True
-    return comp
 
 
 # ======================================================================
@@ -448,68 +280,11 @@ def _np_dual_fixpoint(
     return True
 
 
-def _np_sim_fixpoint(
-    view: _ArrayView, cp: _CompiledPattern, cand: "np.ndarray"
-) -> bool:
-    """Graph-simulation fixpoint: the child-direction half only.
-
-    Plain simulation (``Q ≺ G``) drops ``v`` from ``cand[u]`` only when
-    a pattern edge ``(u, b)`` has no surviving child witness; removals
-    cascade to predecessors exclusively.  The array mirror of the
-    kernel's ``_sim_child_only``.
-    """
-    edges = cp.edges
-    if not edges:
-        return True
-    p = cp.size
-    num_edges = len(edges)
-    in_edges = cp.in_edges
-    n = view.n
-    fwd_indptr, fwd_indices = view.fwd_indptr, view.fwd_indices
-    rev_indptr, rev_indices = view.rev_indptr, view.rev_indices
-
-    cnt_down: List["np.ndarray"] = [None] * num_edges  # type: ignore
-    pending = np.zeros((p, n), dtype=bool)
-    for e in range(num_edges):
-        a, b = edges[e]
-        down = np.zeros(n, dtype=np.int64)
-        ids = np.nonzero(cand[a])[0]
-        if ids.size:
-            vals = _masked_row_sums(fwd_indptr, fwd_indices, ids, cand[b])
-            down[ids] = vals
-            pending[a][ids[vals == 0]] = True
-        cnt_down[e] = down
-
-    progressed = True
-    while progressed:
-        progressed = False
-        for u in range(p):
-            rem = np.nonzero(pending[u] & cand[u])[0]
-            pending[u][:] = False
-            if not rem.size:
-                continue
-            progressed = True
-            cand[u][rem] = False
-            if not cand[u].any():
-                return False
-            preds = _gather_rows(rev_indptr, rev_indices, rem)
-            if not preds.size:
-                continue
-            for e in in_edges[u]:
-                a = edges[e][0]
-                down = cnt_down[e]
-                np.add.at(down, preds, -1)
-                touched = np.unique(preds)
-                newly = touched[(down[touched] == 0) & cand[a][touched]]
-                pending[a][newly] = True
-    return True
-
-
 # ======================================================================
-# Seeding and relation conversion
+# Seeding
 # ======================================================================
 def _seed_masks(
-    view: _ArrayView, index: GrowableCSRIndex, cp: _CompiledPattern
+    view: _ArrayView, index: GraphIndex, cp: _CompiledPattern
 ) -> Optional["np.ndarray"]:
     """Label-compatible candidate matrix; ``None`` when any row is empty.
 
@@ -525,115 +300,9 @@ def _seed_masks(
     return cand
 
 
-def _cand_to_sets(cand: "np.ndarray") -> List[Set[int]]:
-    """Candidate matrix → per-pattern-node id sets (kernel's `sim` form)."""
-    return [set(np.nonzero(row)[0].tolist()) for row in cand]
-
-
-def np_dual_sim_ids(cp: _CompiledPattern, gi: GraphIndex) -> List[Set[int]]:
-    """Maximum dual simulation as integer-id sets (collapse → all empty)."""
-    _require_numpy()
-    view = get_array_view(gi)
-    cand = _seed_masks(view, gi, cp)
-    if cand is None or not _np_dual_fixpoint(view, cp, cand):
-        return [set() for _ in range(cp.size)]
-    return _cand_to_sets(cand)
-
-
-def dual_fixpoint_id_sets(
-    index: GrowableCSRIndex, cp: _CompiledPattern, sim: List[Set[int]]
-) -> Optional[List[Set[int]]]:
-    """Run the vectorized dual fixpoint from arbitrary id-set seeds.
-
-    The seam used by the distributed site worker: seeds come from the
-    site's ball walk, the fixpoint runs as array rounds over the
-    compacted seed-id space (candidates are always seeds, so edges out
-    of the seed set can never witness), and the result comes back in
-    the kernel's ``sim`` shape.  ``None`` on collapse.
-    """
-    _require_numpy()
-    view = get_array_view(index)
-    all_ids: Set[int] = set()
-    for ids in sim:
-        if not ids:
-            return None
-        all_ids.update(ids)
-    member_ids = np.fromiter(all_ids, dtype=np.int64, count=len(all_ids))
-    member_ids.sort()
-    local = _LocalBall(view, member_ids)
-    cand = np.zeros((cp.size, local.n), dtype=bool)
-    for u, ids in enumerate(sim):
-        seeds = np.fromiter(ids, dtype=np.int64, count=len(ids))
-        cand[u][np.searchsorted(member_ids, seeds)] = True
-    if not _np_dual_fixpoint(local, cp, cand):
-        return None
-    return local.to_global_sets(cand)
-
-
 # ======================================================================
-# Ball matching
+# Batched ball refinement
 # ======================================================================
-def _np_finish_ball(
-    cp: _CompiledPattern,
-    gi: GraphIndex,
-    view: _ArrayView,
-    center: int,
-    member_ids: "np.ndarray",
-    cand: "np.ndarray",
-    use_pruning: bool,
-    seen: Optional[Set[Tuple[FrozenSet[int], FrozenSet[Pair]]]],
-):
-    """Prune, re-refine and extract one seeded ball on compact arrays.
-
-    ``cand`` is a ``(pattern size, len(member_ids))`` matrix over ball
-    members; every row is known non-empty.  Columns with no candidate
-    are dropped before the local adjacency is built — they can never
-    witness anything — so the fixpoint runs on arrays sized to the
-    candidate-bearing part of the ball, not the graph.
-    """
-    keep = cand.any(axis=0)
-    member_ids = member_ids[keep]
-    cand = cand[:, keep]
-    local = _LocalBall(view, member_ids, need_und=use_pruning)
-    if use_pruning:
-        # All remaining columns are candidates of some pattern node, so
-        # the kernel's ``allowed`` set is exactly the local id space.
-        c = int(np.searchsorted(member_ids, center))
-        if c >= local.n or int(member_ids[c]) != center:
-            return None  # center itself is not a candidate
-        comp = _np_component(local, c, np.ones(local.n, dtype=bool))
-        cand &= comp
-        if (~cand.any(axis=1)).any():
-            return None
-    if not _np_dual_fixpoint(local, cp, cand):
-        return None
-    sim = local.to_global_sets(cand)
-    return _extract_perfect_subgraph(cp, gi, center, sim, seen)
-
-
-def _np_match_ball(
-    cp: _CompiledPattern,
-    gi: GraphIndex,
-    view: _ArrayView,
-    center: int,
-    radius: int,
-    use_pruning: bool = False,
-    seen: Optional[Set[Tuple[FrozenSet[int], FrozenSet[Pair]]]] = None,
-):
-    """Match one ball from label seeds — the array mirror of `_match_ball`."""
-    member, _border = _np_ball(view, center, radius)
-    member_ids = np.nonzero(member)[0]
-    cand = np.empty((cp.size, member_ids.size), dtype=bool)
-    for u in range(cp.size):
-        row = _label_mask(view, gi, cp.labels[u])[member_ids]
-        if not row.any():
-            return None
-        cand[u] = row
-    return _np_finish_ball(
-        cp, gi, view, center, member_ids, cand, use_pruning, seen
-    )
-
-
 _MAX_PAIR_KEYS = 8_000_000
 
 
@@ -868,112 +537,9 @@ def _np_refine_chunk(
             result.add(subgraph)
 
 
-def np_evaluate_ball(
-    cp: _CompiledPattern, gi: GraphIndex, center: int, radius: int
-):
-    """One ball from label seeds — the incremental matcher's primitive.
-
-    Mirrors :func:`repro.core.kernel._match_ball` defaults (no pruning,
-    no cross-center dedup; the caller caches per center).
-    """
-    _require_numpy()
-    with gi.reading():
-        view = get_array_view(gi)
-        return _np_match_ball(cp, gi, view, center, radius)
-
-
 # ======================================================================
-# Public entry points — mirror the kernel signatures exactly
+# Public entry point — mirrors the kernel signature exactly
 # ======================================================================
-def np_match(
-    pattern: Pattern,
-    data: DiGraph,
-    centers: Optional[Iterable[Node]] = None,
-    radius: Optional[int] = None,
-) -> MatchResult:
-    """Algorithm ``Match`` on the numpy engine (output-identical)."""
-    _require_numpy()
-    if radius is None:
-        radius = pattern.diameter
-    with _obs_span("numpy.match") as _sp:
-        gi = get_index(data)
-        cp = _CompiledPattern(pattern)
-        result = MatchResult(pattern)
-        with gi.reading():
-            view = get_array_view(gi)
-            seen: Set[Tuple[FrozenSet[int], FrozenSet[Pair]]] = set()
-            if centers is None:
-                if radius < 0 and gi.num_live:
-                    raise GraphError(
-                        f"ball radius must be non-negative, got {radius}"
-                    )
-                # Full scan in ascending id order: run the batched path
-                # with plain label seeds as the global candidate relation.
-                labels = gi.labels
-                live = np.fromiter(
-                    (i for i in range(gi.n) if labels[i] is not _DEAD),
-                    dtype=np.int64,
-                )
-                cand_global = _seed_masks(view, gi, cp)
-                if cand_global is not None and live.size:
-                    _np_refine_all_balls(
-                        cp, gi, view, live, radius, cand_global,
-                        False, seen, result,
-                    )
-                if _sp.enabled:
-                    _sp.set(
-                        engine="numpy",
-                        pattern=pattern.size,
-                        radius=radius,
-                        **{
-                            "balls.scanned": int(live.size),
-                            "balls.matched": len(result),
-                        },
-                    )
-                return result
-            scanned = 0
-            for center in _resolve_centers(gi, centers, radius):
-                scanned += 1
-                subgraph = _np_match_ball(
-                    cp, gi, view, center, radius, seen=seen
-                )
-                if subgraph is not None:
-                    result.add(subgraph)
-            if _sp.enabled:
-                _sp.set(
-                    engine="numpy",
-                    pattern=pattern.size,
-                    radius=radius,
-                    **{
-                        "balls.scanned": scanned,
-                        "balls.matched": len(result),
-                    },
-                )
-        return result
-
-
-def np_matches_via_strong_simulation(pattern: Pattern, data: DiGraph) -> bool:
-    """Decide ``Q ≺_LD G`` on the numpy engine (early exit)."""
-    _require_numpy()
-    radius = pattern.diameter
-    with _obs_span("numpy.matches") as _sp:
-        gi = get_index(data)
-        cp = _CompiledPattern(pattern)
-        with gi.reading():
-            view = get_array_view(gi)
-            labels = gi.labels
-            for center in range(gi.n):
-                if labels[center] is _DEAD:
-                    continue
-                if _np_match_ball(cp, gi, view, center, radius) is not None:
-                    if _sp.enabled:
-                        _sp.set(engine="numpy", outcome=True)
-                    return True
-            if _sp.enabled:
-                _sp.set(engine="numpy", outcome=False)
-            return False
-
-
 def np_match_plus(
     pattern: Pattern,
     data: DiGraph,
@@ -1058,45 +624,3 @@ def np_match_plus(
                     }
                 )
             return result
-
-
-def dual_simulation_numpy(pattern: Pattern, data: DiGraph) -> MatchRelation:
-    """Maximum dual-simulation relation of ``Q`` on ``G`` — numpy engine."""
-    _require_numpy()
-    with _obs_span("numpy.dual_simulation") as _sp:
-        gi = get_index(data)
-        if _sp.enabled:
-            _sp.set(engine="numpy", pattern=pattern.size, nodes=gi.num_live)
-        cp = _CompiledPattern(pattern)
-        with gi.reading():
-            sim = np_dual_sim_ids(cp, gi)
-            nodes = gi.nodes
-            return MatchRelation(
-                {
-                    cp.nodes[u]: {nodes[v] for v in sim[u]}
-                    for u in range(cp.size)
-                }
-            )
-
-
-def graph_simulation_numpy(pattern: Pattern, data: DiGraph) -> MatchRelation:
-    """Maximum graph-simulation relation of ``Q ≺ G`` — numpy engine."""
-    _require_numpy()
-    with _obs_span("numpy.graph_simulation") as _sp:
-        gi = get_index(data)
-        if _sp.enabled:
-            _sp.set(engine="numpy", pattern=pattern.size, nodes=gi.num_live)
-        cp = _CompiledPattern(pattern)
-        with gi.reading():
-            view = get_array_view(gi)
-            cand = _seed_masks(view, gi, cp)
-            if cand is None or not _np_sim_fixpoint(view, cp, cand):
-                return MatchRelation({u: set() for u in cp.nodes})
-            nodes = gi.nodes
-            sim = _cand_to_sets(cand)
-            return MatchRelation(
-                {
-                    cp.nodes[u]: {nodes[v] for v in sim[u]}
-                    for u in range(cp.size)
-                }
-            )

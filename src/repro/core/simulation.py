@@ -15,13 +15,13 @@ pattern node ends with no matches) the returned relation is empty, matching
 line 10 of procedure ``DualSim`` in the paper.
 
 Like the strong-simulation entry points, :func:`graph_simulation` takes an
-``engine`` argument: ``"python"`` runs the reference worklist fixpoint
-below, ``"kernel"`` runs the child-direction-only counter fixpoint of
+``engine`` argument and runs the ``sim`` cell of that engine's row in
+:data:`repro.core.engines.ENGINE_TABLE`: ``"python"`` is the reference
+worklist fixpoint below (:func:`simulation_fixpoint`); ``"kernel"`` and
+``"numpy"`` both run the child-direction-only counter fixpoint of
 :func:`repro.core.kernel.graph_simulation_kernel` over the compiled CSR
-index, and ``"numpy"`` the vectorized variant
-(:func:`repro.core.npkernel.graph_simulation_numpy`); ``"auto"``
-(default) picks by graph size.  All compute the same unique maximum
-relation.
+index; ``"auto"`` (default) picks by graph size.  All compute the same
+unique maximum relation.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from collections import deque
 from typing import Dict, Set
 
 from repro.core.digraph import DiGraph, Node
-from repro.core.kernel import graph_simulation_kernel, resolve_engine
-from repro.core.npkernel import graph_simulation_numpy
 from repro.core.matchrel import MatchRelation
 from repro.core.pattern import Pattern
 
@@ -135,12 +133,9 @@ def graph_simulation(
     ``engine`` selects the execution backend (``"auto"`` | ``"kernel"`` |
     ``"numpy"`` | ``"python"``); the relation is identical either way.
     """
-    resolved = resolve_engine(engine, data)
-    if resolved == "kernel":
-        return graph_simulation_kernel(pattern, data)
-    if resolved == "numpy":
-        return graph_simulation_numpy(pattern, data)
-    return simulation_fixpoint(pattern, data)
+    from repro.core.engines import engine_for  # the table imports this module
+
+    return engine_for(engine, data).sim(pattern, data)
 
 
 def matches_via_simulation(

@@ -14,19 +14,15 @@ For every ball ``Ĝ[w, d_Q]`` of the data graph:
 Complexity: O(|V| (|V| + (|Vq| + |Eq|)(|V| + |E|))) — cubic, as Theorem 5
 states.  The optimized variant lives in :mod:`repro.core.matchplus`.
 
-Three execution engines implement this algorithm (``engine`` argument):
-
-* ``"python"`` — the reference path below: per-ball ``DiGraph``
-  construction + set-based fixpoints, kept as the readable ground truth;
-* ``"kernel"`` — :mod:`repro.core.kernel`: the data graph is compiled once
-  to integer-id CSR arrays and balls/fixpoints run over flat buffers.
-  Output-identical, several times faster;
-* ``"numpy"`` — :mod:`repro.core.npkernel`: the same compiled arrays
-  walked by vectorized NumPy passes instead of per-node loops.
-  Output-identical again; wins on large graphs;
-* ``"auto"`` (default) — picks by graph size: reference for tiny
-  one-shot graphs, numpy past :data:`repro.core.kernel.NUMPY_AUTO_THRESHOLD`
-  (when numpy is installed), kernel otherwise.
+:func:`match` and :func:`matches_via_strong_simulation` take an
+``engine`` argument and run the ``match`` / ``matches`` cell of that
+engine's row in :data:`repro.core.engines.ENGINE_TABLE`.  The ``python``
+row is the reference code below (:func:`match_reference`,
+:func:`matches_reference`: per-ball ``DiGraph`` construction + set-based
+fixpoints, kept as the readable ground truth); ``kernel`` and
+``numpy`` both run the compiled CSR kernel.  ``"auto"`` (default) picks
+by graph size (:func:`repro.core.kernel.resolve_engine`).  All engines
+are output-identical.
 """
 
 from __future__ import annotations
@@ -36,12 +32,6 @@ from typing import Iterable, Optional, Set
 from repro.core.ball import Ball, extract_ball
 from repro.core.digraph import DiGraph, Node
 from repro.core.dualsim import dual_simulation
-from repro.core.kernel import (
-    kernel_match,
-    kernel_matches_via_strong_simulation,
-    resolve_engine,
-)
-from repro.core.npkernel import np_match, np_matches_via_strong_simulation
 from repro.core.matchgraph import build_match_graph, relation_restricted_to_component
 from repro.core.matchrel import MatchRelation
 from repro.core.pattern import Pattern
@@ -107,11 +97,20 @@ def match(
     MatchResult
         The deduplicated set Θ of maximum perfect subgraphs.
     """
-    resolved = resolve_engine(engine, data)
-    if resolved == "kernel":
-        return kernel_match(pattern, data, centers=centers, radius=radius)
-    if resolved == "numpy":
-        return np_match(pattern, data, centers=centers, radius=radius)
+    from repro.core.engines import engine_for  # the table imports this module
+
+    return engine_for(engine, data).match(
+        pattern, data, centers=centers, radius=radius
+    )
+
+
+def match_reference(
+    pattern: Pattern,
+    data: DiGraph,
+    centers: Optional[Iterable[Node]] = None,
+    radius: Optional[int] = None,
+) -> MatchResult:
+    """The ``python`` engine's ``match`` cell: Fig. 3, ball by ball."""
     if radius is None:
         radius = pattern.diameter
     if centers is None:
@@ -132,11 +131,13 @@ def matches_via_strong_simulation(
     pattern: Pattern, data: DiGraph, engine: str = "auto"
 ) -> bool:
     """Decide ``Q ≺_LD G`` — at least one perfect subgraph exists."""
-    resolved = resolve_engine(engine, data)
-    if resolved == "kernel":
-        return kernel_matches_via_strong_simulation(pattern, data)
-    if resolved == "numpy":
-        return np_matches_via_strong_simulation(pattern, data)
+    from repro.core.engines import engine_for  # the table imports this module
+
+    return engine_for(engine, data).matches(pattern, data)
+
+
+def matches_reference(pattern: Pattern, data: DiGraph) -> bool:
+    """The ``python`` engine's ``matches`` cell (early exit)."""
     radius = pattern.diameter
     for center in data.nodes():
         ball = extract_ball(data, center, radius)

@@ -101,6 +101,10 @@ class _PipeSiteWorker(SiteWorker):
 
 def worker_main(conn, wire_fragment, engine: str) -> None:
     """Run one site's worker process until shutdown or pipe loss."""
+    # A forked worker inherits the coordinator's instruments; every
+    # ``done`` frame ships this registry back to be merged, so it must
+    # hold only what this worker records.
+    _obs_registry().reset()
     try:
         fragment = decode_fragment(wire_fragment)
         worker = _PipeSiteWorker(fragment, engine, conn)

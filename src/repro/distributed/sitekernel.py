@@ -59,7 +59,6 @@ from repro.core.kernel import (
     _dual_sim_eager,
     _extract_perfect_subgraph,
 )
-from repro.core.npkernel import dual_fixpoint_id_sets
 from repro.core.result import PerfectSubgraph
 from repro.distributed.fragment import Fragment
 
@@ -141,7 +140,6 @@ class SiteGraphIndex(GrowableCSRIndex):
         self.und_rows[i] = und
         self.labels[i] = label
         self.materialized[i] = True
-        self._np_view = None
 
     def materialize(self, i: int, record: NodeRecord) -> None:
         """Extend the index with a fetched remote node record."""
@@ -172,7 +170,6 @@ class SiteGraphIndex(GrowableCSRIndex):
                 self.rev_rows[i] = []
                 self.und_rows[i] = []
         self._remote_live = 0
-        self._np_view = None
 
     # ------------------------------------------------------------------
     # Owned-delta maintenance (the per-site half of the mutation pipeline)
@@ -184,7 +181,6 @@ class SiteGraphIndex(GrowableCSRIndex):
         self.materialized[i] = True
         self.labels[i] = label
         self.owned_ids[i] = None
-        self._np_view = None
 
     def remove_owned_node(self, node: Node) -> None:
         """Tombstone an owned node whose incident edges are already gone."""
@@ -197,12 +193,10 @@ class SiteGraphIndex(GrowableCSRIndex):
         self.fwd_rows[i] = []
         self.rev_rows[i] = []
         self.und_rows[i] = []
-        self._np_view = None
 
     def relabel_owned_node(self, node: Node, label: Label) -> None:
         """Update the stored label of an owned node."""
         self.labels[self.index_of[node]] = label
-        self._np_view = None
 
     def add_owned_edge(
         self, source: Node, target: Node, owns_source: bool, owns_target: bool
@@ -227,7 +221,6 @@ class SiteGraphIndex(GrowableCSRIndex):
             und_t = self.und_rows[t]
             if s not in und_t:
                 und_t.append(s)
-        self._np_view = None
 
     def remove_owned_edge(
         self,
@@ -259,7 +252,6 @@ class SiteGraphIndex(GrowableCSRIndex):
                 und_t = self.und_rows[t]
                 if s in und_t:
                     und_t.remove(s)
-        self._np_view = None
 
     def __repr__(self) -> str:
         return (
@@ -369,34 +361,3 @@ def site_match_ball(
     if not _dual_sim_eager(cp, index, sim):
         return None
     return _extract_perfect_subgraph(cp, index, center, sim)
-
-
-def site_match_ball_numpy(
-    cp: _CompiledPattern,
-    index: SiteGraphIndex,
-    fetch_many: FetchManyFn,
-    center: int,
-    radius: int,
-) -> Optional[PerfectSubgraph]:
-    """:func:`site_match_ball` with the fixpoint run as array rounds.
-
-    The ball walk is the shared :func:`site_ball_bfs` — the same fetch
-    batches, the same per-record bus charges, so the protocol observation
-    is identical to the kernel path by construction.  Only the per-ball
-    dual-simulation fixpoint differs: the id-set seeds are handed to the
-    vectorized :func:`repro.core.npkernel.dual_fixpoint_id_sets`, which
-    computes the same unique maximum relation.
-    """
-    order, _ = site_ball_bfs(index, fetch_many, center, radius)
-    by_label = cp.by_label
-    labels = index.labels
-    sim: List[Set[int]] = [set() for _ in range(cp.size)]
-    for v in order:
-        for u in by_label.get(labels[v], ()):
-            sim[u].add(v)
-    if not all(sim):
-        return None
-    refined = dual_fixpoint_id_sets(index, cp, sim)
-    if refined is None:
-        return None
-    return _extract_perfect_subgraph(cp, index, center, refined)

@@ -9,23 +9,21 @@ per-worker cache ensures each remote record is shipped at most once per
 query, so the total shipment is bounded by the union of the
 boundary-crossing balls, which is the Section 4.3 bound.
 
-Like the centralized entry points, a worker runs on one of the execution
-engines (``engine="auto"|"kernel"|"numpy"|"python"``):
+Like the centralized entry points, a worker takes an execution engine
+(``engine="auto"|"kernel"|"numpy"|"python"``).  It keeps two
+substrates, and the ``compiled`` flag of the engine's row in
+:data:`repro.core.engines.ENGINE_TABLE` picks one:
 
-* ``"python"`` — the reference path: every ball rebuilds a hash-set
-  ``DiGraph`` and runs the set-based dual-simulation fixpoint.  Readable,
-  mirrors the paper's pseudocode; the right choice when debugging result
-  or traffic differences.
-* ``"kernel"`` (and the ``"auto"`` default) — the fragment is compiled
-  once per site into a :class:`~repro.distributed.sitekernel.SiteGraphIndex`
-  (integer ids + CSR rows) that is *extended incrementally* as remote
-  node records arrive over the bus; balls and fixpoints then run over
-  flat integer arrays exactly as in :mod:`repro.core.kernel`.
-* ``"numpy"`` — the same site index and the same ball walk, but the
-  per-ball fixpoint runs as vectorized array rounds
-  (:mod:`repro.core.npkernel`).  ``"auto"`` never resolves here at a
-  site (workers see no whole-graph handle to size against); ask for it
-  explicitly.
+* reference (``"python"``) — every ball rebuilds a hash-set ``DiGraph``
+  and runs the set-based dual-simulation fixpoint.  Readable, mirrors
+  the paper's pseudocode; the right choice when debugging result or
+  traffic differences.
+* compiled (``"kernel"``, ``"numpy"`` and the ``"auto"`` default) — the
+  fragment is compiled once per site into a
+  :class:`~repro.distributed.sitekernel.SiteGraphIndex` (integer ids +
+  CSR rows) that is *extended incrementally* as remote node records
+  arrive over the bus; balls and fixpoints then run over flat integer
+  arrays exactly as in :mod:`repro.core.kernel`.
 
 All engines fetch exactly the records of the remote ball members, so the
 message sequence, the per-link unit totals and the Section 4.3 data-
@@ -49,6 +47,7 @@ from repro.core.digraph import (
     Node,
 )
 from repro.core.dualsim import dual_simulation
+from repro.core.engines import ENGINE_TABLE
 from repro.core.kernel import (
     _CompiledPattern,
     aggregate_index_stats,
@@ -63,7 +62,6 @@ from repro.distributed.sitekernel import (
     NodeRecord,
     SiteGraphIndex,
     site_match_ball,
-    site_match_ball_numpy,
 )
 from repro.exceptions import DistributedError
 from repro.obs.trace import capture as _obs_capture
@@ -387,10 +385,8 @@ class SiteWorker:
         resolved = resolve_engine(self.engine if engine is None else engine)
         self.queries_served += 1
         with _obs_capture("site.evaluate") as _sp:
-            if resolved == "kernel":
+            if ENGINE_TABLE[resolved].compiled:
                 partial = self._match_local_kernel(pattern, radius)
-            elif resolved == "numpy":
-                partial = self._match_local_numpy(pattern, radius)
             else:
                 partial = self._match_local_python(pattern, radius)
             if _sp.enabled:
@@ -438,27 +434,6 @@ class SiteWorker:
         partial: List[PerfectSubgraph] = []
         for center in index.owned_ids:
             subgraph = site_match_ball(cp, index, fetch_many, center, radius)
-            if subgraph is not None:
-                partial.append(subgraph)
-        return partial
-
-    def _match_local_numpy(
-        self, pattern: Pattern, radius: int
-    ) -> List[PerfectSubgraph]:
-        """Numpy path: kernel's ball walk, vectorized per-ball fixpoint.
-
-        Shares :func:`~repro.distributed.sitekernel.site_ball_bfs` with
-        the kernel path, so fetches, charges and the partial list are all
-        identical; only the fixpoint runs as array rounds.
-        """
-        index = self.site_index()
-        cp = _CompiledPattern(pattern)
-        fetch_many = self._records_for_many
-        partial: List[PerfectSubgraph] = []
-        for center in index.owned_ids:
-            subgraph = site_match_ball_numpy(
-                cp, index, fetch_many, center, radius
-            )
             if subgraph is not None:
                 partial.append(subgraph)
         return partial

@@ -58,9 +58,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.bounded import bounded_simulation
 from repro.core.digraph import DiGraph
-from repro.core.dualsim import dual_simulation
-from repro.core.kernel import dual_simulation_kernel, resolve_engine
-from repro.core.npkernel import dual_simulation_numpy
+from repro.core.engines import engine_for
+from repro.core.kernel import resolve_engine
 from repro.core.matchplus import match_plus
 from repro.core.matchrel import MatchRelation
 from repro.core.minimize import minimize_pattern
@@ -285,11 +284,7 @@ def _compute_match(pattern: Pattern, data: DiGraph, engine: str):
 
 
 def _compute_dual(pattern: Pattern, data: DiGraph, engine: str):
-    if engine == "kernel":
-        return dual_simulation_kernel(pattern, data)
-    if engine == "numpy":
-        return dual_simulation_numpy(pattern, data)
-    return dual_simulation(pattern, data)
+    return engine_for(engine, data).dual(pattern, data)
 
 
 def _compute_sim(pattern: Pattern, data: DiGraph, engine: str):

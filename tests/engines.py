@@ -1,16 +1,18 @@
 """Reusable cross-engine differential harness.
 
-Every matching entry point in the repo runs on three execution engines —
-``"python"`` (the reference path, transcribed from the paper's
-pseudocode), ``"kernel"`` (the compiled CSR path of
-:mod:`repro.core.kernel` / :mod:`repro.distributed.sitekernel`), and
-``"numpy"`` (the vectorized array passes of :mod:`repro.core.npkernel`
-over the same compiled index).  The
-engines' contract is *output identity*, and this module is the one place
-that knows how to observe each entry point in an engine-independent,
-comparable form:
+Every matching entry point in the repo runs on the execution engines of
+:data:`repro.core.engines.ENGINE_TABLE` — ``"python"`` (the reference
+path, transcribed from the paper's pseudocode), ``"kernel"`` (the
+compiled CSR path of :mod:`repro.core.kernel` /
+:mod:`repro.distributed.sitekernel`), and ``"numpy"`` (the kernel with
+the batched ball refinement of :mod:`repro.core.npkernel` in its
+``match_plus`` cell).  The engines' contract is
+*output identity*, and this module is the one place that knows how to
+observe each entry point in an engine-independent, comparable form:
 
-* :data:`ENGINES` / :data:`ENTRY_POINTS` — the matrix under test;
+* :data:`ENGINES` / :data:`ENTRY_POINTS` — the matrix under test, taken
+  from the engine table: one row per engine, one centralized entry
+  point per table cell;
 * :func:`run_entry_point` — run one entry point on one engine and return
   its canonical observation;
 * :func:`assert_entry_point_identical` /
@@ -39,18 +41,19 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.digraph import DiGraph, GraphDelta
 from repro.core.dualsim import dual_simulation
-from repro.core.kernel import dual_simulation_kernel, get_index
-from repro.core.npkernel import dual_simulation_numpy
+from repro.core.engines import CELLS, ENGINE_TABLE, engine_for
+from repro.core.kernel import get_index
 from repro.core.matchplus import match_plus
 from repro.core.pattern import Pattern
 from repro.core.simulation import graph_simulation
-from repro.core.strong import match
+from repro.core.strong import match, matches_via_strong_simulation
 from repro.distributed import Cluster
 from repro.distributed.coordinator import DistributedRunReport
 from repro.distributed.network import MessageBus
 from repro.distributed.runtime import process_backend_available
 
-ENGINES = ("python", "kernel", "numpy")
+#: Every row of the engine table, the reference row first.
+ENGINES = tuple(ENGINE_TABLE)
 
 #: The cluster runtime backends under differential test.  The process
 #: backend is included only where the platform can host it; callers that
@@ -134,6 +137,10 @@ def _run_match(pattern, data, engine, **_):
     return canonical_result(match(pattern, data, engine=engine))
 
 
+def _run_matches(pattern, data, engine, **_):
+    return matches_via_strong_simulation(pattern, data, engine=engine)
+
+
 def _run_match_plus(pattern, data, engine, **_):
     return canonical_result(match_plus(pattern, data, engine=engine))
 
@@ -143,13 +150,7 @@ def _run_graph_simulation(pattern, data, engine, **_):
 
 
 def _run_dual_simulation(pattern, data, engine, **_):
-    if engine == "kernel":
-        runner = dual_simulation_kernel
-    elif engine == "numpy":
-        runner = dual_simulation_numpy
-    else:
-        runner = dual_simulation
-    return canonical_relation(runner(pattern, data))
+    return canonical_relation(engine_for(engine, data).dual(pattern, data))
 
 
 def _run_cluster(
@@ -169,19 +170,25 @@ def _run_cluster(
 #: directly comparable observation.
 ENTRY_POINTS = {
     "match": _run_match,
+    "matches_via_strong_simulation": _run_matches,
     "match_plus": _run_match_plus,
     "graph_simulation": _run_graph_simulation,
     "dual_simulation": _run_dual_simulation,
     "cluster_run": _run_cluster,
 }
 
-#: The entry points that need no cluster setup.
-CENTRALIZED_ENTRY_POINTS = (
-    "match",
-    "match_plus",
-    "graph_simulation",
-    "dual_simulation",
-)
+#: Engine-table cell -> the entry point that observes it.
+_CELL_ENTRY_POINTS = {
+    "match": "match",
+    "matches": "matches_via_strong_simulation",
+    "match_plus": "match_plus",
+    "dual": "dual_simulation",
+    "sim": "graph_simulation",
+}
+
+#: The entry points that need no cluster setup: one per table cell, so
+#: a cell added to the table without a runner here fails at import.
+CENTRALIZED_ENTRY_POINTS = tuple(_CELL_ENTRY_POINTS[cell] for cell in CELLS)
 
 
 def run_entry_point(
@@ -378,7 +385,7 @@ def assert_centralized_update_step_identical(
     kernel compile on a structural copy of ``graph``.
     """
     copy = graph.copy()  # fresh object: fresh, from-scratch compiles
-    compiled_engines = [e for e in ENGINES if e != "python"]
+    compiled_engines = [e for e in ENGINES if ENGINE_TABLE[e].compiled]
     for name in CENTRALIZED_ENTRY_POINTS:
         reference = run_entry_point(name, "python", pattern, graph)
         for engine in compiled_engines:
@@ -434,11 +441,7 @@ SERVICE_ALGORITHM_RUNNERS = {
     ),
     "match": (lambda p, g, e: match(p, g, engine=e), canonical_result),
     "dual": (
-        lambda p, g, e: (
-            dual_simulation_kernel(p, g) if e == "kernel"
-            else dual_simulation_numpy(p, g) if e == "numpy"
-            else dual_simulation(p, g)
-        ),
+        lambda p, g, e: engine_for(e, g).dual(p, g),
         canonical_relation,
     ),
     "sim": (

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 
 from repro.core.digraph import DiGraph
 from repro.core.dualsim import dual_simulation
+from repro.core.engines import ENGINE_TABLE
 from repro.core.kernel import (
     NUMPY_AUTO_THRESHOLD,
     GraphIndex,
@@ -29,7 +30,6 @@ from repro.core.kernel import (
     kernel_matches_via_strong_simulation,
     resolve_engine,
 )
-from repro.core.npkernel import dual_simulation_numpy
 from repro.core.matchplus import MatchPlusOptions, match_plus
 from repro.core.pattern import Pattern
 from repro.core.strong import match, matches_via_strong_simulation
@@ -129,13 +129,13 @@ class TestFixtureCorpus:
 
     def test_dual_simulation_on_fixtures(self, q1, g1, small_synthetic):
         assert dual_simulation_kernel(q1, g1) == dual_simulation(q1, g1)
-        assert dual_simulation_numpy(q1, g1) == dual_simulation(q1, g1)
+        assert ENGINE_TABLE["numpy"].dual(q1, g1) == dual_simulation(q1, g1)
         pattern = pattern_from_subgraph(small_synthetic, 2, 3)
         assert pattern is not None
         assert dual_simulation_kernel(pattern, small_synthetic) == (
             dual_simulation(pattern, small_synthetic)
         )
-        assert dual_simulation_numpy(pattern, small_synthetic) == (
+        assert ENGINE_TABLE["numpy"].dual(pattern, small_synthetic) == (
             dual_simulation(pattern, small_synthetic)
         )
 
@@ -153,11 +153,13 @@ class TestFixtureCorpus:
         pattern = pattern_from_subgraph(small_synthetic, 3, 3)
         assert pattern is not None
         centers = list(small_synthetic.nodes())[::3]
-        assert canonical(
-            match(pattern, small_synthetic, centers=centers, engine="kernel")
-        ) == canonical(
+        reference = canonical(
             match(pattern, small_synthetic, centers=centers, engine="python")
         )
+        for engine in ("kernel", "numpy"):
+            assert canonical(
+                match(pattern, small_synthetic, centers=centers, engine=engine)
+            ) == reference
 
     def test_decision_procedure(self, small_synthetic):
         pattern = pattern_from_subgraph(small_synthetic, 4, 3)
@@ -199,7 +201,7 @@ class TestRandomizedEquivalence:
         data, pattern = pair
         reference = dual_simulation(pattern, data)
         assert dual_simulation_kernel(pattern, data) == reference
-        assert dual_simulation_numpy(pattern, data) == reference
+        assert ENGINE_TABLE["numpy"].dual(pattern, data) == reference
 
     def test_seeded_sweep(self):
         """A deterministic seed sweep, independent of hypothesis."""

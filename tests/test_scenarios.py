@@ -47,6 +47,8 @@ from repro.scenarios import (
     scenario_names,
 )
 
+from tests.engines import available_backends
+
 # ----------------------------------------------------------------------
 # Percentile math (satellite: property tests)
 # ----------------------------------------------------------------------
@@ -198,6 +200,22 @@ class TestDigestDeterminism:
         # Every pattern queried twice per round: half replayed from the
         # shared result store.
         assert report.executed["replayed"] == report.executed["computed"]
+
+    def test_distributed_window_counts_each_query_once(self):
+        """The SLO window holds one sample per query on every backend.
+
+        Backends run in order, so by the time the process backend forks
+        its workers this process's registry already holds the earlier
+        cases' samples — which a worker must not ship back as its own.
+        """
+        runner = ScenarioRunner(get_scenario("distributed-4site"))
+        for backend in available_backends():
+            report = runner.run_case("smoke", "kernel", backend)
+            counts = {row: v["count"] for row, v in report.latency.items()}
+            assert counts == {
+                "distributed": report.queries,
+                "queue_wait": report.queries,
+            }, backend
 
     def test_unknown_scale_reports_skips_not_silence(self):
         cases = run_matrix(["distributed-4site"], "M")

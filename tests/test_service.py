@@ -454,11 +454,10 @@ class TestParallelClusterRun:
             serial = cluster_observation(
                 Cluster(data, assignment, sites, engine=engine).run(pattern)
             )
-            parallel = cluster_observation(
-                Cluster(
-                    data, assignment, sites, engine=engine, parallel=True
-                ).run(pattern)
-            )
+            with Cluster(
+                data, assignment, sites, engine=engine, parallel=True
+            ) as cluster:
+                parallel = cluster_observation(cluster.run(pattern))
             assert parallel == serial, (
                 f"parallel cluster diverged from serial on {engine!r}"
             )
@@ -484,8 +483,8 @@ class TestParallelClusterRun:
     def test_per_query_override(self, q1, g1):
         nodes = list(g1.nodes())
         assignment = {node: i % 2 for i, node in enumerate(nodes)}
-        serial_cluster = Cluster(g1, assignment, 2)
-        parallel_report = serial_cluster.run(q1, parallel=True)
+        with Cluster(g1, assignment, 2) as serial_cluster:
+            parallel_report = serial_cluster.run(q1, parallel=True)
         fresh = Cluster(g1, dict(assignment), 2)
         serial_report = fresh.run(q1)
         assert cluster_observation(parallel_report) == cluster_observation(
