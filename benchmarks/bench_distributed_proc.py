@@ -1,26 +1,22 @@
-"""Distributed runtime backends: thread-per-site vs process-per-site.
+"""Distributed runtime backends: serial in-process vs process-per-site.
 
-PR 4 measured ``Cluster(parallel=True)`` at 0.99x over serial and had to
-record rather than gate it: pure-Python site evaluation serializes on
-the GIL at any core count.  The process backend is the payoff of that
-architecture — one OS process per site evaluates off-GIL on real cores.
-This benchmark times one warm cluster per backend (``inproc`` |
-``threads`` | ``processes``) on the same bfs-partitioned graph, for both
-site substrates (the ``python`` reference and the ``kernel``; the
-``numpy`` engine runs the kernel at the sites, so it has no column of
-its own), asserting first that the full protocol observation is
-**byte-identical** across backends (the runtime contract), then timing
-repeated queries.  The thread-over-inproc ratio is recorded per engine.
+The ``processes`` backend exists to evaluate sites off-GIL on real
+cores, one OS process per site.  This benchmark times one warm cluster
+per backend (``inproc`` | ``processes``) on the same bfs-partitioned
+graph, for both site substrates (the ``python`` reference and the
+``kernel``; the ``numpy`` engine runs the kernel at the sites, so it
+has no column of its own), asserting first that the full protocol
+observation is **byte-identical** across backends (the runtime
+contract), then timing repeated queries.
 
 Gate: on a full (non-smoke) small-scale run with at least as many CPUs
-as sites, the process backend must beat the thread backend by ≥ 1.5x
-wall-clock on both engines at |V|≈2500 / 4 sites.  On a host with fewer
-cores than sites the 4-way multi-core claim is not measurable — on one
-CPU, processes pay IPC on top of the same serialized compute — so the
-ratio is recorded with an explanatory note instead, exactly like PR 4's
-thread-parallel section (equivalence is still enforced).
-``REPRO_KERNEL_BENCH_SMOKE=1`` shrinks sizes and records without
-gating.
+as sites, the process backend must beat the serial ``inproc`` backend
+by ≥ 1.5x wall-clock on both engines at |V|≈2500 / 4 sites.  On a host
+with fewer cores than sites the 4-way multi-core claim is not
+measurable — the sites share the cores and processes add IPC — so the
+ratio is recorded with an explanatory note instead (equivalence is
+still enforced).  ``REPRO_KERNEL_BENCH_SMOKE=1`` shrinks sizes and
+records without gating.
 
 Emits ``benchmarks/results/bench_distributed_proc.txt`` and
 machine-readable ``benchmarks/results/BENCH_proc.json``.
@@ -41,11 +37,11 @@ from benchmarks.conftest import best_of, emit, emit_result
 from tests.engines import cluster_observation
 
 SITES = 4
-PROC_OVER_THREAD_SMALL_SCALE_BAR = 1.5
-BACKENDS = ("inproc", "threads", "processes")
+PROC_OVER_INPROC_SMALL_SCALE_BAR = 1.5
+BACKENDS = ("inproc", "processes")
 
 
-def test_process_backend_beats_threads(scale):
+def test_process_backend_beats_inproc(scale):
     if not process_backend_available():
         pytest.skip("platform cannot host the process backend")
     smoke = os.environ.get("REPRO_KERNEL_BENCH_SMOKE") == "1"
@@ -87,29 +83,21 @@ def test_process_backend_beats_threads(scale):
         finally:
             for cluster in clusters.values():
                 cluster.close()
-        for backend in BACKENDS[1:]:
-            assert observations[backend] == observations["inproc"], (
-                f"backend {backend!r} observation diverged on {engine!r}"
-            )
-        speedup = round(
-            seconds["threads"] / max(seconds["processes"], 1e-9), 3
+        assert observations["processes"] == observations["inproc"], (
+            f"backend 'processes' observation diverged on {engine!r}"
         )
-        thread_scaling = round(
-            seconds["inproc"] / max(seconds["threads"], 1e-9), 3
+        speedup = round(
+            seconds["inproc"] / max(seconds["processes"], 1e-9), 3
         )
         speedups[engine] = speedup
         sections[engine] = {
             "inproc_s": round(seconds["inproc"], 6),
-            "threads_s": round(seconds["threads"], 6),
             "processes_s": round(seconds["processes"], 6),
-            "proc_over_thread_speedup": speedup,
-            "threads_over_inproc_speedup": thread_scaling,
+            "proc_over_inproc_speedup": speedup,
         }
         lines.append(
-            f"{engine}: inproc {seconds['inproc']:.4f}s, threads "
-            f"{seconds['threads']:.4f}s, processes "
-            f"{seconds['processes']:.4f}s -> {speedup:.2f}x proc/thread, "
-            f"{thread_scaling:.2f}x thread/inproc"
+            f"{engine}: inproc {seconds['inproc']:.4f}s, processes "
+            f"{seconds['processes']:.4f}s -> {speedup:.2f}x proc/inproc"
         )
 
     gated = not smoke and cpus >= SITES
@@ -127,12 +115,12 @@ def test_process_backend_beats_threads(scale):
         "engines": sections,
         "equivalence": (
             "full protocol observation (results, per-site partials, bus "
-            "accounting) asserted byte-identical across "
-            "inproc/threads/processes on both engines"
+            "accounting) asserted byte-identical across inproc/processes "
+            "on both engines"
         ),
         "gate": (
-            f">= {PROC_OVER_THREAD_SMALL_SCALE_BAR}x processes-over-"
-            "threads on both engines"
+            f">= {PROC_OVER_INPROC_SMALL_SCALE_BAR}x processes-over-"
+            "inproc on both engines"
             if gated
             else (
                 "recorded, not gated: "
@@ -140,10 +128,8 @@ def test_process_backend_beats_threads(scale):
                     "smoke mode"
                     if smoke
                     else f"host has {cpus} CPU(s) for {SITES} sites — "
-                    "thread and process backends both (partly) serialize "
-                    "their compute and processes add IPC; the multi-core "
-                    "claim needs cores >= sites (cf. PR 4's "
-                    "thread-parallel section)"
+                    "the site processes share the cores and add IPC; the "
+                    "multi-core claim needs cores >= sites"
                 )
             )
         ),
@@ -153,8 +139,8 @@ def test_process_backend_beats_threads(scale):
 
     if gated and payload["scale"] == "small":
         for engine, speedup in speedups.items():
-            assert speedup >= PROC_OVER_THREAD_SMALL_SCALE_BAR, (
+            assert speedup >= PROC_OVER_INPROC_SMALL_SCALE_BAR, (
                 f"process backend speedup {speedup}x on {engine!r} fell "
-                f"below {PROC_OVER_THREAD_SMALL_SCALE_BAR}x over threads "
+                f"below {PROC_OVER_INPROC_SMALL_SCALE_BAR}x over inproc "
                 f"at |V|={n} / {SITES} sites on {cpus} CPUs"
             )

@@ -1,6 +1,6 @@
-"""Query service: cache-hit speedup, invalidation precision, parallel sites.
+"""Query service: cache-hit speedup, invalidation precision, replays.
 
-Three sections, every timed pair also an equivalence check:
+Four sections, every timed pair also an equivalence check:
 
 * **cache** — one pattern served cold (a full ``match_plus``) vs warm
   (the fingerprint hit replaying the cached canonical encoding), plus a
@@ -11,18 +11,10 @@ Three sections, every timed pair also an equivalence check:
   disjoint deltas must retain entries (hits keep flowing), overlapping
   deltas must recompute, and every answer is asserted against a direct
   engine call.
-* **parallel** — ``Cluster.run`` serial vs ``parallel=True`` on a
-  4-site kernel cluster, full protocol observation asserted identical.
-  The serial/parallel ratio is *recorded, not gated*: site evaluation
-  is pure-Python CPU-bound bytecode, so under CPython's GIL threads
-  serialize and the ratio sits near 1.0x on any core count — the
-  parallel path buys architecture (self-contained per-site state, a
-  locked bus, deterministic union order) that pays off once workers
-  release the GIL or move to processes (ROADMAP follow-up), and this
-  section pins down that it is *observation-identical* meanwhile.
-* **distributed_cache** — a warm hit in the cluster's shared result
-  store (version-vector gated, replaying the full run observation)
-  vs a cold protocol run.  Gated *including smoke mode*: the replay
+* **throughput** — a repetition-skewed stream, cache off vs on.
+* **distributed_cache** — a warm hit in the cluster's result store
+  (version-vector gated, replaying the full run observation) vs a
+  cold protocol run.  Gated *including smoke mode*: the replay
   must be >= 5x faster than ``Cluster.run`` — it only decodes the
   stored encoding and re-plays the query's bus log, no site ever
   evaluates a ball.
@@ -50,11 +42,11 @@ from tests.engines import distributed_observation, permuted_pattern
 
 WARM_HIT_SMALL_SCALE_BAR = 10.0
 DISTRIBUTED_WARM_HIT_BAR = 5.0
-PARALLEL_SITES = 4
+SITES = 4
 TIMING_REPS = 5
 
 
-def test_service_cache_and_parallel_sites(scale):
+def test_service_cache_and_distributed_replay(scale):
     smoke = os.environ.get("REPRO_KERNEL_BENCH_SMOKE") == "1"
     lines: List[str] = ["Query service benchmark"]
 
@@ -174,7 +166,7 @@ def test_service_cache_and_parallel_sites(scale):
     )
 
     # ------------------------------------------------------------------
-    # Section 4: parallel site evaluation
+    # Section 4: distributed result cache — warm replay vs protocol run
     # ------------------------------------------------------------------
     dist_n = 300 if smoke else 600
     dist_data = generate_graph(
@@ -182,54 +174,8 @@ def test_service_cache_and_parallel_sites(scale):
     )
     dist_pattern = sample_pattern_from_data(dist_data, 6, seed=501)
     assert dist_pattern is not None
-    assignment = bfs_partition(dist_data, PARALLEL_SITES)
-    serial_cluster = Cluster(dist_data, assignment, PARALLEL_SITES)
-    parallel_cluster = Cluster(
-        dist_data, assignment, PARALLEL_SITES, parallel=True
-    )
-    serial_report = serial_cluster.run(dist_pattern)
-    parallel_report = parallel_cluster.run(dist_pattern)
-    assert _canonical(parallel_report.result) == _canonical(
-        serial_report.result
-    ), "parallel cluster result diverged from serial"
-    assert (
-        parallel_report.per_site_subgraphs == serial_report.per_site_subgraphs
-    )
-    assert (
-        parallel_report.bus.units_by_kind() == serial_report.bus.units_by_kind()
-    )
-    serial_s = best_of(lambda: serial_cluster.run(dist_pattern), 3)
-    parallel_s = best_of(lambda: parallel_cluster.run(dist_pattern), 3)
-    parallel_speedup = round(serial_s / parallel_s, 3) if parallel_s else None
-    cpus = os.cpu_count() or 1
-    parallel_section = {
-        "workload": (
-            f"bfs-partitioned synthetic |V|={dist_n}, "
-            f"{PARALLEL_SITES} sites, |Vq|=6"
-        ),
-        "n": dist_n,
-        "sites": PARALLEL_SITES,
-        "serial_s": round(serial_s, 6),
-        "parallel_s": round(parallel_s, 6),
-        "speedup": parallel_speedup,
-        "cpu_count": cpus,
-        "gate": (
-            "observation-identity asserted; timing recorded, not gated "
-            "(GIL-bound pure-Python site evaluation serializes on any "
-            "core count — see the module docstring)"
-        ),
-    }
-    lines.append(
-        f"parallel sites: serial {serial_s:.4f}s vs parallel "
-        f"{parallel_s:.4f}s -> {parallel_speedup:.2f}x on {cpus} CPU(s) "
-        f"(recorded, not gated: GIL-bound site evaluation)"
-    )
-
-    # ------------------------------------------------------------------
-    # Section 5: distributed result cache — warm replay vs protocol run
-    # ------------------------------------------------------------------
-    cache_cluster = Cluster(dist_data, assignment, PARALLEL_SITES)
-    cache_cluster.enable_result_store()
+    assignment = bfs_partition(dist_data, SITES)
+    cache_cluster = Cluster(dist_data, assignment, SITES)
     dist_service = MatchService(max_workers=2)
     fresh = distributed_observation(cache_cluster.run(dist_pattern))
     first = dist_service.query_distributed(dist_pattern, cache_cluster)
@@ -251,11 +197,11 @@ def test_service_cache_and_parallel_sites(scale):
     distributed_cache_section = {
         "workload": (
             f"distributed match on bfs-partitioned synthetic "
-            f"|V|={dist_n}, {PARALLEL_SITES} sites, |Vq|=6"
+            f"|V|={dist_n}, {SITES} sites, |Vq|=6"
         ),
         "n": dist_n,
-        "sites": PARALLEL_SITES,
-        "store": "coordinator-hosted shared ResultCache",
+        "sites": SITES,
+        "store": "the cluster's coordinator-hosted ResultCache",
         "cold_run_s": round(cold_dist_s, 6),
         "warm_replay_s": round(warm_dist_s, 6),
         "speedup": dist_speedup,
@@ -269,7 +215,7 @@ def test_service_cache_and_parallel_sites(scale):
     lines.append(
         f"distributed cache: cold run {cold_dist_s:.5f}s vs warm replay "
         f"{warm_dist_s:.5f}s -> {dist_speedup:.1f}x "
-        f"({PARALLEL_SITES} sites, |V|={dist_n})"
+        f"({SITES} sites, |V|={dist_n})"
     )
     assert dist_speedup >= DISTRIBUTED_WARM_HIT_BAR, (
         f"warm distributed replay speedup {dist_speedup} fell below "
@@ -284,12 +230,11 @@ def test_service_cache_and_parallel_sites(scale):
         "cache": cache_section,
         "invalidation": invalidation_section,
         "throughput": throughput,
-        "parallel": parallel_section,
         "distributed_cache": distributed_cache_section,
         "equivalence": (
-            "service results identical to direct engine calls; parallel "
-            "cluster observation identical to serial; warm distributed "
-            "replays identical to fresh Cluster.run observations"
+            "service results identical to direct engine calls; warm "
+            "distributed replays identical to fresh Cluster.run "
+            "observations"
         ),
     }
     emit_result("BENCH_service", payload)

@@ -8,7 +8,7 @@ and partial results cross the process boundary in version-stamped wire
 form, cross-site fetches are request/reply through the coordinator
 (batched per BFS layer), and the full protocol observation — result
 set, per-site partials, every traffic counter — is byte-identical to
-the in-process backends.
+the in-process backend.
 
 This example walks through:
 

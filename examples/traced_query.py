@@ -11,7 +11,7 @@ records, shipped units), and the root span carries the per-query bus
 log itself, so the trace *is* the protocol observation.
 
 This example runs one traced query on a process-backed cluster (falling
-back to threads where fork is unavailable), prints the merged per-site
+back to inproc where fork is unavailable), prints the merged per-site
 phase breakdown, and cross-checks the trace's bus-traffic attributes
 against the cluster report's query log — they are the same object of
 record, byte for byte.  Pass a path argument to also write the full
@@ -37,7 +37,7 @@ SITES = 3
 
 
 def main(out_path=None) -> None:
-    backend = "processes" if process_backend_available() else "threads"
+    backend = "processes" if process_backend_available() else "inproc"
     data = generate_graph(400, alpha=1.15, num_labels=12, seed=37)
     pattern = sample_pattern_from_data(data, 5, seed=41)
     assert pattern is not None

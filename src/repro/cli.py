@@ -30,6 +30,7 @@ from repro.core.pattern import Pattern
 from repro.core.ranking import rank_matches, score_match
 from repro.core.strong import match
 from repro.distributed.partition import PARTITIONERS
+from repro.distributed.runtime import BACKENDS
 from repro.io.edgelist import read_edgelist, write_edgelist
 from repro.io.jsonio import (
     match_result_to_dict,
@@ -235,9 +236,7 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
     data = _load_graph(args.data, args.format)
     pattern = _load_pattern(args.pattern)
     assignment = PARTITIONERS[args.partitioner](data, args.sites)
-    # --parallel predates --backend and still means "threads"; an
-    # explicit --backend wins over it.
-    backend = args.backend or ("threads" if args.parallel else "inproc")
+    backend = args.backend
     if backend == "processes" and not process_backend_available():
         print("the 'processes' backend is unavailable on this platform "
               "(no fork/forkserver/spawn support)")
@@ -250,12 +249,11 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
         if repeat == 1:
             report = cluster.run(pattern)
         else:
-            # Route repeated runs through the service layer's
-            # distributed cache: run 1 pays the protocol, the rest
-            # replay the stored report at the cluster's version vector.
+            # Route repeated runs through the cluster's result store:
+            # run 1 pays the protocol, the rest replay the stored
+            # report at the cluster's version vector.
             from repro.service import MatchService
 
-            cluster.enable_result_store()
             with MatchService(max_workers=2) as service:
                 for _ in range(repeat):
                     report = service.query_distributed(pattern, cluster)
@@ -584,27 +582,19 @@ def build_parser() -> argparse.ArgumentParser:
              "(walks every boundary-crossing ball; slow on large graphs)",
     )
     p_dist.add_argument(
-        "--parallel", action="store_true",
-        help="evaluate the sites concurrently (one thread per site); "
-             "results and traffic accounting are identical to a serial "
-             "run (shorthand for --backend threads)",
-    )
-    p_dist.add_argument(
-        "--backend", choices=("inproc", "threads", "processes"),
-        default=None,
+        "--backend", choices=BACKENDS, default="inproc",
         help="runtime substrate hosting the site workers: 'inproc' "
-             "evaluates serially in this interpreter, 'threads' runs one "
-             "thread per site, 'processes' one OS process per site "
+             "evaluates the sites serially in this interpreter (the "
+             "reference), 'processes' runs one OS process per site "
              "(off-GIL, multi-core); the protocol observation is "
-             "byte-identical across backends (default: inproc, or "
-             "threads with --parallel)",
+             "byte-identical across backends (default: inproc)",
     )
     p_dist.add_argument(
         "--repeat", type=int, default=1,
-        help="run the query N times through the service layer's "
-             "distributed result cache: run 1 pays the Section 4.3 "
-             "protocol, the rest replay the stored report at the "
-             "cluster's version vector (default: 1, a plain run)",
+        help="run the query N times through the cluster's distributed "
+             "result store: run 1 pays the Section 4.3 protocol, the "
+             "rest replay the stored report at the cluster's version "
+             "vector (default: 1, a plain run)",
     )
     _add_obs_arguments(p_dist)
     p_dist.set_defaults(func=_cmd_distributed)

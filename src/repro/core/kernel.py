@@ -380,8 +380,8 @@ def aggregate_index_stats() -> IndexStats:
 
     The process-wide view of the hot-path counters: the kernel loops
     keep their plain-int increments (zero observability overhead), and
-    this aggregation runs only when someone asks — the metrics
-    registry's collector, or a distributed worker's ``runtime_stats``.
+    this aggregation runs only when someone asks (the metrics
+    registry's collector).
     """
     total = IndexStats()
     for index in list(_ALL_INDEXES):

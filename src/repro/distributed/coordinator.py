@@ -26,10 +26,9 @@ Section 4.3 bound holds unchanged (enforced by
 ``tests/test_distributed_kernel_equivalence.py``).
 
 Orthogonally to the engine, ``Cluster`` accepts a runtime ``backend``
-(``"inproc"`` | ``"threads"`` | ``"processes"``, see
-:mod:`repro.distributed.runtime`) choosing *where* the site workers
-live; the protocol observation is byte-identical across backends
-(enforced by ``tests/test_runtime.py``).
+(``"inproc"`` | ``"processes"``, see :mod:`repro.distributed.runtime`)
+choosing *where* the site workers live; the protocol observation is
+byte-identical across backends (enforced by ``tests/test_runtime.py``).
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from repro.core.result import MatchResult
 from repro.distributed.fragment import Assignment, Fragment, fragment_graph
 from repro.distributed.network import MessageBus
 from repro.distributed.runtime.transport import (
-    BACKENDS,
     make_transport,
     resolve_backend,
 )
@@ -72,8 +70,35 @@ from repro.obs.metrics import (
     merge_snapshots,
 )
 from repro.obs.trace import span as _obs_span
+from repro.service.cache import ResultCache
 
 COORDINATOR_ID = -1
+
+#: Every live cluster, for the metrics collector below (weak: a closed
+#: or dropped cluster stops being sampled without unregistration).
+_ALL_CLUSTERS: "weakref.WeakSet" = weakref.WeakSet()
+
+
+def _sample_bus_metrics():
+    """Snapshot-time fold of every live cluster's bus accounting.
+
+    Samples that share a key (``bus.messages``, one ``kind``) sum in the
+    snapshot, so the namespace reports the traffic of live clusters.
+    """
+    samples = []
+    for cluster in list(_ALL_CLUSTERS):
+        bus = cluster.bus
+        samples.append(("bus.messages", {}, bus.total_messages))
+        for kind, units in sorted(bus.units_by_kind().items()):
+            samples.append(("bus.units", {"kind": kind}, units))
+        for (sender, receiver), units in sorted(bus.units_by_link().items()):
+            samples.append(
+                ("bus.units", {"link": f"{sender}->{receiver}"}, units)
+            )
+    return samples
+
+
+_obs_registry().register_collector(_sample_bus_metrics, _sample_bus_metrics)
 
 
 @dataclass
@@ -134,8 +159,6 @@ class Cluster:
 
     * ``"inproc"`` — serial in-process evaluation (the default, and the
       reference for every observation);
-    * ``"threads"`` — one thread per site (what ``parallel=True``
-      selected before backends existed; the two spellings are aliases);
     * ``"processes"`` — one OS process per site behind a
       :class:`~repro.distributed.runtime.transport.ProcessTransport`:
       site evaluation runs off-GIL on real cores, queries/updates are
@@ -144,11 +167,17 @@ class Cluster:
       this backend (they cross a process boundary).
 
     The protocol observation — result set, per-site partial counts and
-    the complete bus accounting — is byte-identical across all three.
-    In every backend ``cluster.workers`` holds coordinator-side workers
+    the complete bus accounting — is byte-identical across both.  In
+    every backend ``cluster.workers`` holds coordinator-side workers
     over the live fragments; on the process backend they are the fetch
     directory and introspection mirror while evaluation happens in the
     worker processes.
+
+    ``result_store`` is the cluster's one distributed result store, a
+    coordinator-hosted :class:`~repro.service.cache.ResultCache` that
+    every ``MatchService.submit_distributed`` against this cluster
+    reads and fills: services over one cluster share warm entries and
+    single-flight leadership.
     """
 
     def __init__(
@@ -157,13 +186,11 @@ class Cluster:
         assignment: Assignment,
         num_sites: int,
         engine: str = "auto",
-        parallel: bool = False,
         backend: Optional[str] = None,
     ) -> None:
         resolve_engine(engine)  # validate before building any worker
         self.engine = engine
-        self.backend = resolve_backend(backend, parallel)
-        self.parallel = self.backend != "inproc"
+        self.backend = resolve_backend(backend)
         self.bus = MessageBus()
         self.assignment: Assignment = dict(assignment)
         self.fragments: List[Fragment] = fragment_graph(
@@ -190,23 +217,11 @@ class Cluster:
         }
         self._site_order: Tuple[int, ...] = tuple(sorted(self._versions))
         self._listeners: List["weakref.ref"] = []
+        self.result_store = ResultCache()
         self._transport = make_transport(
             self.backend, self.workers, self.assignment, self.bus, engine
         )
-        # Absorb the cluster's bus accounting into the metrics namespace
-        # (sampled at snapshot time; the bus's hot path is untouched).
-        _obs_registry().register_collector(self, self._sample_bus_metrics)
-
-    def _sample_bus_metrics(self):
-        bus = self.bus
-        samples = [("bus.messages", {}, bus.total_messages)]
-        for kind, units in sorted(bus.units_by_kind().items()):
-            samples.append(("bus.units", {"kind": kind}, units))
-        for (sender, receiver), units in sorted(bus.units_by_link().items()):
-            samples.append(
-                ("bus.units", {"link": f"{sender}->{receiver}"}, units)
-            )
-        return samples
+        _ALL_CLUSTERS.add(self)
 
     @property
     def num_sites(self) -> int:
@@ -390,28 +405,16 @@ class Cluster:
         pattern: Pattern,
         radius: Optional[int] = None,
         engine: Optional[str] = None,
-        parallel: Optional[bool] = None,
     ) -> DistributedRunReport:
         """Run the Section 4.3 protocol for one pattern.
 
         ``engine`` overrides the cluster default for this query only;
         the result, per-site counts and traffic accounting are identical
-        for every engine choice.
-
-        ``parallel`` (default: the cluster's ``parallel`` setting)
-        evaluates the sites concurrently on the in-process backends —
-        one thread per :class:`~repro.distributed.worker.SiteWorker`.
-        Per-site state is self-contained (each worker owns its fragment,
-        remote cache and compiled index, with thread-local visited
-        buffers), cross-site fetches only *read* the owning peer's
-        fragment, and the bus serializes its accounting, so the protocol
-        observation — result set, per-site partial counts, every
-        per-link/per-kind traffic total — is identical to a serial run;
-        partials are unioned in site order either way, keeping the dedup
-        order deterministic.  The ``processes`` backend always runs one
-        worker process per site and ignores ``parallel``; its fetch
-        charges are replayed onto the bus in site order, so the full
-        observation is byte-identical there too.
+        for every engine choice.  Partials are unioned in site order on
+        every backend, keeping the dedup order deterministic; the
+        ``processes`` backend replays its sites' fetch charges onto the
+        bus in site order, so the full observation is byte-identical to
+        the serial ``inproc`` run.
         """
         if engine is not None:
             resolve_engine(engine)  # fail before any traffic is charged
@@ -428,11 +431,8 @@ class Cluster:
                 self.bus.send(COORDINATOR_ID, site, "query", query_units)
 
             # Step 2: each site matches the balls of its own centers.
-            use_parallel = self.parallel if parallel is None else parallel
             with _obs_span("coordinator.evaluate"):
-                partials = self._transport.evaluate(
-                    pattern, radius, engine, use_parallel
-                )
+                partials = self._transport.evaluate(pattern, radius, engine)
             if _sp.enabled:
                 # Graft the per-site ``site.evaluate`` subtrees (captured
                 # worker-side, shipped in wire form on the process
@@ -479,44 +479,10 @@ class Cluster:
                 query_log=query_log,
             )
 
-    def evaluate(
-        self,
-        pattern: Pattern,
-        radius: Optional[int] = None,
-        engine: Optional[str] = None,
-    ) -> DistributedRunReport:
-        """Alias of :meth:`run` (the original Section 4.3 entry point)."""
-        return self.run(pattern, radius, engine=engine)
-
-    @property
-    def result_store(self):
-        """The cluster's shared distributed result store, or ``None``.
-
-        Coordinator-hosted: on the ``processes`` backend the transport
-        creates one eagerly (that backend exists so N front-end services
-        can drive one cluster — they should share warm entries and
-        single-flight leadership, not race duplicate protocol runs);
-        the in-process backends opt in via :meth:`enable_result_store`.
-        ``MatchService`` prefers this store over its own cache for
-        ``submit_distributed``, so every service bound to this cluster
-        sees the same entries.
-        """
-        return self._transport.result_store
-
-    def enable_result_store(self, max_entries: int = 256):
-        """Attach (or return) the shared result store for this cluster."""
-        store = self._transport.result_store
-        if store is None:
-            from repro.service.cache import ResultCache  # avoid cycle
-
-            store = ResultCache(max_entries)
-            self._transport.result_store = store
-        return store
-
     def worker_stats(self) -> Dict[int, Dict[str, object]]:
         """Per-site runtime counters, fetched from wherever workers live.
 
-        On the in-process backends this reads the workers directly; on
+        On the in-process backend this reads the workers directly; on
         the process backend each worker process reports its own counters
         — in particular ``index_builds``, which a warm worker holds at 1
         across queries and updates (the "fragments compile once per
@@ -529,7 +495,7 @@ class Cluster:
         """One merged metrics view across coordinator and sites.
 
         The coordinator's own registry snapshot (which the in-process
-        backends' workers publish into directly) merged with the per-site
+        backend's workers publish into directly) merged with the per-site
         snapshots remote worker processes shipped back with the last
         query's ``done`` frames — counters and histogram buckets sum,
         per :func:`repro.obs.metrics.merge_snapshots`.
@@ -539,11 +505,11 @@ class Cluster:
         return merge_snapshots(_obs_registry().snapshot(), *site_snapshots)
 
     def close(self) -> None:
-        """Release the transport (site thread pool or worker processes).
+        """Release the transport's worker processes (if any).
 
-        Idempotent.  The in-process backends re-create their lazy thread
-        pool on the next parallel run, preserving the old contract; a
-        closed *process* transport is final — its workers have exited.
+        Idempotent.  A closed ``inproc`` cluster keeps serving queries;
+        a closed ``processes`` cluster is final — its workers have
+        exited.
         """
         self._transport.close()
 
@@ -565,20 +531,13 @@ def distributed_match(
 ) -> DistributedRunReport:
     """Convenience wrapper: build a cluster and evaluate one pattern.
 
-    ``backend`` picks the runtime substrate (``"inproc"`` default,
-    ``"threads"``, ``"processes"``); the observation is identical across
-    backends, so one-shot callers only choose for wall-clock reasons.
+    ``backend`` picks the runtime substrate (``"inproc"`` default, or
+    ``"processes"``); the observation is identical across backends, so
+    one-shot callers only choose for wall-clock reasons.
     """
-    cluster = Cluster(graph, assignment, num_sites, engine=engine,
-                      backend=backend)
-    try:
+    with Cluster(graph, assignment, num_sites, engine=engine,
+                 backend=backend) as cluster:
         return cluster.run(pattern, radius)
-    finally:
-        # One-shot: release whatever the backend holds (site thread
-        # pool or worker processes).  close() is idempotent and the
-        # in-process backends lazily re-create their pool, so closing
-        # unconditionally is always safe.
-        cluster.close()
 
 
 def crossing_ball_bound(

@@ -44,11 +44,8 @@ class MessageBus:
     def send(self, sender: int, receiver: int, kind: str, units: int) -> None:
         """Record one message of ``units`` size on the (sender, receiver) link.
 
-        Thread-safe: parallel site evaluation charges the bus from
-        several worker threads at once.  The per-link and per-kind totals
-        are deterministic either way (each worker's charges are), only
-        the interleaving of ``messages`` varies — which no accounting
-        observation depends on.
+        Thread-safe: a protocol run charges the bus on one thread while
+        a metrics snapshot may read its totals on another.
         """
         message = Message(sender, receiver, kind, units)
         with self._lock:

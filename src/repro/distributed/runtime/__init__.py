@@ -5,13 +5,11 @@ The Section 4.3 protocol logic lives in
 run* is this package's concern:
 
 * ``backend="inproc"`` — serial in-process workers (the reference);
-* ``backend="threads"`` — one thread per site, same interpreter
-  (GIL-bound for pure-Python evaluation, but architecture-identical);
 * ``backend="processes"`` — one OS process per site over
   ``multiprocessing`` pipes, evaluating off-GIL on real cores.
 
-All three produce byte-identical protocol observations; the process
-backend additionally needs every payload in explicit wire form
+Both produce byte-identical protocol observations; the process backend
+additionally needs every payload in explicit wire form
 (:mod:`repro.distributed.runtime.wire`) because graphs, patterns and
 result subgraphs are deliberately not picklable.
 """

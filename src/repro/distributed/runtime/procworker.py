@@ -8,7 +8,7 @@ go through the coordinator pipe instead of in-process peers — and then
 serves commands until shut down.  The worker's compiled
 ``SiteGraphIndex`` lives in this process for its whole lifetime: it is
 built on the first kernel query and stays warm across queries *and*
-across ``apply_update`` deltas, exactly like the threaded path
+across ``apply_update`` deltas, exactly like an in-process site
 (observable via the ``stats`` command's ``index_builds`` counter).
 
 Protocol (one duplex pipe per site; the coordinator end lives in
@@ -36,7 +36,7 @@ whole layer's missing records) but *accounted* per record: each record
 appends one ``(owner, site, "fetch", units)`` entry to a per-query log
 that ships back with the partials and is replayed onto the
 coordinator's bus, so the protocol observation is byte-identical to the
-in-process backends, which charge one bus message per record too.
+in-process backend, which charges one bus message per record too.
 """
 
 from __future__ import annotations
@@ -101,9 +101,10 @@ class _PipeSiteWorker(SiteWorker):
 
 def worker_main(conn, wire_fragment, engine: str) -> None:
     """Run one site's worker process until shutdown or pipe loss."""
-    # A forked worker inherits the coordinator's instruments; every
-    # ``done`` frame ships this registry back to be merged, so it must
-    # hold only what this worker records.
+    # A forked worker inherits the coordinator's instruments and
+    # collectors (with the indexes, services and clusters they sample);
+    # every ``done`` frame ships this registry back to be merged, so it
+    # must hold only what this worker records.
     _obs_registry().reset()
     try:
         fragment = decode_fragment(wire_fragment)

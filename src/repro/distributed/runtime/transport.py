@@ -6,10 +6,11 @@ never says the sites must share an interpreter.  A
 "host the workers, evaluate a query, route an update" mechanics to a
 :class:`Transport`:
 
-* :class:`InProcTransport` — today's in-process workers, evaluated
-  serially or on one thread per site.  Zero behavior change: workers
-  charge the cluster's :class:`~repro.distributed.network.MessageBus`
-  directly and cross-site fetches read the owning peer's fragment.
+* :class:`InProcTransport` — in-process workers, evaluated serially in
+  site order.  Workers charge the cluster's
+  :class:`~repro.distributed.network.MessageBus` directly and
+  cross-site fetches read the owning peer's fragment.  This is the
+  reference every observation is compared against.
 * :class:`ProcessTransport` — one OS process per site, talking over
   ``multiprocessing`` pipes.  Queries are *broadcast* in wire form
   (:mod:`repro.distributed.runtime.wire`); updates are **batched** —
@@ -24,7 +25,7 @@ never says the sites must share an interpreter.  A
   Site evaluation runs off-GIL on real cores; each worker process keeps
   its warm ``SiteGraphIndex`` across queries and updates.
 
-Every transport yields byte-identical protocol observations — result
+Both transports yield byte-identical protocol observations — result
 set, per-site partial counts, message count, units per kind and per
 directed link — enforced by ``tests/test_runtime.py`` through the
 ``tests/engines.py`` harness.
@@ -34,8 +35,7 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.digraph import Node
 from repro.core.pattern import Pattern
@@ -55,10 +55,9 @@ from repro.distributed.worker import SiteWorker
 from repro.exceptions import DistributedError
 from repro.obs.trace import tracing_enabled
 
-#: The cluster backends, in "zero surprises" order: ``inproc`` is the
-#: serial reference, ``threads`` adds concurrency inside one
-#: interpreter, ``processes`` adds real multi-core parallelism.
-BACKENDS = ("inproc", "threads", "processes")
+#: The cluster backends: ``inproc`` is the serial reference,
+#: ``processes`` adds real multi-core parallelism.
+BACKENDS = ("inproc", "processes")
 
 #: Start methods the process backend can run on, in preference order:
 #: ``fork`` reuses the warm parent interpreter (cheap, inherits the hash
@@ -66,10 +65,10 @@ BACKENDS = ("inproc", "threads", "processes")
 _START_METHODS = ("fork", "forkserver", "spawn")
 
 
-def resolve_backend(backend: Optional[str], parallel: bool = False) -> str:
-    """Validate ``backend``; ``None`` keeps the legacy ``parallel`` map."""
+def resolve_backend(backend: Optional[str]) -> str:
+    """Validate ``backend``; ``None`` means ``inproc``."""
     if backend is None:
-        return "threads" if parallel else "inproc"
+        return "inproc"
     if backend not in BACKENDS:
         raise DistributedError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
@@ -100,21 +99,11 @@ def _make_context():
 class Transport:
     """Hosts a cluster's site workers and routes the protocol to them."""
 
-    #: Coordinator-hosted shared distributed result store (a
-    #: ``repro.service.cache.ResultCache``), or ``None``.  It lives on
-    #: the transport because that is the coordinator-side object whose
-    #: lifetime matches the workers': the process backend creates one
-    #: eagerly (N front-end services over one cluster share warm
-    #: entries and single-flight leadership), the in-process backends
-    #: leave it ``None`` until ``Cluster.enable_result_store`` opts in.
-    result_store = None
-
     def evaluate(
         self,
         pattern: Pattern,
         radius: int,
         engine: Optional[str],
-        parallel: bool,
     ) -> Dict[int, List[PerfectSubgraph]]:
         """Step 2 of the protocol: every site's partial Θ_i, in site order.
 
@@ -157,44 +146,22 @@ class Transport:
 
 
 class InProcTransport(Transport):
-    """Both single-interpreter backends: serial sites or thread-per-site.
+    """Serial in-process sites: the reference backend.
 
-    Wraps the workers exactly as PR 4 left them — they share the
-    cluster's bus and read peers' fragments directly — so the
-    ``inproc`` and ``threads`` backends are today's behavior verbatim.
-    The thread pool is created lazily and reused across queries; a
-    closed transport re-creates it on the next parallel run, preserving
-    the old ``Cluster.close()`` contract.
+    The workers share the cluster's bus and read peers' fragments
+    directly; :meth:`evaluate` runs them one after another in site
+    order.
     """
 
     def __init__(self, workers: Dict[int, SiteWorker]) -> None:
         self._workers = workers
-        self._pool: Optional[ThreadPoolExecutor] = None
 
-    def evaluate(self, pattern, radius, engine, parallel):
-        def run_site(worker: SiteWorker) -> List[PerfectSubgraph]:
+    def evaluate(self, pattern, radius, engine):
+        partials = {}
+        for site, worker in self._workers.items():
             worker.clear_cache()
-            return worker.match_local(pattern, radius, engine=engine)
-
-        if parallel and len(self._workers) > 1:
-            pool = self._pool
-            if pool is None:
-                # One pool per transport, reused across queries: repeated
-                # parallel runs keep their threads (and with them each
-                # site index's warm thread-local visited buffers).
-                pool = ThreadPoolExecutor(
-                    max_workers=len(self._workers),
-                    thread_name_prefix="repro-site",
-                )
-                self._pool = pool
-            futures = {
-                site: pool.submit(run_site, worker)
-                for site, worker in self._workers.items()
-            }
-            return {site: future.result() for site, future in futures.items()}
-        return {
-            site: run_site(worker) for site, worker in self._workers.items()
-        }
+            partials[site] = worker.match_local(pattern, radius, engine=engine)
+        return partials
 
     def apply_update(self, site_id, delta, owner_of):
         self._workers[site_id].apply_update(delta, owner_of)
@@ -217,9 +184,7 @@ class InProcTransport(Transport):
         }
 
     def close(self):
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        pass  # nothing to release: the workers live in this interpreter
 
 
 class ProcessTransport(Transport):
@@ -264,14 +229,6 @@ class ProcessTransport(Transport):
         self._last_site_spans: Dict[int, object] = {}
         self._last_site_metrics: Dict[int, Dict[str, object]] = {}
         self._closed = False
-        # The shared result store (see the Transport class attribute):
-        # created before the workers so a bootstrap failure cannot leave
-        # a half-built transport with a missing store.  Imported lazily
-        # to keep the runtime layer import-independent of the service
-        # layer (which imports this package for the distributed path).
-        from repro.service.cache import ResultCache
-
-        self.result_store = ResultCache()
         context = _make_context()
         try:
             for site, worker in workers.items():
@@ -348,9 +305,7 @@ class ProcessTransport(Transport):
             self._ack(site, f"a batch of {len(deltas)} delta(s)")
 
     # ------------------------------------------------------------------
-    def evaluate(self, pattern, radius, engine, parallel):
-        # ``parallel`` is meaningless here: the sites always run
-        # concurrently, one process each.
+    def evaluate(self, pattern, radius, engine):
         self._guard_open()
         self._flush_updates()
         wire_pattern = encode_pattern(pattern)

@@ -19,7 +19,7 @@ exactly the payloads the runtime protocol ships:
   coordinator;
 * **per-site bus accounting** — the fetch charges a worker accrued,
   replayed verbatim onto the coordinator's bus so the protocol
-  observation is byte-identical to the in-process backends.
+  observation is byte-identical to the in-process backend.
 
 Every payload is wrapped ``(magic, version, kind, body)``.  Decoding
 validates all three header fields and the body shape and raises

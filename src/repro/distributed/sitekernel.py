@@ -283,8 +283,8 @@ def site_ball_bfs(
 
     Returns ``(order, epoch)``: ball node ids in BFS order (center
     first) and the epoch under which the calling thread's stamp buffer
-    marks membership (per-thread, so parallel site evaluation is safe —
-    each site owns its index, and the visited buffer is thread-local).
+    marks membership (each site owns its index, and the visited buffer
+    is thread-local).
     """
     visit = index.visit_state()
     epoch = visit.new_epoch()

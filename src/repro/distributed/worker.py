@@ -48,11 +48,7 @@ from repro.core.digraph import (
 )
 from repro.core.dualsim import dual_simulation
 from repro.core.engines import ENGINE_TABLE
-from repro.core.kernel import (
-    _CompiledPattern,
-    aggregate_index_stats,
-    resolve_engine,
-)
+from repro.core.kernel import _CompiledPattern, resolve_engine
 from repro.core.pattern import Pattern
 from repro.core.result import PerfectSubgraph
 from repro.core.strong import extract_max_perfect_subgraph
@@ -311,23 +307,13 @@ class SiteWorker:
 
         The one stats shape every backend reports: the process runtime's
         ``stats`` command delegates here, so `Cluster.worker_stats()` is
-        key-compatible wherever the workers live.  The ``reach_*``
-        counters aggregate every centralized ``GraphIndex`` alive in this
-        worker's *process* (distributed path matching is future work, so
-        they count the co-resident centralized reach indexes — zero in a
-        fresh worker process until something in it runs the bounded or
-        regular matchers).
+        key-compatible wherever the workers live.
         """
-        index_stats = aggregate_index_stats()
         return {
             "site": self.fragment.site_id,
             "index_builds": self.index_builds,
             "queries_served": self.queries_served,
             "owned_nodes": self.fragment.num_nodes,
-            "reach_builds": index_stats.reach_builds,
-            "reach_patches": index_stats.reach_patches,
-            "reach_drops": index_stats.reach_drops,
-            "reach_probes": index_stats.reach_probes,
         }
 
     def build_ball(self, center: Node, radius: int) -> Ball:

@@ -233,7 +233,7 @@ def distributed_backends(scale: int) -> str:
         return "could not sample a pattern at this scale"
     sites = 4
     assignment = bfs_partition(data, sites)
-    backends = ["inproc", "threads"]
+    backends = ["inproc"]
     if process_backend_available():
         backends.append("processes")
     rows = {"seconds": [], "fetch units": [], "subgraphs": []}

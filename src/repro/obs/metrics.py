@@ -254,8 +254,10 @@ class MetricsRegistry:
         self._histograms: Dict[Tuple[str, tuple], Histogram] = {}
         #: Weakly held collector *owners* mapped to their sample
         #: callbacks: a callback yields ``(name, labels_dict, value)``
-        #: triples at snapshot time and dies with its owner, so a
-        #: temporary MatchService or Cluster never leaks a collector.
+        #: triples at snapshot time and dies with its owner.  A callback
+        #: that references its owner (a bound method) keeps it alive
+        #: forever, so per-object stats register one module-level
+        #: function over a ``WeakSet`` of live objects instead.
         self._collectors: "weakref.WeakKeyDictionary[object, Callable]" = (
             weakref.WeakKeyDictionary()
         )
@@ -300,7 +302,7 @@ class MetricsRegistry:
         ``(name, labels, value)`` triples; it must take whatever lock
         guards the stats it reads, so one snapshot is internally
         consistent.  The registration lives exactly as long as
-        ``owner`` (held weakly).
+        ``owner`` (held weakly; ``sample`` must not reference it).
         """
         self._collectors[owner] = sample
 
@@ -344,11 +346,17 @@ class MetricsRegistry:
         }
 
     def reset(self) -> None:
-        """Drop every instrument (collectors stay registered)."""
+        """Drop every instrument and every collector.
+
+        A forked worker process calls this first: the instruments and
+        the collectors' sampled objects it inherited are the parent's,
+        and its snapshots must hold only what it records itself.
+        """
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
+            self._collectors.clear()
 
 
 def merge_snapshots(*snapshots: Dict[str, Any]) -> Dict[str, Any]:

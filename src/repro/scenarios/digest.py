@@ -90,11 +90,10 @@ def canonical_observation(value: Any) -> Any:
                  for site, count in value.per_site_subgraphs.items()),
             ),
             "version_vector": [int(v) for v in value.version_vector],
-            # The *multiset* of bus charges is backend-identical; the
-            # interleaving is not (concurrent sites on the ``threads``
-            # backend charge their fetches in thread-schedule order) —
-            # so the canonical form sorts the log.  Exact accounting
-            # (every sender/receiver/kind/units charge) is retained.
+            # The canonical form pins the *multiset* of bus charges
+            # (sorted), not their interleaving: exact accounting (every
+            # sender/receiver/kind/units charge) is retained, and the
+            # digest does not depend on how a backend orders charges.
             "bus_log": sorted(
                 ([int(s), int(r), k, int(u)]
                  for s, r, k, u in value.query_log),

@@ -143,7 +143,7 @@ SCENARIOS: Tuple[ScenarioManifest, ...] = (
               "updates",
         kind="distributed",
         engines=("kernel",),
-        backends=("inproc", "threads", "processes"),
+        backends=("inproc", "processes"),
         scales={"smoke": 200, "S": 600},
         seed=31,
         pattern_seed=337,

@@ -278,15 +278,14 @@ class ScenarioRunner:
                 data, assignment, manifest.sites, engine=engine,
                 backend=backend,
             ) as cluster:
-                cluster.enable_result_store()
                 before = cluster.metrics_snapshot()
                 started = perf_counter()
                 with MatchService(max_workers=2) as service:
                     for round_no in range(manifest.rounds):
                         for pattern in patterns:
                             # Twice per round: the second call replays
-                            # from the cluster's shared result store at
-                            # the same version vector.
+                            # from the cluster's result store at the
+                            # same version vector.
                             reports.append(
                                 service.query_distributed(pattern, cluster)
                             )

@@ -92,9 +92,9 @@ makes one entry valid for every engine).
 cache operations are thread-safe (one lock, held only for dict work).
 The cache also hosts the **single-flight table** services coalesce
 duplicate computations on (:meth:`ResultCache.begin_flight`), so
-several services sharing one store — the shared distributed store a
-``processes``-backend cluster carries — elect one leader per key
-across all of them: a miss storm costs one protocol run.
+several services sharing one store — one ``cache=`` passed to each, or
+the distributed result store every cluster carries — elect one leader
+per key across all of them: a miss storm costs one computation.
 """
 
 from __future__ import annotations
@@ -466,7 +466,7 @@ class ResultCache:
         compute, publish, and call :meth:`end_flight`), or the current
         leader's done event to wait on before re-running the lookup.
         Hosting the table on the cache — not the service — means every
-        service sharing this store (e.g. through a cluster's shared
+        service sharing this store (a shared ``cache=`` or a cluster's
         result store) coalesces on the same leader.
         """
         with self._flight_lock:

@@ -346,11 +346,6 @@ class MatchService:
             max_workers=max_workers, thread_name_prefix="repro-match"
         )
         self._stats_lock = threading.Lock()
-        # Single-flight table: one Event per (graph, canonical key,
-        # algorithm, engine) currently being computed.  Followers wait on
-        # the leader's event and then replay the cached encoding.
-        self._inflight: Dict[tuple, threading.Event] = {}
-        self._inflight_lock = threading.Lock()
         # NB: "is not None" matters — an empty ResultCache is falsy.
         self.stats = ServiceStats(
             cache=self.cache.stats if self.cache is not None else CacheStats()
@@ -432,24 +427,21 @@ class MatchService:
         with a ``backend="processes"`` cluster the site evaluation
         happens off-GIL in the worker processes — so centralized queries
         keep flowing on the remaining pool threads while a distributed
-        query is in flight, which a thread-backed cluster cannot offer
-        under the GIL.
+        query is in flight.
 
-        Distributed results are cached, gated on the cluster's exact
+        Distributed results are cached in the cluster's one
+        ``result_store``, gated on its exact
         :meth:`~repro.distributed.coordinator.Cluster.version_vector`
         and kept alive across provably harmless ``apply_update`` deltas
-        by the same retention rules as centralized entries.  The store
-        of preference is the cluster's own shared ``result_store``
-        (present on the ``processes`` backend, or after
-        ``enable_result_store()``) so every service over one cluster
-        shares warm entries and single-flight leadership; this
-        service's cache is the fallback.  A warm hit replays the full
-        report — result set, per-site counts, and the query's own bus
-        charges on a fresh bus — byte-identically to a fresh
-        ``cluster.run``, without touching a worker; a fresh run's
-        report carries the cluster's live cumulative bus, as before.
-        ``cached=False`` bypasses store and single-flight entirely and
-        always runs the protocol (the force-recompute escape hatch).
+        by the same retention rules as centralized entries.  Every
+        service over one cluster therefore shares warm entries and
+        single-flight leadership.  A warm hit replays the full report —
+        result set, per-site counts, and the query's own bus charges on
+        a fresh bus — byte-identically to a fresh ``cluster.run``,
+        without touching a worker; a fresh run's report carries the
+        cluster's live cumulative bus.  ``cached=False`` bypasses store
+        and single-flight entirely and always runs the protocol (the
+        force-recompute escape hatch).
         """
         return self._pool.submit(
             self._execute_distributed, pattern, cluster, radius, engine,
@@ -492,46 +484,15 @@ class MatchService:
     def _run_distributed(self, pattern, cluster, radius, engine, cached, _sp):
         with self._stats_lock:
             self.stats.queries += 1
-        # NB: "is None" matters — an empty ResultCache is falsy.
-        store = getattr(cluster, "result_store", None) if cached else None
-        if store is None and cached:
-            store = self.cache
-        if store is None:
-            report = cluster.run(pattern, radius, engine=engine)
-            with self._stats_lock:
-                self.stats.computed += 1  # on success only
-            _sp.set(outcome="computed")
-            return report
+        if not cached:
+            return self._computed(
+                cluster.run(pattern, radius, engine=engine), _sp
+            )
+        store = cluster.result_store
         canonical = canonical_form(pattern)
         effective_radius = pattern.diameter if radius is None else radius
-        # Same single-flight loop as _execute, but the flight table
-        # lives on the store: services sharing a cluster's result store
-        # elect one leader per (cluster, fingerprint, radius) across
-        # all of them, so a miss storm costs one protocol run.  The
-        # key is engine-independent for the same reason cache keys are.
-        flight_key = (cluster, canonical.key, effective_radius)
-        coalesced = False
-        while True:
-            payload = store.lookup_distributed(
-                cluster, canonical.key, effective_radius
-            )
-            if payload is not None:
-                with self._stats_lock:
-                    self.stats.replayed += 1
-                if _sp.enabled:
-                    _sp.set(outcome="replayed", coalesced=coalesced)
-                return self._decode_run_report(
-                    payload, pattern, canonical, cluster
-                )
-            leader_done = store.begin_flight(flight_key)
-            if leader_done is None:
-                break  # this thread computes
-            if not coalesced:
-                coalesced = True
-                with self._stats_lock:
-                    self.stats.coalesced += 1
-            leader_done.wait()
-        try:
+
+        def compute():
             report = cluster.run(pattern, radius, engine=engine)
             store.store_distributed(
                 cluster,
@@ -541,12 +502,22 @@ class MatchService:
                 self._encode_run_report(report, canonical),
                 computed_vector=report.version_vector,
             )
-            with self._stats_lock:
-                self.stats.computed += 1  # on success only
-            _sp.set(outcome="computed")
             return report
-        finally:
-            store.end_flight(flight_key)
+
+        # The key is engine-independent for the same reason cache keys
+        # are (see _ENGINE_ANY).
+        return self._single_flight(
+            store,
+            (cluster, canonical.key, effective_radius),
+            lambda: store.lookup_distributed(
+                cluster, canonical.key, effective_radius
+            ),
+            compute,
+            lambda payload: self._decode_run_report(
+                payload, pattern, canonical, cluster
+            ),
+            _sp,
+        )
 
     @staticmethod
     def _encode_run_report(report, canonical: CanonicalPattern):
@@ -625,49 +596,12 @@ class MatchService:
         if cache is None or algorithm in PATH_SERVICE_ALGORITHMS:
             # Path-constrained patterns have no canonical form (see
             # PATH_SERVICE_ALGORITHMS) — always compute.
-            with self._stats_lock:
-                self.stats.computed += 1
-            _sp.set(outcome="computed")
-            return _COMPUTE[algorithm](pattern, data, engine)
-        canonical = canonical_form(pattern)
-        # Single-flight loop: a miss either elects this thread the
-        # leader (it computes and publishes) or finds a leader already
-        # computing the same (graph, fingerprint, algorithm) key —
-        # then it waits and re-runs the lookup, which resolves to a
-        # hit replayed under this query's own pattern names.  Isomorphic
-        # patterns share the key — and so do engines (see _ENGINE_ANY):
-        # N concurrent structurally identical misses cost one engine
-        # run, not N, whatever mix of engines requested them.  No
-        # deadlock is possible: an event only exists while its leader is
-        # already executing on some pool thread, and the leader never
-        # waits on anything.
-        flight_key = (data, canonical.key, algorithm, _ENGINE_ANY)
-        coalesced = False  # count each query at most once, even on retry
-        while True:
-            payload = cache.lookup(
-                data, canonical.key, algorithm, _ENGINE_ANY
+            return self._computed(
+                _COMPUTE[algorithm](pattern, data, engine), _sp
             )
-            if payload is not None:
-                with self._stats_lock:
-                    self.stats.replayed += 1
-                if _sp.enabled:
-                    _sp.set(outcome="replayed", coalesced=coalesced)
-                return self._decode(payload, pattern, canonical, algorithm)
-            with self._inflight_lock:
-                leader_done = self._inflight.get(flight_key)
-                if leader_done is None:
-                    self._inflight[flight_key] = threading.Event()
-                    break  # this thread computes
-            if not coalesced:
-                coalesced = True
-                with self._stats_lock:
-                    self.stats.coalesced += 1
-            leader_done.wait()
-            # Loop: the common case re-looks-up into a hit.  A miss here
-            # means the leader's store was refused (a racing mutation) or
-            # the entry was already evicted/invalidated — then this
-            # thread runs for leadership of a fresh computation.
-        try:
+        canonical = canonical_form(pattern)
+
+        def compute():
             # Compute directly and hand the *engine's own* result back
             # (byte-for-byte what a direct call returns); the cache
             # stores the canonical encoding for future isomorphic
@@ -687,17 +621,70 @@ class MatchService:
                 computed_version=computed_version,
                 radius=pattern.diameter,
             )
-            with self._stats_lock:
-                self.stats.computed += 1
-            _sp.set(outcome="computed")
             return result
+
+        # Isomorphic patterns share the key — and so do engines (see
+        # _ENGINE_ANY): N concurrent structurally identical misses cost
+        # one engine run, whatever mix of engines requested them.
+        return self._single_flight(
+            cache,
+            (data, canonical.key, algorithm, _ENGINE_ANY),
+            lambda: cache.lookup(data, canonical.key, algorithm, _ENGINE_ANY),
+            compute,
+            lambda payload: self._decode(
+                payload, pattern, canonical, algorithm
+            ),
+            _sp,
+        )
+
+    def _single_flight(self, cache, flight_key, lookup, compute, decode, _sp):
+        """Look up; on a miss lead or follow; the leader computes and stores.
+
+        A miss either elects this thread the leader of ``flight_key`` in
+        ``cache``'s flight table (it runs ``compute``, which stores its
+        result) or finds a leader already computing the same key — then
+        it waits and re-runs the lookup, which resolves to a hit
+        replayed through ``decode``.  The table lives on the cache, so
+        every service sharing one cache (or one cluster's result store)
+        elects one leader per key across all of them.  No deadlock is
+        possible: an event only exists while its leader is already
+        executing on some pool thread, and the leader never waits on
+        anything.
+        """
+        coalesced = False  # count each query at most once, even on retry
+        while True:
+            payload = lookup()
+            if payload is not None:
+                with self._stats_lock:
+                    self.stats.replayed += 1
+                if _sp.enabled:
+                    _sp.set(outcome="replayed", coalesced=coalesced)
+                return decode(payload)
+            leader_done = cache.begin_flight(flight_key)
+            if leader_done is None:
+                break  # this thread computes
+            if not coalesced:
+                coalesced = True
+                with self._stats_lock:
+                    self.stats.coalesced += 1
+            leader_done.wait()
+            # Loop: the common case re-looks-up into a hit.  A miss here
+            # means the leader's store was refused (a racing mutation) or
+            # the entry was already evicted/invalidated — then this
+            # thread runs for leadership of a fresh computation.
+        try:
+            return self._computed(compute(), _sp)
         finally:
             # Publish-and-release even when the compute raises: followers
             # wake, miss, and elect a new leader rather than hanging.
-            with self._inflight_lock:
-                done = self._inflight.pop(flight_key, None)
-            if done is not None:
-                done.set()
+            cache.end_flight(flight_key)
+
+    def _computed(self, result, _sp):
+        """Count one successful computation and return its result."""
+        with self._stats_lock:
+            self.stats.computed += 1
+        _sp.set(outcome="computed")
+        return result
 
     @staticmethod
     def _encode(

@@ -58,14 +58,14 @@ ENGINES = tuple(ENGINE_TABLE)
 #: The cluster runtime backends under differential test.  The process
 #: backend is included only where the platform can host it; callers that
 #: need an unconditional tuple use :data:`ALL_BACKENDS`.
-ALL_BACKENDS = ("inproc", "threads", "processes")
+ALL_BACKENDS = ("inproc", "processes")
 
 
 def available_backends():
     """The backends this platform can actually run."""
     if process_backend_available():
         return ALL_BACKENDS
-    return ("inproc", "threads")
+    return ("inproc",)
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +246,7 @@ def assert_cluster_backends_identical(
     partition and compares the complete observation — canonical result
     set, per-site partial counts, message count and units per kind and
     per directed link.  This is the byte-identity contract of the
-    runtime layer: where the workers live (serial, thread-per-site, or
+    runtime layer: where the workers live (serial in-process or
     process-per-site) must be unobservable in the protocol.
     """
     if backends is None:

@@ -175,7 +175,7 @@ class TestCluster:
         pattern, data = pattern_q1(), data_g1()
         part = hash_partition(data, 2)
         cluster = Cluster(data, part, 2)
-        report = cluster.evaluate(pattern)
+        report = cluster.run(pattern)
         assert set(report.per_site_subgraphs) == {0, 1}
         assert sum(report.per_site_subgraphs.values()) >= len(report.result)
 
@@ -183,8 +183,8 @@ class TestCluster:
         data = data_g1()
         part = hash_partition(data, 2)
         cluster = Cluster(data, part, 2)
-        first = cluster.evaluate(pattern_q1())
-        second = cluster.evaluate(pattern_q1())
+        first = cluster.run(pattern_q1())
+        second = cluster.run(pattern_q1())
         assert {sg.signature() for sg in first.result} == {
             sg.signature() for sg in second.result
         }

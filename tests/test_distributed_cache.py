@@ -10,10 +10,10 @@ fresh ``cluster.run``, across engines, backends, isomorphic pattern
 twins and interleaved ``apply_update`` streams.  Retention is stricter
 than for centralized entries (edge deltas always drop; only
 label-disjoint node deltas survive), because a distributed entry
-replays traffic, not just results.  The shared coordinator-hosted
-store lets several ``MatchService`` front-ends over one cluster share
-warm entries and coalesce concurrent misses on one single-flight
-leader.
+replays traffic, not just results.  Every cluster carries one
+coordinator-hosted result store, so several ``MatchService`` front-ends
+over one cluster share warm entries and coalesce concurrent misses on
+one single-flight leader.
 """
 
 from __future__ import annotations
@@ -215,7 +215,7 @@ class TestServiceReplay:
             fresh = distributed_observation(cluster.run(pattern_ab()))
             again = service.query_distributed(pattern_ab(), cluster)
             assert service.stats.computed == 2
-            assert service.cache.stats.invalidations == 1
+            assert cluster.result_store.stats.invalidations == 1
             assert distributed_observation(again) == fresh
 
     def test_label_disjoint_node_deltas_retain(self):
@@ -229,8 +229,8 @@ class TestServiceReplay:
             again = service.query_distributed(pattern_ab(), cluster)
             assert service.stats.computed == 1
             assert service.stats.replayed == 1
-            assert service.cache.stats.retained >= 3
-            assert service.cache.stats.invalidations == 0
+            assert cluster.result_store.stats.retained >= 3
+            assert cluster.result_store.stats.invalidations == 0
             assert distributed_observation(again) == fresh
 
     def test_store_refuses_stale_computed_vector(self):
@@ -254,12 +254,11 @@ class TestServiceReplay:
             ) == ("payload",)
 
 
+@pytest.mark.parametrize("backend", available_backends())
 class TestSharedStore:
-    def test_two_services_share_one_cluster_store(self):
-        with two_site_cluster() as cluster:
-            store = cluster.enable_result_store()
-            assert cluster.result_store is store
-            assert cluster.enable_result_store() is store  # idempotent
+    def test_two_services_share_one_cluster_store(self, backend):
+        with two_site_cluster(backend=backend) as cluster:
+            store = cluster.result_store
             with MatchService() as one, MatchService() as two:
                 first = one.query_distributed(pattern_ab(), cluster)
                 second = two.query_distributed(pattern_ab(), cluster)
@@ -272,19 +271,20 @@ class TestSharedStore:
                     first
                 ) == distributed_observation(second)
 
-    def test_cached_false_bypasses_the_store(self):
-        with two_site_cluster() as cluster, MatchService() as service:
-            store = cluster.enable_result_store()
+    def test_cached_false_bypasses_the_store(self, backend):
+        with two_site_cluster(
+            backend=backend
+        ) as cluster, MatchService() as service:
+            store = cluster.result_store
             service.query_distributed(pattern_ab(), cluster, cached=False)
             service.query_distributed(pattern_ab(), cluster, cached=False)
             assert service.stats.computed == 2
             assert store.stats.stores == 0
             assert len(store) == 0
 
-    def test_cross_service_single_flight(self):
+    def test_cross_service_single_flight(self, backend):
         """Two services, one store: a miss storm elects one leader."""
-        with two_site_cluster() as cluster:
-            cluster.enable_result_store()
+        with two_site_cluster(backend=backend) as cluster:
             started = threading.Event()
             release = threading.Event()
             original_run = cluster.run
@@ -362,12 +362,12 @@ class TestDifferential:
             num_ops=8, op_seed=3,
         )
 
-    def test_update_stream_threads_synthetic(self, small_synthetic):
+    def test_update_stream_synthetic(self, small_synthetic):
         pattern = sample_pattern_from_data(small_synthetic, 3, seed=5)
         assert pattern is not None
         assert_distributed_service_identical(
             pattern, small_synthetic, bfs_partition(small_synthetic, 3), 3,
-            backends=("threads",), num_ops=5, op_seed=1,
+            num_ops=5, op_seed=1,
         )
 
     @needs_processes

@@ -1,6 +1,6 @@
 """The unified observability layer: spans, metrics, merged traces.
 
-Four concerns:
+Five concerns:
 
 * unit behavior of :mod:`repro.obs.trace` (no-op when disabled, nesting,
   capture/adopt grafting, JSON export) and :mod:`repro.obs.metrics`
@@ -11,14 +11,18 @@ Four concerns:
   ``distributed.run`` trace whose ``site.evaluate`` children cover every
   site and whose ``bus.log`` attribute reproduces the per-query bus log
   byte-identically — and tracing must never perturb results;
+* collector lifetimes: a closed cluster is freed, and a forked worker
+  process ships only what it records itself;
 * stats-object thread-safety under concurrent ``MatchService.submit``
   storms (the counters now feed the metrics registry, so lost
   increments would surface as wrong metrics).
 """
 
+import gc
 import json
 import os
 import threading
+import weakref
 
 import pytest
 
@@ -222,6 +226,19 @@ class TestMetrics:
         # remains.
         assert registry.snapshot()["counters"]["s.value"] == 3
 
+    def test_reset_drops_instruments_and_collectors(self):
+        registry = MetricsRegistry()
+
+        def sample():
+            return [("s.value", {}, 7)]
+
+        registry.register_collector(sample, sample)
+        registry.counter("c").inc()
+        registry.histogram("h").observe(0.5)
+        registry.reset()
+        snap = registry.snapshot()
+        assert snap["counters"] == {} and snap["histograms"] == {}
+
     def test_merge_snapshots(self):
         a = MetricsRegistry()
         b = MetricsRegistry()
@@ -302,7 +319,7 @@ class TestWire:
 # ----------------------------------------------------------------------
 # The merged-trace contract (engines x backends)
 # ----------------------------------------------------------------------
-BACKENDS = ["inproc", "threads"] + (
+BACKENDS = ["inproc"] + (
     ["processes"] if process_backend_available() else []
 )
 
@@ -332,14 +349,11 @@ class TestMergedTrace:
             finally:
                 set_tracing(previous)
 
-        # Tracing must not perturb the protocol observation.  (On the
-        # threads backend the per-site logs interleave differently run
-        # to run, so cross-run identity is up to ordering; the charges
-        # themselves must match exactly.)
+        # Tracing must not perturb the protocol observation.
         assert {sg.signature() for sg in traced_report.result} == {
             sg.signature() for sg in plain.result
         }
-        assert sorted(traced_report.query_log) == sorted(plain.query_log)
+        assert traced_report.query_log == plain.query_log
 
         (root,) = collector().roots()
         assert root.name == "distributed.run"
@@ -358,23 +372,26 @@ class TestMergedTrace:
         assert "distributed.run" in text and "bus traffic:" in text
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_worker_stats_report_reach_counters(self, workload, backend):
+    def test_worker_stats_are_per_site(self, workload, backend):
         data, pattern, assignment = workload
         with Cluster(
             data, assignment, 3, engine="kernel", backend=backend
         ) as cluster:
             cluster.run(pattern)
             stats = cluster.worker_stats()
-        assert sorted(stats) == [0, 1, 2]
-        for site_stats in stats.values():
-            for key in (
-                "reach_builds",
-                "reach_patches",
-                "reach_drops",
-                "reach_probes",
-            ):
-                assert key in site_stats, f"missing {key}"
-                assert site_stats[key] >= 0
+            owned = {
+                site: worker.fragment.num_nodes
+                for site, worker in cluster.workers.items()
+            }
+        assert stats == {
+            site: {
+                "site": site,
+                "index_builds": 1,
+                "queries_served": 1,
+                "owned_nodes": owned[site],
+            }
+            for site in (0, 1, 2)
+        }
 
     def test_cluster_metrics_snapshot_merges_sites(self, workload):
         if "processes" not in BACKENDS:
@@ -393,6 +410,47 @@ class TestMergedTrace:
         key = "wire.frames{kind=pattern,op=decode}"
         assert counters.get(key, 0) - own.get(key, 0) == 3
         assert any(key.startswith("bus.units{kind=") for key in counters)
+
+
+class TestCollectorLifetimes:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_closed_cluster_is_freed(self, backend):
+        """The bus collector must not keep a cluster (its workers,
+        fragments and cumulative bus) alive after its last reference."""
+        from repro.service import MatchService
+
+        data = small_graph()
+        pattern = pattern_for(data)
+        cluster = Cluster(data, bfs_partition(data, 2), 2, backend=backend)
+        with MatchService() as service:
+            service.query_distributed(pattern, cluster)
+        ref = weakref.ref(cluster)
+        cluster.close()
+        del cluster
+        gc.collect()
+        assert ref() is None
+
+    def test_forked_workers_ship_only_their_own_samples(self):
+        """A forked worker inherits the coordinator's collectors and the
+        indexes and clusters they sample; its ``done`` frames must not
+        ship those samples back to be counted once more per site."""
+        if "processes" not in BACKENDS:
+            pytest.skip("platform cannot host the process runtime")
+        data = small_graph()
+        pattern = pattern_for(data)
+        match_plus(pattern, data, engine="kernel")  # a live GraphIndex
+        assignment = bfs_partition(data, 2)
+        with Cluster(data, assignment, 2, engine="kernel") as inproc:
+            inproc.run(pattern)
+            with Cluster(
+                data, assignment, 2, engine="kernel", backend="processes"
+            ) as cluster:
+                cluster.run(pattern)
+                merged = cluster.metrics_snapshot()["counters"]
+                own = get_registry().snapshot()["counters"]
+        for key in ("index.full_compiles", "bus.messages"):
+            assert own[key] > 0, key
+            assert merged[key] == own[key], key
 
 
 # ----------------------------------------------------------------------

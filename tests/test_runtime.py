@@ -5,7 +5,7 @@ protocol observation of ``Cluster.run`` — deduplicated result set Θ,
 per-site partial counts, and the complete message-bus accounting
 (message count, units per kind, units per directed link, hence the
 Section 4.3 data-shipment volume) — is **byte-identical across runtime
-backends** (``inproc`` | ``threads`` | ``processes``), for both
+backends** (``inproc`` | ``processes``), for both
 execution engines, on fixtures and hypothesis-generated
 graphs/partitions, across repeated queries on warm clusters and across
 mutation streams routed through ``Cluster.apply_update``.
@@ -89,7 +89,7 @@ class TestBackendEquivalence:
         self, small_synthetic
     ):
         """The process backend returns the centralized Θ and respects the
-        Section 4.3 shipment bound, like the in-process backends."""
+        Section 4.3 shipment bound, like the in-process backend."""
         pattern = sample_pattern_from_data(small_synthetic, 4, seed=3)
         assert pattern is not None
         central = canonical_result(
@@ -276,18 +276,6 @@ class TestProcessRuntime:
             )
             assert all(s["queries_served"] == 3 for s in after.values())
 
-    def test_run_parallel_flag_is_inert_on_processes(self, small_synthetic):
-        pattern = sample_pattern_from_data(small_synthetic, 3, seed=5)
-        assert pattern is not None
-        assignment = bfs_partition(small_synthetic, 2)
-        with Cluster(
-            small_synthetic, assignment, 2, backend="processes"
-        ) as cluster:
-            serial = cluster_observation(cluster.run(pattern, parallel=False))
-            again = cluster_observation(cluster.run(pattern, parallel=True))
-        assert serial["result"] == again["result"]
-        assert serial["per_site_subgraphs"] == again["per_site_subgraphs"]
-
     def test_closed_transport_fails_loud(self, small_synthetic):
         pattern = sample_pattern_from_data(small_synthetic, 3, seed=5)
         assert pattern is not None
@@ -310,33 +298,11 @@ class TestProcessRuntime:
             direct.result
         )
 
-    def test_invalid_backend_rejected(self, small_synthetic):
+    @pytest.mark.parametrize("backend", ["sparks", "threads"])
+    def test_invalid_backend_rejected(self, backend, small_synthetic):
         assignment = bfs_partition(small_synthetic, 2)
-        with pytest.raises(DistributedError):
-            Cluster(small_synthetic, assignment, 2, backend="sparks")
-
-    def test_distributed_match_does_not_leak_threads(self, small_synthetic):
-        """A one-shot threads-backend call must close the per-site pool.
-
-        Regression: ``distributed_match`` used to close the cluster only
-        on the processes backend, leaving the (non-daemon) site threads
-        alive until interpreter exit on ``backend="threads"``."""
-        import threading
-
-        pattern = sample_pattern_from_data(small_synthetic, 3, seed=5)
-        assert pattern is not None
-        assignment = bfs_partition(small_synthetic, 2)
-        report = distributed_match(
-            pattern, small_synthetic, assignment, 2, backend="threads"
-        )
-        assert canonical_result(report.result) == canonical_result(
-            match(pattern, small_synthetic)
-        )
-        leaked = [
-            t for t in threading.enumerate()
-            if t.name.startswith("repro-site") and t.is_alive()
-        ]
-        assert not leaked, f"site threads survived the one-shot call: {leaked}"
+        with pytest.raises(DistributedError, match="unknown backend"):
+            Cluster(small_synthetic, assignment, 2, backend=backend)
 
 
 # ----------------------------------------------------------------------
@@ -358,7 +324,7 @@ class TestCliBackend:
         pattern_path.write_text(json.dumps(pattern_to_dict(pattern)))
         return str(graph_path), str(pattern_path)
 
-    @pytest.mark.parametrize("backend", ["inproc", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["inproc", "processes"])
     def test_distributed_backend_flag(self, backend, files, capsys):
         if backend == "processes" and not process_backend_available():
             pytest.skip("no process support")
@@ -374,16 +340,20 @@ class TestCliBackend:
         assert f"backend={backend}" in out
         assert "data shipment" in out
 
-    def test_parallel_still_means_threads(self, files, capsys):
+    @pytest.mark.parametrize(
+        "flags", [["--backend", "threads"], ["--parallel"]],
+        ids=["threads", "parallel"],
+    )
+    def test_removed_backend_flags_exit_2(self, flags, files):
         from repro.cli import main
 
         graph_path, pattern_path = files
-        code = main([
-            "distributed", "--data", graph_path, "--pattern", pattern_path,
-            "--sites", "2", "--parallel",
-        ])
-        assert code in (0, 1)
-        assert "backend=threads" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "distributed", "--data", graph_path, "--pattern",
+                pattern_path, "--sites", "2", *flags,
+            ])
+        assert excinfo.value.code == 2
 
 
 # ----------------------------------------------------------------------
@@ -415,10 +385,9 @@ class TestServiceDistributed:
         self, small_synthetic
     ):
         """Several in-flight distributed futures against one cluster:
-        the processes backend's shared result store single-flights them
-        into one protocol run, every report observes identically to a
-        serial run, and the cluster's cumulative bus shows exactly one
-        query's traffic."""
+        the cluster's result store single-flights them into one
+        protocol run, and every report observes identically to a
+        serial run."""
         pattern = sample_pattern_from_data(small_synthetic, 4, seed=2)
         assert pattern is not None
         assignment = bfs_partition(small_synthetic, 3)
@@ -426,7 +395,6 @@ class TestServiceDistributed:
         with Cluster(
             small_synthetic, assignment, 3, backend="processes"
         ) as cluster, MatchService(max_workers=rounds) as service:
-            assert cluster.result_store is not None
             futures = [
                 service.submit_distributed(pattern, cluster)
                 for _ in range(rounds)

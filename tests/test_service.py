@@ -19,10 +19,6 @@ Four layers under test, matching the subsystem's shape:
 4. **Mutation soundness** — random mutation/query interleavings against
    a warm service: a wrongly retained cache entry would surface as a
    stale hit (:func:`tests.engines.assert_service_update_workload_identical`).
-
-Plus the parallel-site half of the tentpole: ``Cluster.run(parallel=...)``
-must produce the byte-identical protocol observation (results, per-site
-counts, full bus accounting) as a serial run, on both engines.
 """
 
 from __future__ import annotations
@@ -50,7 +46,6 @@ from repro.service import (
     replay_workload,
     skewed_stream,
 )
-from repro.distributed import Cluster
 
 from tests.conftest import (
     graph_seeds,
@@ -59,11 +54,9 @@ from tests.conftest import (
     random_digraph,
 )
 from tests.engines import (
-    ENGINES,
     assert_service_identical,
     assert_service_update_workload_identical,
     canonical_result,
-    cluster_observation,
     permuted_pattern,
 )
 
@@ -446,53 +439,6 @@ class TestServiceUnderMutations:
 
 
 # ----------------------------------------------------------------------
-# Parallel site evaluation
-# ----------------------------------------------------------------------
-class TestParallelClusterRun:
-    def _assert_parallel_identical(self, pattern, data, assignment, sites):
-        for engine in ENGINES:
-            serial = cluster_observation(
-                Cluster(data, assignment, sites, engine=engine).run(pattern)
-            )
-            with Cluster(
-                data, assignment, sites, engine=engine, parallel=True
-            ) as cluster:
-                parallel = cluster_observation(cluster.run(pattern))
-            assert parallel == serial, (
-                f"parallel cluster diverged from serial on {engine!r}"
-            )
-
-    def test_paper_figure_fixture(self, q1, g1):
-        nodes = list(g1.nodes())
-        assignment = {node: i % 3 for i, node in enumerate(nodes)}
-        self._assert_parallel_identical(q1, g1, assignment, 3)
-
-    @settings(max_examples=10, deadline=None)
-    @given(
-        seed=graph_seeds,
-        pattern_seed=pattern_seeds,
-        num_sites=st.integers(min_value=2, max_value=4),
-    )
-    def test_random_graphs(self, seed, pattern_seed, num_sites):
-        data = random_digraph(seed, max_nodes=12, edge_prob=0.3)
-        pattern = random_connected_pattern(pattern_seed, max_nodes=3)
-        rng = random.Random(seed + num_sites)
-        assignment = {node: rng.randrange(num_sites) for node in data.nodes()}
-        self._assert_parallel_identical(pattern, data, assignment, num_sites)
-
-    def test_per_query_override(self, q1, g1):
-        nodes = list(g1.nodes())
-        assignment = {node: i % 2 for i, node in enumerate(nodes)}
-        with Cluster(g1, assignment, 2) as serial_cluster:
-            parallel_report = serial_cluster.run(q1, parallel=True)
-        fresh = Cluster(g1, dict(assignment), 2)
-        serial_report = fresh.run(q1)
-        assert cluster_observation(parallel_report) == cluster_observation(
-            serial_report
-        )
-
-
-# ----------------------------------------------------------------------
 # Single-flight deduplication of concurrent identical misses
 # ----------------------------------------------------------------------
 class TestSingleFlight:
@@ -602,6 +548,46 @@ class TestSingleFlight:
         assert len(attempts) == 2
         twin = permuted_pattern(pattern, 5)
         assert relation.pair_set() == real(twin, graph, "auto").pair_set()
+
+    def test_services_sharing_a_cache_share_one_computation(
+        self, monkeypatch
+    ):
+        """The flight table lives on the cache: a miss on one service
+        follows the leader another service over the same ``cache=``
+        elected, so the storm costs one engine run, not one per
+        service."""
+        import repro.service.executor as executor_module
+        from repro.core.dualsim import dual_simulation
+
+        graph = random_digraph(11, max_nodes=20, edge_prob=0.2)
+        pattern = _label_pattern()
+        twin = permuted_pattern(pattern, 3)
+        entered, release = threading.Event(), threading.Event()
+        calls = []
+        monkeypatch.setitem(
+            executor_module._COMPUTE,
+            "dual",
+            self._blocking_compute(entered, release, calls),
+        )
+        cache = ResultCache()
+        with MatchService(cache=cache) as one, MatchService(
+            cache=cache
+        ) as two:
+            leader_future = one.submit(pattern, graph, "dual")
+            assert entered.wait(timeout=30)  # the leader is computing
+            follower_future = two.submit(twin, graph, "dual")
+            self._await_coalesced(two, 1)
+            release.set()
+            assert leader_future.result(timeout=30).pair_set() == (
+                dual_simulation(pattern, graph).pair_set()
+            )
+            assert follower_future.result(timeout=30).pair_set() == (
+                dual_simulation(twin, graph).pair_set()
+            )
+        assert len(calls) == 1, "each service ran its own computation"
+        assert one.stats.computed == 1 and two.stats.computed == 0
+        assert two.stats.replayed == 1
+        assert cache.stats.stores == 1
 
 
 # ----------------------------------------------------------------------
