@@ -205,9 +205,9 @@ def test_kernel_vs_python_engines(scale):
         reports["kernel"].bus.units_by_kind()
         == reports["python"].bus.units_by_kind()
     )
-    # Snapshot per-query accounting NOW: data_shipment_units is a live
-    # view over the cluster's bus, which keeps accumulating across the
-    # timing runs below.
+    # data_shipment_units reads the report's own query_log, so the
+    # timing runs below, which keep charging the cluster's bus, leave
+    # this query's accounting unchanged.
     dist_data_units = reports["kernel"].data_shipment_units
     dist_per_site = dict(reports["kernel"].per_site_subgraphs)
     dist_times = {

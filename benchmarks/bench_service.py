@@ -1,6 +1,6 @@
 """Query service: cache-hit speedup, invalidation precision, replays.
 
-Four sections, every timed pair also an equivalence check:
+Three sections, every timed pair also an equivalence check:
 
 * **cache** — one pattern served cold (a full ``match_plus``) vs warm
   (the fingerprint hit replaying the cached canonical encoding), plus a
@@ -11,7 +11,6 @@ Four sections, every timed pair also an equivalence check:
   disjoint deltas must retain entries (hits keep flowing), overlapping
   deltas must recompute, and every answer is asserted against a direct
   engine call.
-* **throughput** — a repetition-skewed stream, cache off vs on.
 * **distributed_cache** — a warm hit in the cluster's result store
   (version-vector gated, replaying the full run observation) vs a
   cold protocol run.  Gated *including smoke mode*: the replay
@@ -34,7 +33,7 @@ from repro.core.matchplus import match_plus
 from repro.datasets import generate_graph
 from repro.datasets.patterns import sample_pattern_from_data
 from repro.distributed import Cluster, bfs_partition
-from repro.service import MatchService, replay_workload, skewed_stream
+from repro.service import MatchService
 
 from benchmarks.conftest import best_of, emit, emit_result
 from tests.engines import canonical_result as _canonical
@@ -131,42 +130,7 @@ def test_service_cache_and_distributed_replay(scale):
     )
 
     # ------------------------------------------------------------------
-    # Section 3: throughput on a skewed stream, cache on vs off
-    # ------------------------------------------------------------------
-    patterns = [
-        p
-        for p in (
-            sample_pattern_from_data(data, vq, seed=821 + vq)
-            for vq in (4, 6, 8)
-        )
-        if p is not None
-    ]
-    stream = skewed_stream(patterns, data, rounds=2 if smoke else 4)
-    throughput = {}
-    for mode, cache_size in (("cache_off", 0), ("cache_on", 256)):
-        with MatchService(max_workers=4, cache_size=cache_size) as svc:
-            report, results = replay_workload(svc, stream)
-        throughput[mode] = {
-            "queries": report.queries,
-            "seconds": round(report.seconds, 6),
-            "qps": round(report.throughput, 1),
-            "hit_rate": round(report.stats.cache.hit_rate, 4),
-        }
-        if mode == "cache_off":
-            baseline = [_canonical(r) for r in results]
-        else:
-            assert [_canonical(r) for r in results] == baseline, (
-                "cached stream diverged from the uncached stream"
-            )
-    lines.append(
-        f"throughput: {throughput['cache_off']['qps']} q/s uncached vs "
-        f"{throughput['cache_on']['qps']} q/s cached "
-        f"(hit rate {throughput['cache_on']['hit_rate']:.0%}, "
-        f"{len(stream)} queries)"
-    )
-
-    # ------------------------------------------------------------------
-    # Section 4: distributed result cache — warm replay vs protocol run
+    # Section 3: distributed result cache — warm replay vs protocol run
     # ------------------------------------------------------------------
     dist_n = 300 if smoke else 600
     dist_data = generate_graph(
@@ -229,7 +193,6 @@ def test_service_cache_and_distributed_replay(scale):
         "timing": f"best of {TIMING_REPS}",
         "cache": cache_section,
         "invalidation": invalidation_section,
-        "throughput": throughput,
         "distributed_cache": distributed_cache_section,
         "equivalence": (
             "service results identical to direct engine calls; warm "

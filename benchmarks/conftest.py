@@ -87,10 +87,9 @@ def emit(name: str, text: str, payload: Optional[Dict] = None) -> None:
 
     Persists twice: the rendered text as ``<name>.txt`` (the historical
     artifact) and a machine-readable ``BENCH_<name>.json`` in the shared
-    :func:`repro.utils.results.result_envelope` — so every legacy
-    ``bench_fig*`` / ``bench_table*`` table is diffable by the scenario
-    dashboard without per-file parsing rules.  ``payload`` adds
-    structured fields next to the rendered text when a module has them.
+    :func:`repro.utils.results.result_envelope`, which records the host
+    that produced the numbers.  ``payload`` adds structured fields next
+    to the rendered text when a module has them.
     """
     print()
     print(text)
@@ -107,7 +106,7 @@ def emit_result(name: str, payload: Dict) -> Path:
 
     Thin wrapper over :func:`repro.utils.results.write_result` (where
     the envelope — ``schema_version``, ``host`` block, ``generated_at``
-    — now lives, shared with ``repro scenarios run``); kept so the
+    — lives, shared with ``repro scenarios run --out``), so the
     benchmark modules keep their one-name emission call.
     """
     return write_result(RESULTS_DIR / f"{name}.json", payload)

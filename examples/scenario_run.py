@@ -1,37 +1,29 @@
-"""The scenario harness end to end: manifest -> replay -> SLO -> diff.
+"""The scenario harness end to end: manifest -> replay -> digest gate.
 
 A scenario manifest (``repro.scenarios``) pins a whole workload fixture
 declaratively — generator seed and scale table, pattern sample seeds,
 the query/mutation stream shape, and the engine/backend matrix — so a
-run is a pure function of the manifest.  The runner replays it with the
-observability stack live and folds what it saw into one case report:
+run is a pure function of the manifest.  The runner replays it and
+folds what it saw into one case report:
 
 * the **observation digest**, a SHA-256 over the canonical result
   stream (results only, never timings), gated against the committed
   ``EXPECTED_DIGESTS`` pin — the same digest on every engine, or the
   engines' output-identity contract is broken;
-* **SLO rows** (p50/p99/mean per algorithm) interpolated from the
-  case's own log-bucket histogram window;
-* throughput, cache behavior, and — for distributed scenarios — exact
-  bus traffic.
+* cache behavior, execution counts and — for distributed scenarios —
+  exact bus traffic.
 
-This example runs one scenario across all three engines, shows the
-digest agreeing everywhere, prints the dashboard table, and then runs
-the regression diff twice: once against itself (clean) and once against
-a doctored baseline with an injected 10x p99 regression and a flipped
-digest (both flagged)::
+Reports carry no timings: ``perfbench/`` is the latency benchmark.
+This example runs one scenario across all three engines, prints the
+per-case table and shows the digest agreeing everywhere::
 
     python examples/scenario_run.py
 """
 
-import json
-
 from repro.scenarios import (
     EXPECTED_DIGESTS,
     ScenarioRunner,
-    diff_payloads,
     get_scenario,
-    matrix_payload,
     render_cases,
 )
 
@@ -56,27 +48,6 @@ def main() -> None:
     print(f"one digest across {len(ran)} engine(s): {len(digests) == 1}")
     print(f"digest matches the committed pin: "
           f"{digests == {pinned}}")
-
-    # The SLO rows come from the case's own metrics window.
-    sample = ran[0]
-    rows = {name: row for name, row in sorted(sample.latency.items())
-            if name != "queue_wait"}
-    print(f"per-algorithm p99 rows observed: {len(rows)}")
-
-    # The dashboard: clean against itself...
-    payload = matrix_payload(cases, "smoke")
-    print(f"clean diff findings: {len(diff_payloads(payload, payload))}")
-
-    # ...and loud against a doctored baseline.
-    doctored = json.loads(json.dumps(payload))
-    doctored["cases"][0]["digest"] = "0" * 16
-    for row in doctored["cases"][1]["latency"].values():
-        row["p99_ms"] = 0.0
-    findings = diff_payloads(doctored, payload)
-    kinds = sorted({finding["kind"] for finding in findings})
-    print(f"injected regressions flagged: {kinds}")
-    for finding in findings:
-        print(f"  [{finding['kind']}] {finding['case']}")
 
 
 if __name__ == "__main__":

@@ -349,19 +349,6 @@ def _cmd_workload(args: argparse.Namespace) -> int:
     print("algorithms: " + ", ".join(
         f"{name}={count}" for name, count in sorted(report.by_algorithm.items())
     ))
-    # Per-algorithm latency percentiles from this run's registry
-    # histograms (log-bucket interpolated, so within one bucket of
-    # exact).  The snapshot covers the whole process, but the CLI is a
-    # fresh process per run, so the histograms are exactly this replay.
-    from repro.obs import get_registry, latency_summary
-
-    rows = latency_summary(get_registry().snapshot())
-    if rows:
-        print("latency (ms):")
-        for name, row in sorted(rows.items()):
-            print(f"  {name:<12} n={int(row['count']):<5d} "
-                  f"p50={row['p50_ms']:.3f} p99={row['p99_ms']:.3f} "
-                  f"mean={row['mean_ms']:.3f}")
     print(f"non-empty results: {matched}/{report.queries}")
     cache = report.stats.cache
     if cache_size <= 0:  # --no-cache or an explicit --cache-size 0
@@ -377,15 +364,10 @@ def _cmd_workload(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Default committed baseline ``scenarios diff`` compares against.
-_SCENARIO_BASELINE = "benchmarks/results/BENCH_scenarios.json"
-
-
 def _cmd_scenarios(args: argparse.Namespace) -> int:
-    """The scenario harness: list / run / diff (see repro.scenarios)."""
+    """The scenario harness: list / run (see repro.scenarios)."""
     from repro.scenarios import (
         SCENARIOS,
-        diff_payloads,
         matrix_payload,
         render_cases,
         run_matrix,
@@ -400,53 +382,26 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             print(f"  {manifest.title}")
         return 0
 
-    if args.scenarios_command == "run":
-        scale = "smoke" if args.smoke else args.scale
-        try:
-            cases = run_matrix(args.scenario or None, scale)
-        except KeyError as exc:
-            print(exc.args[0])
-            return 2
-        print(render_cases(cases))
-        payload = matrix_payload(cases, scale)
-        if args.out:
-            from repro.utils.results import write_result
-
-            write_result(args.out, payload)
-            print(f"scenario report written to {args.out}")
-        failed = [
-            case for case in cases
-            if case.skipped is None and case.digest_ok is False
-        ]
-        for case in failed:
-            print(f"DIGEST MISMATCH {case.case_key}: expected "
-                  f"{case.expected_digest}, observed {case.digest}")
-        return 1 if failed else 0
-
-    # diff: a new report against another report or the committed
-    # baseline, flagging digest changes and p99 regressions.
-    with open(args.report, "r", encoding="utf-8") as handle:
-        after = json.load(handle)
-    baseline_path = args.against or _SCENARIO_BASELINE
+    scale = "smoke" if args.smoke else args.scale
     try:
-        with open(baseline_path, "r", encoding="utf-8") as handle:
-            before = json.load(handle)
-    except FileNotFoundError:
-        print(f"no baseline at {baseline_path}; run "
-              f"'repro scenarios run --out {baseline_path}' to seed one")
+        cases = run_matrix(args.scenario or None, scale)
+    except KeyError as exc:
+        print(exc.args[0])
         return 2
-    findings = diff_payloads(
-        before, after, threshold=args.threshold, min_delta_ms=args.min_ms
-    )
-    if not findings:
-        print(f"no regressions vs {baseline_path} "
-              f"(threshold {args.threshold:.0%}, floor {args.min_ms}ms)")
-        return 0
-    print(f"{len(findings)} finding(s) vs {baseline_path}:")
-    for finding in findings:
-        print(f"  [{finding['kind']}] {finding['case']}: "
-              f"{finding['detail']}")
-    return 1
+    print(render_cases(cases))
+    if args.out:
+        from repro.utils.results import write_result
+
+        write_result(args.out, matrix_payload(cases, scale))
+        print(f"scenario report written to {args.out}")
+    failed = [
+        case for case in cases
+        if case.skipped is None and case.digest_ok is False
+    ]
+    for case in failed:
+        print(f"DIGEST MISMATCH {case.case_key}: expected "
+              f"{case.expected_digest}, observed {case.digest}")
+    return 1 if failed else 0
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -627,9 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scen = sub.add_parser(
         "scenarios",
-        help="the manifest-driven scenario matrix: list, run with digest "
-             "+ SLO reporting, or diff two reports (the observability "
-             "dashboard over BENCH_*.json)",
+        help="the manifest-driven scenario matrix: list it, or run it "
+             "against the pinned result digests",
     )
     scen_sub = p_scen.add_subparsers(dest="scenarios_command", required=True)
 
@@ -661,31 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
              "here",
     )
     p_scen_run.set_defaults(func=_cmd_scenarios)
-
-    p_scen_diff = scen_sub.add_parser(
-        "diff",
-        help="compare a scenario report against a baseline report and "
-             "flag digest mismatches and p99 regressions",
-    )
-    p_scen_diff.add_argument(
-        "report", help="the new report JSON (from 'scenarios run --out')"
-    )
-    p_scen_diff.add_argument(
-        "against", nargs="?", default=None,
-        help=f"baseline report JSON (default: {_SCENARIO_BASELINE})",
-    )
-    p_scen_diff.add_argument(
-        "--threshold", type=float, default=1.0,
-        help="fractional p99 growth tolerated before flagging; the "
-             "default 1.0 (p99 doubled) equals one log-2 histogram "
-             "bucket, so single-bucket jitter never flags",
-    )
-    p_scen_diff.add_argument(
-        "--min-ms", type=float, default=1.0,
-        help="absolute p99 growth floor in ms below which relative "
-             "regressions are ignored (default: 1.0)",
-    )
-    p_scen_diff.set_defaults(func=_cmd_scenarios)
 
     p_gen = sub.add_parser("generate", help="generate a dataset")
     p_gen.add_argument("--kind", choices=("synthetic", "amazon", "youtube"),

@@ -37,8 +37,6 @@ from repro.core.kernel import (
     IndexStats,
     dual_simulation_kernel,
     get_index,
-    index_maintenance,
-    set_index_maintenance,
 )
 from repro.core.reach import (
     PATH_ENGINES,
@@ -156,8 +154,6 @@ __all__ = [
     "extract_ball_restricted",
     "extract_max_perfect_subgraph",
     "get_index",
-    "index_maintenance",
-    "set_index_maintenance",
     "graph_simulation",
     "has_directed_cycle",
     "has_undirected_cycle",

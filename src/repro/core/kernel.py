@@ -848,28 +848,24 @@ class _ReadGuard:
 _MAINTENANCE_ENABLED = True
 
 
-def set_index_maintenance(enabled: bool) -> bool:
-    """Toggle incremental index maintenance; returns the previous value.
+@contextmanager
+def index_maintenance(enabled: bool):
+    """Toggle incremental index maintenance for the ``with`` block.
 
     With maintenance off, :func:`get_index` recompiles a fresh index for
-    every mutated graph (the recompile-per-update baseline benchmarked in
-    ``benchmarks/bench_kernel.py``); held stale indexes still raise
-    :class:`~repro.exceptions.MatchingError` on use either way.
+    every mutated graph (the recompile-per-update baseline
+    :func:`~repro.experiments.performance.time_update_workload` times);
+    held stale indexes still raise
+    :class:`~repro.exceptions.MatchingError` on use either way.  The
+    previous setting is restored on exit.
     """
     global _MAINTENANCE_ENABLED
     previous = _MAINTENANCE_ENABLED
     _MAINTENANCE_ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def index_maintenance(enabled: bool):
-    """Context manager form of :func:`set_index_maintenance`."""
-    previous = set_index_maintenance(enabled)
     try:
         yield
     finally:
-        set_index_maintenance(previous)
+        _MAINTENANCE_ENABLED = previous
 
 
 def get_index(graph: DiGraph) -> GraphIndex:
@@ -880,7 +876,7 @@ def get_index(graph: DiGraph) -> GraphIndex:
     deltas applied in place, a full recompile only past the deletion
     threshold — so update workloads keep one warm index instead of
     recompiling per query.  With maintenance disabled
-    (:func:`set_index_maintenance`) a mutated graph gets a brand-new
+    (:func:`index_maintenance`) a mutated graph gets a brand-new
     index, the pre-pipeline behavior.
     """
     index = _INDEX_CACHE.get(graph)

@@ -135,8 +135,9 @@ class DistributedRunReport:
 
     @property
     def data_shipment_units(self) -> int:
-        """Graph-data volume shipped between sites (the Sec. 4.3 bound)."""
-        return self.bus.data_units()
+        """Graph-data volume this query shipped between sites (the
+        Sec. 4.3 bound): its ``fetch`` units, from ``query_log``."""
+        return self.units_by_kind().get("fetch", 0)
 
     def units_by_kind(self) -> Dict[str, int]:
         """This query's shipped units folded per message kind.

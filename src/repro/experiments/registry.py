@@ -244,7 +244,7 @@ def distributed_backends(scale: int) -> str:
             start = time.perf_counter()
             report = cluster.run(pattern)
             rows["seconds"].append(round(time.perf_counter() - start, 4))
-        rows["fetch units"].append(report.bus.units_by_kind().get("fetch", 0))
+        rows["fetch units"].append(report.data_shipment_units)
         signatures = {sg.signature() for sg in report.result}
         rows["subgraphs"].append(len(report.result))
         if reference is None:
@@ -325,26 +325,6 @@ def distributed(scale: int) -> str:
     )
 
 
-def scenario_matrix(scale: int) -> str:
-    """Scenario harness: the digest-gated smoke matrix dashboard."""
-    from repro.scenarios import render_cases, run_matrix
-
-    # The scenario scales are pinned by the manifests (that is what
-    # makes their digests pinnable); the numeric --scale knob picks
-    # between the smoke matrix and the S matrix rather than resizing.
-    matrix_scale = "smoke" if scale <= 300 else "S"
-    cases = run_matrix(None, matrix_scale)
-    failed = sum(
-        1 for case in cases
-        if case.skipped is None and case.digest_ok is False
-    )
-    header = (
-        f"scenario matrix at scale {matrix_scale!r}: "
-        f"{len(cases)} cases, {failed} digest failure(s)"
-    )
-    return header + "\n" + render_cases(cases)
-
-
 EXPERIMENTS: Dict[str, Renderer] = {
     "fig7-closeness-vq": fig7_closeness_vq,
     "fig7-closeness-v": fig7_closeness_v,
@@ -357,7 +337,6 @@ EXPERIMENTS: Dict[str, Renderer] = {
     "distributed": distributed,
     "distributed-backends": distributed_backends,
     "service-throughput": service_throughput,
-    "scenario-matrix": scenario_matrix,
 }
 
 

@@ -24,14 +24,12 @@ from repro.obs.metrics import (
     Gauge,
     HISTOGRAM_BUCKETS,
     Histogram,
-    HistogramSnapshot,
     MetricsRegistry,
     get_registry,
     merge_snapshots,
     render_prometheus,
-    subtract_snapshots,
 )
-from repro.obs.report import PhaseRow, QueryReport, latency_summary
+from repro.obs.report import PhaseRow, QueryReport
 from repro.obs.trace import (
     NOOP_SPAN,
     Span,
@@ -52,7 +50,6 @@ __all__ = [
     "Gauge",
     "HISTOGRAM_BUCKETS",
     "Histogram",
-    "HistogramSnapshot",
     "MetricsRegistry",
     "NOOP_SPAN",
     "PhaseRow",
@@ -64,11 +61,9 @@ __all__ = [
     "current_span",
     "export_traces_json",
     "get_registry",
-    "latency_summary",
     "merge_snapshots",
     "render_prometheus",
     "set_tracing",
-    "subtract_snapshots",
     "span",
     "span_from_dict",
     "span_to_dict",

@@ -39,9 +39,11 @@ them to the coordinator in wire form), mergeable with
 :func:`merge_snapshots`, and renderable as a Prometheus-style text
 exposition via :func:`render_prometheus`.
 
-Histograms use fixed log-scale buckets (base-2, 1µs … ~67s) so latency
-percentiles are comparable across runs and mergeable across processes
-without bucket renegotiation.
+Histograms use fixed log-scale buckets (base-2, 1µs … ~67s), so
+snapshots merge across processes without bucket renegotiation.  They
+are live instruments for ``--metrics-out`` expositions; the registry
+derives no latency statistics from them (perfbench's caller-timed
+order statistics are the repo's latency numbers).
 """
 
 from __future__ import annotations
@@ -55,13 +57,11 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "HistogramSnapshot",
     "HISTOGRAM_BUCKETS",
     "MetricsRegistry",
     "get_registry",
     "merge_snapshots",
     "render_prometheus",
-    "subtract_snapshots",
 ]
 
 #: Version stamp carried inside every snapshot (and over the wire).
@@ -132,104 +132,6 @@ class Histogram:
             self.counts[index] += 1
             self._sum += value
             self._count += 1
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def sum(self) -> float:
-        return self._sum
-
-    def percentile(self, q: float) -> float:
-        """Log-bucket-interpolated quantile ``q`` (0..1).
-
-        Delegates to :meth:`HistogramSnapshot.percentile` over a locked
-        copy of the buckets — exact to within one log-2 bucket, which is
-        what SLO reporting needs (p50/p99 against a latency target), not
-        exact order statistics.
-        """
-        return self.snapshot_view().percentile(q)
-
-    def snapshot_view(self) -> "HistogramSnapshot":
-        """A consistent immutable copy of this histogram's state."""
-        with self._lock:
-            return HistogramSnapshot(list(self.counts), self._sum, self._count)
-
-
-class HistogramSnapshot:
-    """One histogram's snapshot data, with the shared percentile math.
-
-    Wraps the ``{"counts", "sum", "count"}`` dict a registry
-    :meth:`MetricsRegistry.snapshot` (or :func:`merge_snapshots` /
-    :func:`subtract_snapshots`) carries per histogram key.  This is the
-    primitive the scenario harness's SLO report and the ``workload``
-    CLI's latency summary both use.
-    """
-
-    __slots__ = ("counts", "sum", "count")
-
-    def __init__(self, counts, sum: float = 0.0, count: int = 0) -> None:
-        self.counts = list(counts)
-        self.sum = sum
-        self.count = count
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "HistogramSnapshot":
-        return cls(data["counts"], data.get("sum", 0.0), data.get("count", 0))
-
-    @classmethod
-    def from_snapshot(
-        cls, snapshot: Dict[str, Any], name: str, **labels: Any
-    ) -> Optional["HistogramSnapshot"]:
-        """Pull ``name{labels}`` out of a registry snapshot (or None)."""
-        key = _render_key(name, _label_items(labels))
-        data = snapshot.get("histograms", {}).get(key)
-        return None if data is None else cls.from_dict(data)
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Quantile ``q`` (0..1) with log-bucket interpolation.
-
-        The bucket containing rank ``q * count`` is found by a
-        cumulative walk, then the answer is interpolated *inside* that
-        bucket: linearly in the first bucket (whose lower edge is 0),
-        geometrically (``lower * (upper/lower)**fraction``) in every
-        other — the natural interpolation on a log-2 bucket grid.  The
-        result therefore always lies within one bucket boundary of the
-        exact order statistic.
-
-        Edge behavior: an empty snapshot reports ``0.0``; a snapshot
-        whose observations all share one bucket interpolates within that
-        bucket (``q -> 0`` gives its lower edge, ``q = 1`` its upper);
-        observations beyond the last bound (the +Inf bucket) report the
-        last finite bound.
-        """
-        total = self.count
-        if total <= 0:
-            return 0.0
-        q = min(max(q, 0.0), 1.0)
-        rank = q * total
-        cumulative = 0
-        for index, bucket_count in enumerate(self.counts):
-            if not bucket_count:
-                continue
-            previous = cumulative
-            cumulative += bucket_count
-            if cumulative >= rank:
-                if index >= len(HISTOGRAM_BUCKETS):
-                    return HISTOGRAM_BUCKETS[-1]
-                upper = HISTOGRAM_BUCKETS[index]
-                lower = HISTOGRAM_BUCKETS[index - 1] if index else 0.0
-                fraction = (rank - previous) / bucket_count
-                fraction = min(max(fraction, 0.0), 1.0)
-                if lower <= 0.0:
-                    return upper * fraction
-                return lower * (upper / lower) ** fraction
-        return HISTOGRAM_BUCKETS[-1]  # pragma: no cover - defensive
 
 
 def _render_key(name: str, labels: Tuple[Tuple[str, str], ...]) -> str:
@@ -388,48 +290,6 @@ def merge_snapshots(*snapshots: Dict[str, Any]) -> Dict[str, Any]:
         "schema_version": METRICS_SCHEMA_VERSION,
         "counters": counters,
         "gauges": gauges,
-        "histograms": histograms,
-    }
-
-
-def subtract_snapshots(
-    after: Dict[str, Any], before: Dict[str, Any]
-) -> Dict[str, Any]:
-    """``after - before``: the metrics window between two snapshots.
-
-    Counters and histogram buckets subtract key-wise (a key absent from
-    ``before`` counts as zero); gauges keep ``after``'s point-in-time
-    values.  This is how the scenario harness isolates one case's
-    latency histograms and traffic counters out of the process-wide
-    registry.  Values can go negative if a collector's owner (a service,
-    a cluster) was garbage-collected between the snapshots — hold the
-    owners alive across the window for an exact delta.
-    """
-    counters: Dict[str, float] = {}
-    for key, value in after.get("counters", {}).items():
-        counters[key] = value - before.get("counters", {}).get(key, 0)
-    histograms: Dict[str, Dict[str, Any]] = {}
-    before_hists = before.get("histograms", {})
-    for key, data in after.get("histograms", {}).items():
-        prior = before_hists.get(key)
-        if prior is None:
-            histograms[key] = {
-                "counts": list(data["counts"]),
-                "sum": data["sum"],
-                "count": data["count"],
-            }
-        else:
-            histograms[key] = {
-                "counts": [
-                    a - b for a, b in zip(data["counts"], prior["counts"])
-                ],
-                "sum": data["sum"] - prior["sum"],
-                "count": data["count"] - prior["count"],
-            }
-    return {
-        "schema_version": METRICS_SCHEMA_VERSION,
-        "counters": counters,
-        "gauges": dict(after.get("gauges", {})),
         "histograms": histograms,
     }
 

@@ -5,13 +5,6 @@ reads: total duration, one row per direct child phase (with its share
 of the total and its key attributes), and the query's bus-traffic
 attributes when the span carries them (``distributed.run`` spans do).
 The CLI's ``--trace`` flag and ``examples/traced_query.py`` print it.
-
-:func:`latency_summary` is the registry-side companion: it folds the
-``service.query_seconds{algorithm=..}`` histograms of one metrics
-snapshot (typically a :func:`~repro.obs.metrics.subtract_snapshots`
-window) into per-algorithm p50/p99/mean rows — the SLO view the
-scenario harness reports per case and the ``workload`` CLI prints at
-end of run.
 """
 
 from __future__ import annotations
@@ -19,50 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
-from repro.obs.metrics import HistogramSnapshot
 from repro.obs.trace import Span
 
-__all__ = ["PhaseRow", "QueryReport", "latency_summary"]
-
-#: The histogram the per-algorithm latency rows come from.
-_QUERY_SECONDS_PREFIX = "service.query_seconds"
-
-
-def latency_summary(snapshot: Dict[str, Any]) -> Dict[str, Dict[str, float]]:
-    """Per-algorithm latency rows from a metrics snapshot.
-
-    Returns ``{algorithm: {"count", "mean_ms", "p50_ms", "p99_ms"}}``
-    for every non-empty ``service.query_seconds{algorithm=..}``
-    histogram in ``snapshot``, plus a ``"queue_wait"`` row for
-    ``service.queue_wait_seconds`` when present.  Percentiles use
-    :meth:`~repro.obs.metrics.HistogramSnapshot.percentile` (log-bucket
-    interpolation), so they are within one log-2 bucket of exact.
-    """
-    rows: Dict[str, Dict[str, float]] = {}
-
-    def row_of(data: Dict[str, Any]) -> Dict[str, float]:
-        hist = HistogramSnapshot.from_dict(data)
-        return {
-            "count": hist.count,
-            "mean_ms": hist.mean * 1e3,
-            "p50_ms": hist.percentile(0.5) * 1e3,
-            "p99_ms": hist.percentile(0.99) * 1e3,
-        }
-
-    for key, data in snapshot.get("histograms", {}).items():
-        if data.get("count", 0) <= 0:
-            continue
-        if key == "service.queue_wait_seconds":
-            rows["queue_wait"] = row_of(data)
-        elif key.startswith(_QUERY_SECONDS_PREFIX):
-            _, _, labels = key.partition("{")
-            algorithm = "all"
-            for part in labels.rstrip("}").split(","):
-                name, _, value = part.partition("=")
-                if name == "algorithm":
-                    algorithm = value
-            rows[algorithm] = row_of(data)
-    return rows
+__all__ = ["PhaseRow", "QueryReport"]
 
 #: Span attributes surfaced inline on a phase row, in display order.
 _PHASE_ATTRS = (

@@ -1,8 +1,9 @@
-"""Scenario harness: manifest-driven workload fixtures with SLO gates.
+"""Scenario harness: manifest-driven correctness fixtures.
 
-The consumption layer over the PR-9 observability substrate (ROADMAP
-open item 5, in the spirit of MADlib's reproducible
-library-of-workloads methodology):
+Seeded workload fixtures that check the match set of every query on
+every engine and backend against a pinned digest (in the spirit of
+MADlib's reproducible library-of-workloads methodology).  Latency is
+perfbench's job (``perfbench/``); scenario reports carry no timings.
 
 * :mod:`repro.scenarios.manifest` — the declarative, seeded scenario
   matrix (:data:`SCENARIOS`) and the pinned observation digests
@@ -11,12 +12,12 @@ library-of-workloads methodology):
   backend-independent observation digests;
 * :mod:`repro.scenarios.runner` — deterministic replay through
   :class:`~repro.service.MatchService` / a
-  :class:`~repro.distributed.Cluster` with tracing and metrics on;
-* :mod:`repro.scenarios.report` — per-case reports, the result-file
-  payload, and the mechanical baseline diff behind
-  ``repro scenarios diff``.
+  :class:`~repro.distributed.Cluster`, with tracing on for the
+  distributed bus-log cross-check;
+* :mod:`repro.scenarios.report` — per-case reports and the result-file
+  payload.
 
-CLI surface: ``repro scenarios list | run | diff``.
+CLI surface: ``repro scenarios list | run``.
 """
 
 from repro.scenarios.digest import canonical_observation, digest_observations
@@ -31,7 +32,6 @@ from repro.scenarios.manifest import (
 from repro.scenarios.report import (
     SCENARIO_SCHEMA_VERSION,
     ScenarioCaseReport,
-    diff_payloads,
     matrix_payload,
     render_cases,
 )
@@ -46,7 +46,6 @@ __all__ = [
     "ScenarioManifest",
     "ScenarioRunner",
     "canonical_observation",
-    "diff_payloads",
     "digest_observations",
     "get_scenario",
     "matrix_payload",

@@ -11,8 +11,8 @@ output-identity contract makes the digest engine- and
 backend-independent — a digest that differs across engines is a
 correctness bug, which is exactly what the gate is for.
 
-Scales: ``smoke`` runs in seconds (the digest-gated CI matrix), ``S``
-is the committed-baseline scale, ``M`` the perf-trend scale.
+Scales: ``smoke`` runs in seconds (the digest-gated CI matrix); ``S``
+and ``M`` pin larger fixtures for ``repro scenarios run --scale``.
 """
 
 from __future__ import annotations

@@ -1,32 +1,28 @@
-"""Scenario case reports, the matrix payload, and the dashboard diff.
+"""Scenario case reports and the matrix payload.
 
 :class:`ScenarioCaseReport` is the per-(engine, backend) observation a
 :class:`~repro.scenarios.runner.ScenarioRunner` produces: the digest
-(the correctness gate), SLO rows (p50/p99/mean per algorithm from the
-case's own metrics-registry window), throughput, cache behavior, and —
-for distributed cases — exact bus traffic.  :func:`matrix_payload`
-folds case reports into the shared result envelope's payload;
-:func:`diff_payloads` is the dashboard: it compares two payloads case
-by case and returns findings for digest mismatches and p99 regressions
-past a threshold, so ``repro scenarios diff`` can gate a change
-mechanically against the committed baseline.
+(the correctness gate), cache behavior, execution counts, and — for
+distributed cases — exact bus traffic and the trace cross-check.  It
+carries no timings; perfbench (``perfbench/``) is the one latency
+source.  :func:`matrix_payload` folds case reports into the shared
+result envelope's payload.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 __all__ = [
     "SCENARIO_SCHEMA_VERSION",
     "ScenarioCaseReport",
-    "diff_payloads",
     "matrix_payload",
     "render_cases",
 ]
 
 #: Version of the scenario payload layout inside the shared envelope.
-SCENARIO_SCHEMA_VERSION = 1
+SCENARIO_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -40,11 +36,6 @@ class ScenarioCaseReport:
     digest: str
     expected_digest: Optional[str]
     queries: int
-    seconds: float
-    throughput_qps: float
-    #: ``{algorithm: {"count", "mean_ms", "p50_ms", "p99_ms"}}`` from
-    #: this case's own registry window (see the runner).
-    latency: Dict[str, Dict[str, float]] = field(default_factory=dict)
     cache: Dict[str, float] = field(default_factory=dict)
     executed: Dict[str, int] = field(default_factory=dict)
     #: Distributed cases: exact per-query bus accounting.
@@ -77,9 +68,6 @@ class ScenarioCaseReport:
             "expected_digest": self.expected_digest,
             "digest_ok": self.digest_ok,
             "queries": self.queries,
-            "seconds": self.seconds,
-            "throughput_qps": self.throughput_qps,
-            "latency": self.latency,
             "cache": self.cache,
             "executed": self.executed,
         }
@@ -89,26 +77,6 @@ class ScenarioCaseReport:
         if self.skipped is not None:
             payload["skipped"] = self.skipped
         return payload
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "ScenarioCaseReport":
-        return cls(
-            scenario=payload["scenario"],
-            scale=payload["scale"],
-            engine=payload["engine"],
-            backend=payload.get("backend"),
-            digest=payload.get("digest", ""),
-            expected_digest=payload.get("expected_digest"),
-            queries=payload.get("queries", 0),
-            seconds=payload.get("seconds", 0.0),
-            throughput_qps=payload.get("throughput_qps", 0.0),
-            latency=payload.get("latency", {}),
-            cache=payload.get("cache", {}),
-            executed=payload.get("executed", {}),
-            bus=payload.get("bus"),
-            bus_log_matches_trace=payload.get("bus_log_matches_trace"),
-            skipped=payload.get("skipped"),
-        )
 
 
 def matrix_payload(
@@ -128,114 +96,15 @@ def matrix_payload(
     }
 
 
-def _case_index(
-    payload: Dict[str, Any]
-) -> Dict[str, ScenarioCaseReport]:
-    index: Dict[str, ScenarioCaseReport] = {}
-    for entry in payload.get("cases", []):
-        case = ScenarioCaseReport.from_payload(entry)
-        if case.skipped is None:
-            index[case.case_key] = case
-    return index
-
-
-def diff_payloads(
-    before: Dict[str, Any],
-    after: Dict[str, Any],
-    threshold: float = 1.0,
-    min_delta_ms: float = 1.0,
-) -> List[Dict[str, Any]]:
-    """Findings when ``after`` regresses against ``before``.
-
-    * ``kind="digest"`` — a case's observation digest changed: the
-      workload now produces different results.  Always a finding.
-    * ``kind="slo"`` — a per-algorithm p99 grew by more than
-      ``threshold`` (fractional) *and* more than ``min_delta_ms``
-      absolute.  The absolute floor keeps micro-latency noise (a p99
-      moving 30µs → 45µs) from tripping a relative-only gate.  The
-      default threshold of 1.0 (p99 more than doubled) is deliberately
-      one full log-2 histogram bucket: an interpolated p99 that
-      jitters across one bucket boundary moves by exactly 2×, so only
-      a shift past *two* boundaries — a real regression, not bucket
-      noise — is flagged.  ``queue_wait`` rows are never compared:
-      queue wait measures pool scheduling pressure, not query SLO.
-    * ``kind="missing"`` — a case present before is gone (or now
-      skipped): the matrix silently shrank.
-
-    Cases only present in ``after`` are new coverage, not findings, and
-    baseline cases at a scale the new report did not run at all (a
-    smoke-only run diffed against a smoke+S baseline) are out of scope
-    rather than missing.
-    """
-    findings: List[Dict[str, Any]] = []
-    before_cases = _case_index(before)
-    after_cases = _case_index(after)
-    after_scales = {case.scale for case in after_cases.values()}
-    for key in sorted(before_cases):
-        old = before_cases[key]
-        new = after_cases.get(key)
-        if new is None:
-            if old.scale not in after_scales:
-                continue
-            findings.append({
-                "kind": "missing",
-                "case": key,
-                "detail": "case present in the baseline is absent/skipped "
-                          "in the new report",
-            })
-            continue
-        if old.digest and new.digest and old.digest != new.digest:
-            findings.append({
-                "kind": "digest",
-                "case": key,
-                "detail": f"observation digest changed "
-                          f"{old.digest} -> {new.digest}",
-            })
-        for algorithm, row in sorted(new.latency.items()):
-            if algorithm == "queue_wait":
-                continue
-            old_row = old.latency.get(algorithm)
-            if not old_row:
-                continue
-            old_p99 = float(old_row.get("p99_ms", 0.0))
-            new_p99 = float(row.get("p99_ms", 0.0))
-            delta = new_p99 - old_p99
-            if delta <= min_delta_ms:
-                continue
-            if old_p99 > 0 and new_p99 <= old_p99 * (1.0 + threshold):
-                continue
-            findings.append({
-                "kind": "slo",
-                "case": key,
-                "algorithm": algorithm,
-                "detail": f"p99 {algorithm}: {old_p99:.3f}ms -> "
-                          f"{new_p99:.3f}ms "
-                          f"(+{delta:.3f}ms, threshold {threshold:.0%} "
-                          f"/ {min_delta_ms}ms)",
-            })
-    return findings
-
-
 def render_cases(cases: List[ScenarioCaseReport]) -> str:
-    """The per-case dashboard table ``repro scenarios run`` prints."""
-    lines = [
-        f"{'case':<44} {'digest':<18} {'gate':<6} {'q/s':>8} "
-        f"{'p99 ms':>9}"
-    ]
+    """The per-case table ``repro scenarios run`` prints."""
+    lines = [f"{'case':<44} {'digest':<18} gate"]
     for case in cases:
         if case.skipped is not None:
             lines.append(
-                f"{case.case_key:<44} {'-':<18} {'skip':<6}"
-                f" {'':>8} {'':>9}  ({case.skipped})"
+                f"{case.case_key:<44} {'-':<18} skip  ({case.skipped})"
             )
             continue
         gate = {True: "ok", False: "FAIL", None: "new"}[case.digest_ok]
-        worst_p99 = max(
-            (row.get("p99_ms", 0.0) for row in case.latency.values()),
-            default=0.0,
-        )
-        lines.append(
-            f"{case.case_key:<44} {case.digest:<18} {gate:<6} "
-            f"{case.throughput_qps:>8.1f} {worst_p99:>9.3f}"
-        )
+        lines.append(f"{case.case_key:<44} {case.digest:<18} {gate}")
     return "\n".join(lines)

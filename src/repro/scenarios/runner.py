@@ -1,39 +1,30 @@
-"""Deterministic scenario replay with observability enabled.
+"""Deterministic scenario replay: the correctness fixture set.
 
 :class:`ScenarioRunner` expands a manifest's (engine, backend) matrix
 and replays each case from scratch — fresh dataset from the pinned
 seed, fresh :class:`~repro.service.MatchService` or
-:class:`~repro.distributed.Cluster`, fresh metrics window — so every
-case report is an isolated, reproducible observation:
+:class:`~repro.distributed.Cluster` — so every case report is an
+isolated, reproducible observation:
 
 * **Digest** — SHA-256 over the canonical result stream (see
   :mod:`repro.scenarios.digest`): results only, in submission order,
   never timings or scheduler-dependent statistics.
-* **SLO rows** — p50/p99/mean per algorithm from the case's own
-  metrics-registry window: a snapshot before, one after (both taken
-  while the case's service/cluster is alive, so collector-backed
-  counters cannot vanish mid-window), folded with
-  :func:`~repro.obs.metrics.subtract_snapshots` and summarized with
-  :func:`~repro.obs.report.latency_summary`.  Distributed cases window
-  :meth:`~repro.distributed.Cluster.metrics_snapshot` instead, which
-  merges the worker processes' shipped registries
-  (:func:`~repro.obs.metrics.merge_snapshots`).
+* **Counts** — the service's execution counts, and cache behavior from
+  the :class:`~repro.service.cache.CacheStats` of whichever cache the
+  case filled: the service's, or the cluster's result store.
 * **Bus traffic** — exact, from each report's ``query_log``, and
-  cross-checked two ways: against the windowed ``bus.*`` registry
-  counters and against the ``bus.log`` attribute of the
+  cross-checked against the ``bus.log`` attribute of the
   ``distributed.run`` trace spans captured during the case.
 
+Cases are not timed; perfbench (``perfbench/``) measures latency.
 Unavailable cells (no numpy, no process backend on the platform) come
 back as *skipped* reports with the reason — never silently dropped.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import get_registry, subtract_snapshots
-from repro.obs.report import latency_summary
 from repro.obs.trace import collector, set_tracing
 from repro.scenarios.digest import digest_observations
 from repro.scenarios.manifest import (
@@ -190,13 +181,13 @@ class ScenarioRunner:
             scenario=manifest.name, scale=scale, engine=engine,
             backend=backend, digest="",
             expected_digest=EXPECTED_DIGESTS.get((manifest.name, scale)),
-            queries=0, seconds=0.0, throughput_qps=0.0, skipped=reason,
+            queries=0, skipped=reason,
         )
 
     def _run_service_case(
         self, scale: str, engine: str
     ) -> ScenarioCaseReport:
-        from repro.service import MatchService, replay_workload
+        from repro.service import MatchService
 
         manifest = self.manifest
         data = self.build_graph(scale)
@@ -204,29 +195,23 @@ class ScenarioRunner:
         stream = self.build_stream(patterns, data, engine)
         batches = self.mutation_batches(data)
         segments = _split_segments(stream, len(batches) + 1)
-        registry = get_registry()
         results: List = []
         with MatchService(
             max_workers=manifest.workers, cache_size=manifest.cache_size
         ) as service:
-            before = registry.snapshot()
-            started = perf_counter()
             for index, segment in enumerate(segments):
-                # Quiesce at every segment boundary: replay_workload
-                # waits for the whole segment, so mutations never race
-                # in-flight queries and later segments deterministically
-                # observe the post-mutation graph.
-                _, segment_results = replay_workload(service, segment)
-                results.extend(segment_results)
+                # Quiesce at every segment boundary: the whole segment
+                # resolves before the next mutation batch, so mutations
+                # never race in-flight queries and later segments
+                # deterministically observe the post-mutation graph.
+                results.extend(
+                    future.result()
+                    for future in service.submit_batch(segment)
+                )
                 if index < len(batches):
                     for source, target in batches[index]:
                         data.add_edge(source, target)
-            elapsed = perf_counter() - started
-            after = registry.snapshot()
             stats = service.stats
-            cache_stats = stats.cache
-        window = subtract_snapshots(after, before)
-        hit_total = cache_stats.hits + cache_stats.misses
         return ScenarioCaseReport(
             scenario=manifest.name,
             scale=scale,
@@ -235,24 +220,8 @@ class ScenarioRunner:
             digest=digest_observations(results),
             expected_digest=EXPECTED_DIGESTS.get((manifest.name, scale)),
             queries=len(stream),
-            seconds=elapsed,
-            throughput_qps=(len(stream) / elapsed) if elapsed else 0.0,
-            latency=latency_summary(window),
-            cache={
-                "hits": cache_stats.hits,
-                "misses": cache_stats.misses,
-                "hit_rate": (cache_stats.hits / hit_total)
-                if hit_total else 0.0,
-                "stores": cache_stats.stores,
-                "invalidations": cache_stats.invalidations,
-                "evictions": cache_stats.evictions,
-            },
-            executed={
-                "queries": stats.queries,
-                "computed": stats.computed,
-                "replayed": stats.replayed,
-                "coalesced": stats.coalesced,
-            },
+            cache=_cache_block(stats.cache),
+            executed=_executed_block(stats),
         )
 
     def _run_distributed_case(
@@ -265,7 +234,6 @@ class ScenarioRunner:
         data = self.build_graph(scale)
         patterns = self.build_patterns(data)
         batches = self.mutation_batches(data)
-        registry = get_registry()
         reports: List = []
         previous_tracing = set_tracing(True)
         trace_sink = collector()
@@ -278,8 +246,6 @@ class ScenarioRunner:
                 data, assignment, manifest.sites, engine=engine,
                 backend=backend,
             ) as cluster:
-                before = cluster.metrics_snapshot()
-                started = perf_counter()
                 with MatchService(max_workers=2) as service:
                     for round_no in range(manifest.rounds):
                         for pattern in patterns:
@@ -295,9 +261,8 @@ class ScenarioRunner:
                         if round_no < len(batches):
                             for source, target in batches[round_no]:
                                 cluster.add_edge(source, target)
-                    elapsed = perf_counter() - started
-                    after = cluster.metrics_snapshot()
                     stats = service.stats
+                cache_stats = cluster.result_store.stats
                 final_vector = list(cluster.version_vector())
         finally:
             set_tracing(previous_tracing)
@@ -305,16 +270,10 @@ class ScenarioRunner:
             trace_sink, reports, stats.computed
         )
         trace_sink.clear()
-        window = subtract_snapshots(after, before)
-        queries = len(reports)
         by_kind: Dict[str, int] = {}
         for report in reports:
             for kind, units in report.units_by_kind().items():
                 by_kind[kind] = by_kind.get(kind, 0) + units
-        metric_messages = window["counters"].get("bus.messages", 0)
-        fresh_messages = sum(
-            len(report.query_log) for report in reports
-        )
         return ScenarioCaseReport(
             scenario=manifest.name,
             scale=scale,
@@ -322,29 +281,13 @@ class ScenarioRunner:
             backend=backend,
             digest=digest_observations(reports),
             expected_digest=EXPECTED_DIGESTS.get((manifest.name, scale)),
-            queries=queries,
-            seconds=elapsed,
-            throughput_qps=(queries / elapsed) if elapsed else 0.0,
-            latency=latency_summary(window),
-            cache={
-                "hits": stats.replayed,
-                "misses": stats.computed,
-                "hit_rate": (stats.replayed / queries) if queries else 0.0,
-                "stores": stats.computed,
-                "invalidations": 0,
-                "evictions": 0,
-            },
-            executed={
-                "queries": stats.queries,
-                "computed": stats.computed,
-                "replayed": stats.replayed,
-                "coalesced": stats.coalesced,
-            },
+            queries=len(reports),
+            cache=_cache_block(cache_stats),
+            executed=_executed_block(stats),
             bus={
-                "messages": fresh_messages,
+                "messages": sum(len(report.query_log) for report in reports),
                 "units": sum(by_kind.values()),
                 "by_kind": by_kind,
-                "metric_messages": metric_messages,
                 "final_version_vector": final_vector,
             },
             bus_log_matches_trace=trace_ok,
@@ -384,6 +327,28 @@ class ScenarioRunner:
         ]
 
 
+def _cache_block(stats) -> Dict[str, float]:
+    """A case report's ``cache`` entry from one cache's ``CacheStats``."""
+    return {
+        "hits": stats.hits,
+        "misses": stats.misses,
+        "hit_rate": stats.hit_rate,
+        "stores": stats.stores,
+        "invalidations": stats.invalidations,
+        "evictions": stats.evictions,
+    }
+
+
+def _executed_block(stats) -> Dict[str, int]:
+    """A case report's ``executed`` entry from the ``ServiceStats``."""
+    return {
+        "queries": stats.queries,
+        "computed": stats.computed,
+        "replayed": stats.replayed,
+        "coalesced": stats.coalesced,
+    }
+
+
 def _split_segments(stream: List, parts: int) -> List[List]:
     """``stream`` in ``parts`` near-equal contiguous chunks (no empties
     unless the stream is shorter than ``parts``)."""
@@ -418,8 +383,7 @@ def run_matrix(
                 ScenarioCaseReport(
                     scenario=manifest.name, scale=scale, engine=engine,
                     backend=backend, digest="", expected_digest=None,
-                    queries=0, seconds=0.0, throughput_qps=0.0,
-                    skipped=f"scenario has no {scale!r} scale",
+                    queries=0, skipped=f"scenario has no {scale!r} scale",
                 )
                 for engine, backend in manifest.cases()
             )

@@ -757,9 +757,8 @@ def skewed_stream(
 
     Each round submits every pattern ``2 * (len(patterns) - rank)``
     times — hot patterns repeat most, the workload shape a result cache
-    is for.  The one shared stream builder used by the
-    ``service-throughput`` experiment and ``benchmarks/bench_service.py``
-    so both measure the same distribution.
+    is for.  Shared by the ``service-throughput`` experiment and the
+    ``hot-key-skew`` scenario, so both replay the same distribution.
     """
     return [
         Query(pattern, data, algorithm, engine)
@@ -775,8 +774,8 @@ def replay_workload(
     """Replay ``queries`` through the pool; returns (report, results).
 
     Results come back in input order.  One shared implementation so the
-    CLI ``workload`` subcommand, the ``service-throughput`` experiment
-    and ``benchmarks/bench_service.py`` measure the same loop.
+    CLI ``workload`` subcommand and the ``service-throughput``
+    experiment measure the same loop.
     """
     import time
 

@@ -3,13 +3,12 @@
 Every benchmark artifact (``benchmarks/results/BENCH_*.json``) and every
 scenario report (``repro scenarios run --out``) wraps its payload in the
 same envelope — ``schema_version``, a ``host`` block and a UTC
-``generated_at`` timestamp — so the scenario dashboard can diff any two
-result files mechanically without per-file parsing rules.
+``generated_at`` timestamp — so any result file says which machine and
+Python produced it.
 
-``benchmarks/conftest.py::emit_result`` delegates here; the scenario
-harness (:mod:`repro.scenarios.report`) uses it directly, which is why
-the implementation lives in the installable package rather than in the
-benchmark tree.
+``benchmarks/conftest.py::emit_result`` delegates here; the
+``scenarios run`` CLI uses it directly, which is why the implementation
+lives in the installable package rather than in the benchmark tree.
 """
 
 from __future__ import annotations

@@ -157,6 +157,74 @@ class TestDistributedCommand:
 
 
 @pytest.fixture
+def stream_file(tmp_path):
+    """Three match-plus queries and one ``strong`` (alias of ``match``)."""
+    pattern = pattern_to_dict(pattern_q2())
+    path = tmp_path / "stream.json"
+    path.write_text(json.dumps({"queries": [
+        {"pattern": pattern, "algorithm": "match-plus", "count": 3},
+        {"pattern": pattern, "algorithm": "strong"},
+    ]}))
+    return str(path)
+
+
+class TestWorkloadCommand:
+    def _run(self, graph_file, stream_file, *extra):
+        return main([
+            "workload", "--data", graph_file, "--queries", stream_file,
+            "--workers", "1", *extra,
+        ])
+
+    def test_reports_throughput_and_cache_accounting(
+        self, graph_file, stream_file, capsys
+    ):
+        assert self._run(graph_file, stream_file) == 0
+        out = capsys.readouterr().out
+        assert "served 4 queries in " in out and " q/s) on 1 worker(s)" in out
+        assert "algorithms: match=1, match-plus=3" in out
+        assert "non-empty results: 4/4" in out
+        assert "cache: 2 hits / 2 misses (hit rate 50.0%), 2 stores" in out
+        assert "executed: 2 computed, 2 replayed from cache" in out
+        # Throughput is the only timing the command prints.
+        for word in ("p50", "p99", "latency"):
+            assert word not in out
+
+    def test_no_cache_computes_every_query(
+        self, graph_file, stream_file, capsys
+    ):
+        assert self._run(graph_file, stream_file, "--no-cache") == 0
+        out = capsys.readouterr().out
+        assert "cache: disabled" in out
+        assert "executed: 4 computed, 0 replayed from cache" in out
+
+    def test_unknown_algorithm_exits_two(self, tmp_path, graph_file, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([
+            {"pattern": pattern_to_dict(pattern_q2()), "algorithm": "vf3"},
+        ]))
+        assert self._run(graph_file, str(path)) == 2
+        out = capsys.readouterr().out
+        assert "unknown algorithm 'vf3'" in out
+        assert "strong-plus" in out
+
+    def test_metrics_out_exposes_service_histograms(
+        self, tmp_path, graph_file, stream_file, capsys
+    ):
+        out_path = tmp_path / "metrics.prom"
+        assert self._run(
+            graph_file, stream_file, "--metrics-out", str(out_path)
+        ) == 0
+        assert "metrics exposition written to" in capsys.readouterr().out
+        text = out_path.read_text()
+        assert "# TYPE repro_service_query_seconds histogram" in text
+        assert (
+            'repro_service_query_seconds_bucket{algorithm="match-plus",'
+            'le="+Inf"}'
+        ) in text
+        assert "repro_service_queue_wait_seconds_count" in text
+
+
+@pytest.fixture
 def paths_spec_file(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({

@@ -26,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.core.digraph import DiGraph
 from repro.core.pattern import Pattern
+from repro.datasets import generate_graph
 from repro.datasets.paper_figures import data_g1, pattern_q1
 from repro.datasets.patterns import sample_pattern_from_data
 from repro.distributed import (
@@ -252,6 +253,50 @@ class TestServiceReplay:
             assert cache.lookup_distributed(
                 cluster, ("key",), 1
             ) == ("payload",)
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_data_shipment_units_are_per_query(backend):
+    """Every report counts only its own query's fetch units: a warm
+    cluster's cumulative bus must not leak into the second run or the
+    service's computed run, and a replay must match both."""
+    data = generate_graph(300, alpha=1.15, num_labels=8, seed=37)
+    pattern = sample_pattern_from_data(data, 5, seed=41)
+    assert pattern is not None
+    with Cluster(data, bfs_partition(data, 3), 3, backend=backend) as cluster:
+        reports = [cluster.run(pattern), cluster.run(pattern)]
+        with MatchService() as service:
+            reports.append(service.query_distributed(pattern, cluster))
+            reports.append(service.query_distributed(pattern, cluster))
+            assert (service.stats.computed, service.stats.replayed) == (1, 1)
+    fetch = reports[0].units_by_kind()["fetch"]
+    assert fetch > 0
+    assert [report.data_shipment_units for report in reports] == [fetch] * 4
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_shipment_after_a_delta_matches_a_fresh_cluster(backend):
+    """After an edge delta, a warm cluster's report accounts exactly
+    what a fresh cluster over the mutated graph ships for the query."""
+    data = generate_graph(300, alpha=1.15, num_labels=8, seed=37)
+    pattern = sample_pattern_from_data(data, 5, seed=41)
+    assert pattern is not None
+    assignment = bfs_partition(data, 3)
+    nodes = sorted(data.nodes())
+    source, target = next(
+        (u, v) for u in nodes for v in reversed(nodes)
+        if assignment[u] != assignment[v] and not data.has_edge(u, v)
+    )
+    with Cluster(data, assignment, 3, backend=backend) as cluster:
+        cluster.run(pattern)
+        cluster.add_edge(source, target)
+        warm = cluster.run(pattern)
+    mutated = data.copy()
+    mutated.add_edge(source, target)
+    with Cluster(mutated, assignment, 3, backend=backend) as fresh:
+        cold = fresh.run(pattern)
+    assert warm.units_by_kind() == cold.units_by_kind()
+    assert warm.data_shipment_units == cold.data_shipment_units > 0
 
 
 @pytest.mark.parametrize("backend", available_backends())

@@ -30,8 +30,6 @@ LIGHT_EXAMPLES = {
     ],
     "scenario_run.py": [
         "digest matches the committed pin: True",
-        "clean diff findings: 0",
-        "injected regressions flagged: ['digest', 'slo']",
     ],
     "traced_query.py": [
         "merged per-site phase breakdown:",

@@ -11,8 +11,9 @@ Five concerns:
   ``distributed.run`` trace whose ``site.evaluate`` children cover every
   site and whose ``bus.log`` attribute reproduces the per-query bus log
   byte-identically — and tracing must never perturb results;
-* collector lifetimes: a closed cluster is freed, and a forked worker
-  process ships only what it records itself;
+* collector lifetimes: a closed cluster is freed, a forked worker
+  process ships only what it records itself, and the cluster-merged
+  service histograms count each distributed query once;
 * stats-object thread-safety under concurrent ``MatchService.submit``
   storms (the counters now feed the metrics registry, so lost
   increments would surface as wrong metrics).
@@ -23,6 +24,7 @@ import json
 import os
 import threading
 import weakref
+from bisect import bisect_left
 
 import pytest
 
@@ -250,6 +252,46 @@ class TestMetrics:
         assert merged["counters"]["c"] == 3
         assert merged["histograms"]["h"]["count"] == 2
 
+    def test_histogram_buckets_are_upper_inclusive(self):
+        """``counts[i]`` holds observations in ``(bound[i-1], bound[i]]``;
+        anything past the last finite bound lands in the +Inf bucket."""
+        registry = MetricsRegistry()
+        histogram = registry.histogram("h")
+        histogram.observe(HISTOGRAM_BUCKETS[3])
+        histogram.observe(HISTOGRAM_BUCKETS[3] * 1.5)
+        histogram.observe(HISTOGRAM_BUCKETS[-1] * 10)
+        data = registry.snapshot()["histograms"]["h"]
+        assert len(data["counts"]) == len(HISTOGRAM_BUCKETS) + 1
+        assert data["counts"][3] == 1
+        assert data["counts"][4] == 1
+        assert data["counts"][-1] == 1
+        assert sum(data["counts"]) == data["count"] == 3
+        assert data["sum"] == pytest.approx(
+            HISTOGRAM_BUCKETS[3] * 2.5 + HISTOGRAM_BUCKETS[-1] * 10
+        )
+
+    def test_merged_histogram_buckets_add_and_render_cumulative(self):
+        a = MetricsRegistry()
+        b = MetricsRegistry()
+        a.histogram("h").observe(1e-3)
+        b.histogram("h").observe(1e-3)
+        b.histogram("h").observe(2.0)
+        merged = merge_snapshots(a.snapshot(), b.snapshot())
+        data = merged["histograms"]["h"]
+        assert [
+            x + y for x, y in zip(
+                a.snapshot()["histograms"]["h"]["counts"],
+                b.snapshot()["histograms"]["h"]["counts"],
+            )
+        ] == data["counts"]
+        assert data["sum"] == pytest.approx(2.002)
+        text = render_prometheus(merged)
+        # Exposition buckets are cumulative: the +Inf bucket holds all.
+        assert 'repro_h_bucket{le="+Inf"} 3' in text
+        assert "repro_h_count 3" in text
+        low = bisect_left(HISTOGRAM_BUCKETS, 1e-3)
+        assert f'repro_h_bucket{{le="{HISTOGRAM_BUCKETS[low]:.6g}"}} 2' in text
+
     def test_render_prometheus(self):
         registry = MetricsRegistry()
         registry.counter("cache.hits").inc(5)
@@ -451,6 +493,37 @@ class TestCollectorLifetimes:
         for key in ("index.full_compiles", "bus.messages"):
             assert own[key] > 0, key
             assert merged[key] == own[key], key
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_distributed_window_counts_each_query_once(self, backend):
+        """Each distributed query adds one sample to the service
+        histograms of the cluster-merged view, on every backend.
+
+        The inproc warm-up leaves samples in this process's registry
+        before the cluster forks its workers, which must not ship
+        those inherited samples back as their own.
+        """
+        from repro.service import MatchService
+
+        data = small_graph()
+        pattern = pattern_for(data)
+        assignment = bfs_partition(data, 2)
+        keys = (
+            "service.query_seconds{algorithm=distributed}",
+            "service.queue_wait_seconds",
+        )
+        with MatchService() as service:
+            with Cluster(data, assignment, 2) as warm:
+                service.query_distributed(pattern, warm)
+            with Cluster(
+                data, assignment, 2, engine="kernel", backend=backend
+            ) as cluster:
+                before = cluster.metrics_snapshot()["histograms"]
+                for _ in range(3):
+                    service.query_distributed(pattern, cluster, cached=False)
+                after = cluster.metrics_snapshot()["histograms"]
+        for key in keys:
+            assert after[key]["count"] - before[key]["count"] == 3, key
 
 
 # ----------------------------------------------------------------------

@@ -1,19 +1,16 @@
-"""The scenario harness: digests, SLO math, the diff dashboard, the CLI.
+"""The scenario harness: digests, case reports, the CLI, the service
+path seam.
 
 Four layers under test:
 
-* **Percentile math** (property-based) — the log-bucket interpolation in
-  :meth:`HistogramSnapshot.percentile` must stay within one bucket
-  boundary of the exact order statistic on arbitrary samples, and honor
-  its documented edge cases (empty → 0.0, +Inf overflow → last finite
-  bound, monotone in ``q``).
 * **Digest determinism** — the seeded smoke matrix must produce one
   digest per (scenario, scale) across every engine and backend, twice
-  in a row, matching the pinned ``EXPECTED_DIGESTS``.
-* **The diff dashboard** — :func:`diff_payloads` must flag injected
-  digest mismatches, injected p99 regressions, and vanished cases, and
-  must *not* flag bucket-noise, ``queue_wait`` rows, or scales the new
-  report never ran.
+  in a row, matching the pinned ``EXPECTED_DIGESTS``, and must skip no
+  cell the platform can run.  Cache blocks are the filled cache's own
+  ``CacheStats``.
+* **Case reports** — the printed case/digest/gate table, skip reasons,
+  and a payload that carries results and counts but no timings.
+* **CLI exit codes** — ``repro scenarios list | run``, and no ``diff``.
 * **The service path seam** — ``bounded``/``regular`` through
   :class:`MatchService` must equal the direct algorithm calls.
 """
@@ -21,142 +18,23 @@ Four layers under test:
 from __future__ import annotations
 
 import json
-import math
-from bisect import bisect_left
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.obs.metrics import (
-    HISTOGRAM_BUCKETS,
-    Histogram,
-    HistogramSnapshot,
-    subtract_snapshots,
-)
 from repro.scenarios import (
     EXPECTED_DIGESTS,
+    SCENARIO_SCHEMA_VERSION,
+    ScenarioCaseReport,
     ScenarioRunner,
     canonical_observation,
-    diff_payloads,
     digest_observations,
     get_scenario,
     matrix_payload,
+    render_cases,
     run_matrix,
     scenario_names,
 )
-
-from tests.engines import available_backends
-
-# ----------------------------------------------------------------------
-# Percentile math (satellite: property tests)
-# ----------------------------------------------------------------------
-
-# Samples inside the finite bucket range (1µs .. 2^26 µs ≈ 67s).
-_sample_values = st.floats(
-    min_value=2e-6, max_value=HISTOGRAM_BUCKETS[-1] * 0.99,
-    allow_nan=False, allow_infinity=False,
-)
-
-
-def _bucket_index(value: float) -> int:
-    return bisect_left(HISTOGRAM_BUCKETS, value)
-
-
-def _exact_percentile(samples, q: float) -> float:
-    ordered = sorted(samples)
-    rank = max(int(math.ceil(q * len(ordered))) - 1, 0)
-    return ordered[rank]
-
-
-class TestPercentileProperties:
-    @given(st.lists(_sample_values, min_size=1, max_size=120))
-    @settings(max_examples=80, deadline=None)
-    def test_within_one_bucket_of_exact(self, samples):
-        """Interpolated p50/p99 land in the exact statistic's bucket or
-        an adjacent one — the documented log-bucket error bound."""
-        histogram = Histogram()
-        for value in samples:
-            histogram.observe(value)
-        for q in (0.5, 0.99):
-            interpolated = histogram.percentile(q)
-            exact = _exact_percentile(samples, q)
-            assert (
-                abs(_bucket_index(interpolated) - _bucket_index(exact)) <= 1
-            ), (
-                f"q={q}: interpolated {interpolated} vs exact {exact} "
-                f"differ by more than one bucket"
-            )
-
-    @given(
-        st.lists(_sample_values, min_size=1, max_size=60),
-        st.floats(min_value=0.0, max_value=1.0),
-        st.floats(min_value=0.0, max_value=1.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_monotone_in_q(self, samples, q1, q2):
-        histogram = Histogram()
-        for value in samples:
-            histogram.observe(value)
-        low, high = sorted((q1, q2))
-        assert histogram.percentile(low) <= histogram.percentile(high)
-
-    @given(st.lists(_sample_values, min_size=1, max_size=60))
-    @settings(max_examples=40, deadline=None)
-    def test_bounded_by_bucket_edges(self, samples):
-        """Any quantile lies between the lowest occupied bucket's lower
-        edge and the highest occupied bucket's upper edge."""
-        histogram = Histogram()
-        for value in samples:
-            histogram.observe(value)
-        snapshot = histogram.snapshot_view()
-        occupied = [i for i, c in enumerate(snapshot.counts) if c]
-        lower_edge = (
-            HISTOGRAM_BUCKETS[occupied[0] - 1] if occupied[0] else 0.0
-        )
-        upper_edge = HISTOGRAM_BUCKETS[min(occupied[-1],
-                                           len(HISTOGRAM_BUCKETS) - 1)]
-        for q in (0.0, 0.25, 0.5, 0.9, 0.99, 1.0):
-            value = snapshot.percentile(q)
-            assert lower_edge <= value <= upper_edge
-
-    def test_empty_snapshot_is_zero(self):
-        assert HistogramSnapshot([0] * 28).percentile(0.99) == 0.0
-        assert Histogram().percentile(0.5) == 0.0
-
-    def test_overflow_bucket_reports_last_finite_bound(self):
-        histogram = Histogram()
-        histogram.observe(HISTOGRAM_BUCKETS[-1] * 10)
-        assert histogram.percentile(0.99) == HISTOGRAM_BUCKETS[-1]
-
-    def test_single_bucket_interpolates_to_its_edges(self):
-        histogram = Histogram()
-        for _ in range(100):
-            histogram.observe(3e-6)  # bucket (2µs, 4µs]
-        assert histogram.percentile(1.0) == pytest.approx(4e-6)
-        # q -> 0 approaches the lower edge geometrically.
-        assert 2e-6 <= histogram.percentile(0.01) <= 4e-6
-
-    def test_registry_window_subtraction(self):
-        """subtract_snapshots yields the exact per-window histogram."""
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.histogram("lat").observe(1e-3)
-        registry.counter("hits").inc(3)
-        before = registry.snapshot()
-        registry.histogram("lat").observe(4e-3)
-        registry.histogram("lat").observe(4e-3)
-        registry.counter("hits").inc(2)
-        after = registry.snapshot()
-        window = subtract_snapshots(after, before)
-        assert window["counters"]["hits"] == 2
-        snap = HistogramSnapshot.from_dict(window["histograms"]["lat"])
-        assert snap.count == 2
-        assert snap.sum == pytest.approx(8e-3)
-        # The pre-window 1ms observation is gone from every bucket.
-        assert sum(snap.counts) == 2
 
 
 # ----------------------------------------------------------------------
@@ -179,6 +57,14 @@ class TestDigestDeterminism:
         assert not mismatched, f"pinned digest mismatches: {mismatched}"
         # Every scenario contributed at least one runnable case.
         assert set(by_scenario) == set(scenario_names())
+        # Where numpy and the process backend exist, the matrix must
+        # not shrink silently: no cell may come back skipped.
+        from repro.core.kernel import NUMPY_AVAILABLE
+        from repro.distributed import process_backend_available
+
+        if NUMPY_AVAILABLE and process_backend_available():
+            skipped = [case.case_key for case in cases if case.skipped]
+            assert not skipped, f"skipped cells: {skipped}"
 
     def test_two_runs_identical_digest(self):
         runner = ScenarioRunner(get_scenario("tenancy-mixed"))
@@ -200,22 +86,23 @@ class TestDigestDeterminism:
         # Every pattern queried twice per round: half replayed from the
         # shared result store.
         assert report.executed["replayed"] == report.executed["computed"]
+        # The cache block is the cluster result store's own CacheStats:
+        # the mid-stream update invalidates both smoke patterns' entries.
+        assert report.cache["invalidations"] == 2
 
-    def test_distributed_window_counts_each_query_once(self):
-        """The SLO window holds one sample per query on every backend.
-
-        Backends run in order, so by the time the process backend forks
-        its workers this process's registry already holds the earlier
-        cases' samples — which a worker must not ship back as its own.
-        """
-        runner = ScenarioRunner(get_scenario("distributed-4site"))
-        for backend in available_backends():
-            report = runner.run_case("smoke", "kernel", backend)
-            counts = {row: v["count"] for row, v in report.latency.items()}
-            assert counts == {
-                "distributed": report.queries,
-                "queue_wait": report.queries,
-            }, backend
+    @pytest.mark.parametrize("engine", ["python", "kernel"])
+    def test_service_case_cache_block_is_the_services(self, engine):
+        """A service case reports its service's own ``CacheStats``: the
+        two mutation batches of tenancy-mixed invalidate three cached
+        entries, and every computed miss is stored."""
+        report = ScenarioRunner(get_scenario("tenancy-mixed")).run_case(
+            "smoke", engine
+        )
+        assert report.cache["invalidations"] == 3
+        assert report.cache["hits"] == report.executed["replayed"]
+        assert report.cache["misses"] == report.executed["computed"]
+        assert report.cache["stores"] == report.executed["computed"]
+        assert report.cache["evictions"] == 0
 
     def test_unknown_scale_reports_skips_not_silence(self):
         cases = run_matrix(["distributed-4site"], "M")
@@ -223,83 +110,61 @@ class TestDigestDeterminism:
 
 
 # ----------------------------------------------------------------------
-# Diff dashboard
+# Case reports: the printed table and the payload layout
 # ----------------------------------------------------------------------
-def _payload_from(cases, scale="smoke"):
-    return matrix_payload(list(cases), scale)
-
-
-@pytest.fixture(scope="module")
-def baseline_case():
-    """One real smoke case, shared by the diff tests."""
-    return ScenarioRunner(get_scenario("match-plus-single")).run_case(
-        "smoke", "kernel"
+def _case(digest="a" * 16, expected="a" * 16, skipped=None, engine="kernel"):
+    return ScenarioCaseReport(
+        scenario="match-single", scale="smoke", engine=engine,
+        backend=None, digest=digest, expected_digest=expected, queries=4,
+        skipped=skipped,
     )
 
 
-class TestDiffDashboard:
-    def test_clean_diff_is_empty(self, baseline_case):
-        payload = _payload_from([baseline_case])
-        assert diff_payloads(payload, payload) == []
+class TestCaseReports:
+    def test_render_cases_prints_case_digest_and_gate(self):
+        cases = [
+            _case(engine="python"),
+            _case(digest="b" * 16, engine="kernel"),
+            _case(expected=None, engine="numpy"),
+        ]
+        header, *rows = render_cases(cases).splitlines()
+        assert header.split() == ["case", "digest", "gate"]
+        assert [row.split() for row in rows] == [
+            ["match-single/smoke/python/-", "a" * 16, "ok"],
+            ["match-single/smoke/kernel/-", "b" * 16, "FAIL"],
+            ["match-single/smoke/numpy/-", "a" * 16, "new"],
+        ]
 
-    def test_injected_digest_mismatch_flagged(self, baseline_case):
-        before = _payload_from([baseline_case])
-        after = json.loads(json.dumps(before))
-        after["cases"][0]["digest"] = "0" * 16
-        findings = diff_payloads(before, after)
-        assert [f["kind"] for f in findings] == ["digest"]
-        assert baseline_case.case_key == findings[0]["case"]
+    def test_render_cases_prints_the_skip_reason(self):
+        text = render_cases([_case(skipped="numpy is not installed")])
+        row = text.splitlines()[1]
+        assert row.split()[:3] == ["match-single/smoke/kernel/-", "-", "skip"]
+        assert row.endswith("(numpy is not installed)")
 
-    def test_injected_p99_regression_flagged(self, baseline_case):
-        before = _payload_from([baseline_case])
-        after = json.loads(json.dumps(before))
-        for row in after["cases"][0]["latency"].values():
-            row["p99_ms"] = row.get("p99_ms", 0.0) * 10 + 50.0
-        findings = diff_payloads(before, after)
-        slo = [f for f in findings if f["kind"] == "slo"]
-        assert slo, "a 10x+50ms p99 regression must be flagged"
-        assert all("queue_wait" != f.get("algorithm") for f in slo)
+    def test_matrix_payload_gates_only_pinned_cases_that_ran(self):
+        unpinned = _case(expected=None)
+        skipped = _case(digest="", skipped="no numpy")
+        payload = matrix_payload([_case(), unpinned, skipped], "smoke")
+        assert payload["scenario_schema_version"] == SCENARIO_SCHEMA_VERSION
+        assert (payload["ok"], payload["ran"], payload["skipped"]) == (
+            True, 2, 1
+        )
+        assert payload["cases"][2]["skipped"] == "no numpy"
+        failing = matrix_payload([_case(), _case(digest="b" * 16)], "smoke")
+        assert failing["ok"] is False
 
-    def test_bucket_noise_not_flagged(self, baseline_case):
-        """A single log-2 bucket flip (exactly 2x) stays silent under
-        the default threshold."""
-        before = _payload_from([baseline_case])
-        after = json.loads(json.dumps(before))
-        for row in after["cases"][0]["latency"].values():
-            row["p99_ms"] = row.get("p99_ms", 0.0) * 2.0
-        assert diff_payloads(before, after) == []
-
-    def test_queue_wait_never_compared(self, baseline_case):
-        before = _payload_from([baseline_case])
-        after = json.loads(json.dumps(before))
-        after["cases"][0]["latency"]["queue_wait"] = {
-            "count": 1, "mean_ms": 1e6, "p50_ms": 1e6, "p99_ms": 1e6,
+    def test_case_payload_carries_no_timings(self):
+        report = ScenarioRunner(get_scenario("match-plus-single")).run_case(
+            "smoke", "kernel"
+        )
+        assert set(report.to_payload()) == {
+            "scenario", "scale", "engine", "backend", "digest",
+            "expected_digest", "digest_ok", "queries", "cache", "executed",
         }
-        before["cases"][0]["latency"]["queue_wait"] = {
-            "count": 1, "mean_ms": 0.001, "p50_ms": 0.001, "p99_ms": 0.001,
+        assert set(report.cache) == {
+            "hits", "misses", "hit_rate", "stores", "invalidations",
+            "evictions",
         }
-        assert diff_payloads(before, after) == []
-
-    def test_missing_case_flagged_within_scale(self, baseline_case):
-        before = _payload_from([baseline_case])
-        after = json.loads(json.dumps(before))
-        after["cases"][0]["skipped"] = "injected"
-        # Another case at the same scale keeps the scale in scope.
-        survivor = dict(before["cases"][0])
-        survivor["engine"] = "python"
-        after["cases"].append(survivor)
-        findings = diff_payloads(before, after)
-        assert [f["kind"] for f in findings] == ["missing"]
-
-    def test_unran_scale_out_of_scope(self, baseline_case):
-        """A smoke-only report diffed against a smoke+S baseline does
-        not flag the S cases as missing."""
-        s_case = dict(_payload_from([baseline_case])["cases"][0])
-        s_case["scale"] = "S"
-        before = _payload_from([baseline_case])
-        before["cases"].append(s_case)
-        after = _payload_from([baseline_case])
-        assert diff_payloads(before, after) == []
 
 
 # ----------------------------------------------------------------------
@@ -338,26 +203,25 @@ class TestScenarioCli:
     def test_run_unknown_scenario_exits_two(self, capsys):
         assert main(["scenarios", "run", "--scenario", "nope"]) == 2
 
-    def test_diff_exit_codes(self, tmp_path, baseline_case, capsys):
-        before = _payload_from([baseline_case])
-        after = json.loads(json.dumps(before))
-        after["cases"][0]["digest"] = "0" * 16
-        before_path = tmp_path / "before.json"
-        after_path = tmp_path / "after.json"
-        before_path.write_text(json.dumps(before))
-        after_path.write_text(json.dumps(after))
-        # Regression found -> 1; clean -> 0; missing baseline -> 2.
-        assert main([
-            "scenarios", "diff", str(after_path), str(before_path)
-        ]) == 1
-        assert "digest" in capsys.readouterr().out
-        assert main([
-            "scenarios", "diff", str(before_path), str(before_path)
-        ]) == 0
-        assert main([
-            "scenarios", "diff", str(after_path),
-            str(tmp_path / "absent.json"),
-        ]) == 2
+    def test_run_prints_skipped_cells_with_reasons(self, capsys):
+        code = main([
+            "scenarios", "run", "--scenario", "distributed-4site",
+            "--scale", "M",
+        ])
+        assert code == 0  # nothing ran, so nothing missed its pin
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == len(get_scenario("distributed-4site").cases())
+        for row in rows:
+            assert row.split()[2] == "skip"
+            assert row.endswith("(scenario has no 'M' scale)")
+
+    def test_diff_subcommand_is_gone(self, capsys):
+        """Digests are gated by ``run`` against ``EXPECTED_DIGESTS``;
+        there is no second, file-to-file comparison."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scenarios", "diff", "after.json", "before.json"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'diff'" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -298,6 +298,30 @@ class TestIncrementalIndexMaintenance:
             data.add_node(2, "B")
             assert get_index(data) is not first
 
+    def test_maintenance_restored_after_exception(self):
+        with pytest.raises(RuntimeError):
+            with index_maintenance(False):
+                raise RuntimeError("boom")
+        # Maintenance is back on: a mutated graph's index syncs in place.
+        data = DiGraph.from_parts({1: "A"}, [])
+        first = get_index(data)
+        data.add_node(2, "B")
+        assert get_index(data) is first
+        assert first.stats.incremental_syncs == 1
+
+    def test_toggle_is_kernel_internal(self):
+        """The maintenance switch is a kernel detail, not core API: only
+        the context manager exists, and only in ``repro.core.kernel``."""
+        import repro.core
+        import repro.core.kernel as kernel
+
+        assert not [n for n in repro.core.__all__ if "maintenance" in n]
+        assert not [n for n in dir(repro.core) if "maintenance" in n]
+        assert [
+            n for n in dir(kernel)
+            if "maintenance" in n and not n.startswith("_")
+        ] == ["index_maintenance"]
+
 
 class TestBatchLevelIndexSync:
     def test_relabel_storm_coalesces_to_one_label_move(self):
