@@ -169,7 +169,7 @@ def test_service_cache_and_distributed_replay(scale):
         "cold_run_s": round(cold_dist_s, 6),
         "warm_replay_s": round(warm_dist_s, 6),
         "speedup": dist_speedup,
-        "version_vector": list(cache_cluster.version_vector()),
+        "version_vector": list(cache_cluster.version),
         "gate": (
             f"warm replay >= {DISTRIBUTED_WARM_HIT_BAR}x over a cold "
             f"protocol run, enforced in smoke mode too"

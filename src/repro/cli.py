@@ -260,7 +260,7 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
                 cache_line = (
                     f"distributed cache: {service.stats.computed} computed, "
                     f"{service.stats.replayed} replayed over {repeat} runs "
-                    f"(version vector {cluster.version_vector()})"
+                    f"(version vector {cluster.version})"
                 )
         if getattr(args, "metrics_out", None):
             # Merge the worker processes' shipped snapshots while the

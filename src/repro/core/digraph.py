@@ -17,7 +17,10 @@ typed :class:`GraphDelta` to weakly-held subscribers
 of mutations into one delivery.  The compiled execution kernel
 (:mod:`repro.core.kernel`) maintains its :class:`~repro.core.kernel.\
 GraphIndex` incrementally from this stream instead of recompiling; the
-plain ``version`` counter remains the cheap staleness check.
+plain ``version`` counter remains the cheap staleness check.  A graph is
+one kind of *delta source* (``version`` plus ``subscribe``); a
+distributed :class:`~repro.distributed.coordinator.Cluster` is the
+other, and both keep their subscribers in one :class:`DeltaListeners`.
 """
 
 from __future__ import annotations
@@ -81,6 +84,54 @@ class GraphDelta:
     source: Node = None
     target: Node = None
 
+
+class DeltaListeners:
+    """The weakly-held subscriber list of one delta source.
+
+    A listener implements ``on_graph_deltas(deltas)`` and receives each
+    delivered tuple of :class:`GraphDelta`.  Only a weak reference is
+    kept, so a listener dies with its owner (e.g. a compiled index)
+    without unsubscribing; dead references are pruned on the next
+    delivery.
+    """
+
+    __slots__ = ("_refs",)
+
+    def __init__(self) -> None:
+        self._refs: List["weakref.ref"] = []
+
+    def __len__(self) -> int:
+        return len(self._refs)
+
+    def add(self, listener: object) -> None:
+        """Register ``listener`` (held weakly)."""
+        self._refs.append(weakref.ref(listener))
+
+    def discard(self, listener: object) -> None:
+        """Remove ``listener`` (idempotent; dead weakrefs pruned too)."""
+        self._refs = [
+            ref for ref in self._refs
+            if ref() is not None and ref() is not listener
+        ]
+
+    def deliver(self, deltas: Tuple[GraphDelta, ...]) -> None:
+        """Hand ``deltas`` to every live listener, in subscription order."""
+        # Iterate over a snapshot: a callback may subscribe/unsubscribe
+        # without disturbing this delivery.
+        dead = False
+        for ref in tuple(self._refs):
+            target = ref()
+            if target is None:
+                dead = True
+            else:
+                target.on_graph_deltas(deltas)
+        if dead:
+            # Prune dead weakrefs from the *current* list, not the
+            # snapshot — rebuilding from the snapshot would resurrect a
+            # listener that unsubscribed during delivery.
+            self._refs = [ref for ref in self._refs if ref() is not None]
+
+
 #: Shared empty bucket returned by :meth:`DiGraph.nodes_with_label_raw`
 #: for labels that never occur.  A frozenset so that an (illegal) caller
 #: mutation fails loudly instead of poisoning every graph's lookups.
@@ -130,7 +181,7 @@ class DiGraph:
         self._label_index: Dict[Label, Set[Node]] = {}
         self._edge_count = 0
         self._version = 0
-        self._listeners: List["weakref.ref"] = []
+        self._listeners = DeltaListeners()
         self._batch_buffer: Optional[List[GraphDelta]] = None
         self._batch_depth = 0
 
@@ -146,7 +197,7 @@ class DiGraph:
         The graph keeps only a weak reference: a listener dies with its
         owner (e.g. a compiled index) without unsubscribing.
         """
-        self._listeners.append(weakref.ref(listener))
+        self._listeners.add(listener)
 
     def unsubscribe(self, listener: object) -> None:
         """Remove ``listener`` (idempotent; dead weakrefs pruned too).
@@ -157,10 +208,7 @@ class DiGraph:
         subscriber that was garbage-collected without unsubscribing never
         lingers in the list.
         """
-        self._listeners = [
-            ref for ref in self._listeners
-            if ref() is not None and ref() is not listener
-        ]
+        self._listeners.discard(listener)
 
     @contextmanager
     def batch(self):
@@ -182,32 +230,14 @@ class DiGraph:
             if self._batch_depth == 0:
                 buffered, self._batch_buffer = self._batch_buffer, None
                 if buffered:
-                    self._deliver(tuple(buffered))
+                    self._listeners.deliver(tuple(buffered))
 
     def _emit(self, delta: GraphDelta) -> None:
         """Route one applied delta to the batch buffer or the listeners."""
         if self._batch_buffer is not None:
             self._batch_buffer.append(delta)
         else:
-            self._deliver((delta,))
-
-    def _deliver(self, deltas: Tuple[GraphDelta, ...]) -> None:
-        # Iterate over a snapshot: a callback may subscribe/unsubscribe
-        # (mutating self._listeners) without disturbing this delivery.
-        dead = False
-        for ref in tuple(self._listeners):
-            target = ref()
-            if target is None:
-                dead = True
-            else:
-                target.on_graph_deltas(deltas)
-        if dead:
-            # Prune dead weakrefs from the *current* list, not the
-            # snapshot — rebuilding from the snapshot would resurrect a
-            # listener that unsubscribed during delivery.
-            self._listeners = [
-                ref for ref in self._listeners if ref() is not None
-            ]
+            self._listeners.deliver((delta,))
 
     # ------------------------------------------------------------------
     # Construction

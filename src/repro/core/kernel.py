@@ -1610,26 +1610,18 @@ def kernel_match(
             else:
                 center_ids = _resolve_centers(gi, centers, radius)
             seen: Set[Tuple[FrozenSet[int], FrozenSet[Pair]]] = set()
-            if _sp.enabled:
-                for center in center_ids:
-                    scanned += 1
-                    subgraph = _match_ball(cp, gi, center, radius, seen=seen)
-                    if subgraph is not None:
-                        result.add(subgraph)
-                _sp.set(
-                    engine="kernel",
-                    pattern=pattern.size,
-                    radius=radius,
-                    **{
-                        "balls.scanned": scanned,
-                        "balls.matched": len(result),
-                    },
-                )
-            else:
-                for center in center_ids:
-                    subgraph = _match_ball(cp, gi, center, radius, seen=seen)
-                    if subgraph is not None:
-                        result.add(subgraph)
+            for center in center_ids:
+                scanned += 1
+                subgraph = _match_ball(cp, gi, center, radius, seen=seen)
+                if subgraph is not None:
+                    result.add(subgraph)
+        if _sp.enabled:
+            _sp.set(
+                engine="kernel",
+                pattern=pattern.size,
+                radius=radius,
+                **{"balls.scanned": scanned, "balls.matched": len(result)},
+            )
         return result
 
 

@@ -44,6 +44,7 @@ from repro.core.digraph import (
     REMOVE_EDGE,
     REMOVE_NODE,
     RELABEL,
+    DeltaListeners,
     DiGraph,
     GraphDelta,
     Label,
@@ -117,8 +118,9 @@ class DistributedRunReport:
     per_site_subgraphs:
         How many (pre-dedup) perfect subgraphs each site contributed.
     version_vector:
-        The cluster's per-site version vector at evaluation time — the
-        freshness stamp the distributed result cache gates hits on.
+        The cluster's :attr:`Cluster.version` (per-site version vector)
+        at evaluation time — the freshness stamp the cluster's result
+        store gates hits on.
     query_log:
         The ``(sender, receiver, kind, units)`` charges this query alone
         put on the bus, in charge order.  ``Cluster.run`` holds the
@@ -178,7 +180,9 @@ class Cluster:
     coordinator-hosted :class:`~repro.service.cache.ResultCache` that
     every ``MatchService.submit_distributed`` against this cluster
     reads and fills: services over one cluster share warm entries and
-    single-flight leadership.
+    single-flight leadership.  To that cache a cluster is a delta
+    source like a :class:`~repro.core.digraph.DiGraph`: :attr:`version`
+    is its freshness stamp and :meth:`subscribe` its delta stream.
     """
 
     def __init__(
@@ -210,14 +214,14 @@ class Cluster:
         self._protocol_lock = threading.Lock()
         # Per-site update counters: ``apply_update`` advances the entry
         # of every site it routes a delta to.  The sorted-site snapshot
-        # (``version_vector``) is the cluster's freshness signal — two
-        # equal vectors mean no fragment differs, so a cached result
-        # gated on the exact vector can never be stale.
+        # (``version``) is the cluster's freshness signal — two equal
+        # vectors mean no fragment differs, so a cached result gated on
+        # the exact vector can never be stale.
         self._versions: Dict[int, int] = {
             fragment.site_id: 0 for fragment in self.fragments
         }
         self._site_order: Tuple[int, ...] = tuple(sorted(self._versions))
-        self._listeners: List["weakref.ref"] = []
+        self._listeners = DeltaListeners()
         self.result_store = ResultCache()
         self._transport = make_transport(
             self.backend, self.workers, self.assignment, self.bus, engine
@@ -230,10 +234,11 @@ class Cluster:
         return len(self.workers)
 
     # ------------------------------------------------------------------
-    # Freshness signal (version vector + delta subscription)
+    # Delta source (version vector + delta subscription)
     # ------------------------------------------------------------------
-    def version_vector(self) -> Tuple[int, ...]:
-        """Per-site update counters, one per site in site-id order.
+    @property
+    def version(self) -> Tuple[int, ...]:
+        """The version vector: per-site update counters in site-id order.
 
         A lock-free snapshot (safe: each counter only ever grows, under
         the protocol lock) so delta subscribers — which are notified
@@ -245,39 +250,14 @@ class Cluster:
     def subscribe(self, listener: object) -> None:
         """Register ``listener`` for routed update deltas (held weakly).
 
-        ``listener`` must implement ``on_cluster_deltas(deltas)``,
-        receiving a tuple of :class:`~repro.core.digraph.GraphDelta`
-        after every successfully routed ``apply_update`` — the cluster
-        mirror of ``DiGraph.subscribe``, so the result cache's label /
-        ``d_Q`` retention rules can judge distributed entries the same
-        way they judge centralized ones.  Delivery happens under the
-        protocol lock with the post-update :meth:`version_vector`
-        already in place; a listener must not re-enter the cluster
-        (``run`` / ``apply_update``) from its callback.
+        The same protocol as :meth:`~repro.core.digraph.DiGraph.subscribe`:
+        ``listener`` implements ``on_graph_deltas(deltas)`` and receives
+        ``(delta,)`` after every successfully routed ``apply_update``,
+        with the new :attr:`version` already in place.  Delivery happens
+        under the protocol lock; a listener must not re-enter the
+        cluster (``run`` / ``apply_update``) from its callback.
         """
-        self._listeners.append(weakref.ref(listener))
-
-    def unsubscribe(self, listener: object) -> None:
-        """Remove ``listener`` (idempotent; dead weakrefs pruned too)."""
-        self._listeners = [
-            ref for ref in self._listeners
-            if ref() is not None and ref() is not listener
-        ]
-
-    def _deliver_cluster_deltas(self, deltas: Tuple[GraphDelta, ...]) -> None:
-        # Iterate over a snapshot: a callback may subscribe/unsubscribe
-        # (mutating self._listeners) without disturbing this delivery.
-        dead = False
-        for ref in tuple(self._listeners):
-            target = ref()
-            if target is None:
-                dead = True
-            else:
-                target.on_cluster_deltas(deltas)
-        if dead:
-            self._listeners = [
-                ref for ref in self._listeners if ref() is not None
-            ]
+        self._listeners.add(listener)
 
     # ------------------------------------------------------------------
     # Mutation pipeline (live-cluster updates)
@@ -301,8 +281,8 @@ class Cluster:
         mutators below (:meth:`remove_node` etc.) produce well-formed
         streams for callers not mirroring a master graph.
 
-        Each routed site's :meth:`version_vector` counter advances, and
-        the delta is then forwarded to cluster-level subscribers (see
+        Each routed site's :attr:`version` counter advances, and the
+        delta is then forwarded to cluster-level subscribers (see
         :meth:`subscribe`) with the new vector in place.
         """
         with self._protocol_lock:
@@ -344,7 +324,7 @@ class Cluster:
                 self._versions[owner] += 1
             else:
                 raise DistributedError(f"unknown graph delta kind {kind!r}")
-            self._deliver_cluster_deltas((delta,))
+            self._listeners.deliver((delta,))
 
     def _site_of(self, node: Node) -> int:
         site = self.assignment.get(node)
@@ -476,7 +456,7 @@ class Cluster:
                 result,
                 self.bus,
                 per_site,
-                version_vector=self.version_vector(),
+                version_vector=self.version,
                 query_log=query_log,
             )
 

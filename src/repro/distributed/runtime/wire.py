@@ -21,6 +21,10 @@ exactly the payloads the runtime protocol ships:
   replayed verbatim onto the coordinator's bus so the protocol
   observation is byte-identical to the in-process backend.
 
+Cached distributed results have no wire form: a cluster's result store
+lives with the coordinator and never crosses a process boundary, so its
+payloads stay plain in-process tuples.
+
 Every payload is wrapped ``(magic, version, kind, body)``.  Decoding
 validates all three header fields and the body shape and raises
 :class:`~repro.exceptions.WireFormatError` on any mismatch, so a frame
@@ -66,7 +70,6 @@ KIND_PATTERN = "pattern"
 KIND_DELTAS = "deltas"
 KIND_PARTIALS = "partials"
 KIND_BUS_LOG = "bus-log"
-KIND_RUN_REPORT = "run-report"
 KIND_SPAN = "span"
 KIND_METRICS = "metrics"
 
@@ -277,56 +280,6 @@ def decode_partials(wire: object) -> List[PerfectSubgraph]:
     except (ValueError, TypeError, KeyError) as exc:
         raise WireFormatError(f"malformed partial-result body: {exc}") from exc
     return partial
-
-
-# ======================================================================
-# Cached distributed run reports
-# ======================================================================
-def encode_run_report(
-    result_entries: Sequence[tuple],
-    per_site: Dict[int, int],
-    query_log: Sequence[Tuple[int, int, str, int]],
-) -> tuple:
-    """The distributed result cache's payload: one full run observation.
-
-    ``result_entries`` is the canonical-position encoding of the
-    deduplicated result set (built by the service layer's encoders, so
-    an entry replays under any isomorphic pattern's node names);
-    ``per_site`` the pre-dedup per-site subgraph counts; ``query_log``
-    the query's own ``(sender, receiver, kind, units)`` bus charges.
-    Together they reproduce a ``DistributedRunReport`` observation
-    byte-identically without touching a worker.
-    """
-    body = (
-        tuple(result_entries),
-        tuple(sorted(per_site.items())),
-        tuple(tuple(entry) for entry in query_log),
-    )
-    return _stamp(KIND_RUN_REPORT, body)
-
-
-def decode_run_report(
-    wire: object,
-) -> Tuple[tuple, Dict[int, int], List[Tuple[int, int, str, int]]]:
-    """Rebuild ``(result entries, per-site counts, query log)``."""
-    body = _unstamp(KIND_RUN_REPORT, wire)
-    if len(body) != 3:
-        raise WireFormatError("malformed run-report body")
-    entries, per_site_items, log_entries = body
-    per_site: Dict[int, int] = {}
-    try:
-        for site, count in per_site_items:
-            per_site[site] = count
-    except (ValueError, TypeError) as exc:
-        raise WireFormatError(
-            f"malformed run-report per-site counts: {exc}"
-        ) from exc
-    log: List[Tuple[int, int, str, int]] = []
-    for entry in log_entries:
-        if not isinstance(entry, tuple) or len(entry) != 4:
-            raise WireFormatError("malformed run-report query-log entry")
-        log.append(entry)
-    return entries, per_site, log
 
 
 # ======================================================================

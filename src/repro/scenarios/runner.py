@@ -263,7 +263,7 @@ class ScenarioRunner:
                                 cluster.add_edge(source, target)
                     stats = service.stats
                 cache_stats = cluster.result_store.stats
-                final_vector = list(cluster.version_vector())
+                final_vector = list(cluster.version)
         finally:
             set_tracing(previous_tracing)
         trace_ok = self._trace_cross_check(

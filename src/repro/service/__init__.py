@@ -8,8 +8,9 @@ three pillars:
   for pattern graphs, so structurally identical queries share one cache
   entry;
 * :mod:`repro.service.cache` — the delta-invalidated LRU result cache
-  (:class:`ResultCache` / :class:`CacheStats`), subscribed to each data
-  graph's :class:`~repro.core.digraph.GraphDelta` stream;
+  (:class:`ResultCache` / :class:`CacheStats`), subscribed to the
+  :class:`~repro.core.digraph.GraphDelta` stream of each data graph or
+  distributed cluster it holds entries for;
 * :mod:`repro.service.executor` — :class:`MatchService`, the
   thread-pooled ``submit`` / ``submit_batch`` façade, plus the workload
   replay loop shared by the CLI, the experiments registry and the

@@ -20,6 +20,16 @@ serving layer:
   entries alive across mutations that provably cannot affect them (see
   :mod:`repro.service.cache` for the rules), so an update-heavy workload
   retains its warm entries for untouched label classes.
+* :meth:`MatchService.submit_distributed` runs the Section 4.3 protocol
+  on a live :class:`~repro.distributed.coordinator.Cluster` and caches
+  it in the cluster's result store through the same cache path: to the
+  cache a cluster is a delta source like a graph, and a stored payload
+  is a plain tuple (encoded result, per-site counts, query log).
+* Cache keys carry no engine: the engines' output-identity contract
+  (the differential suites' invariant) makes one stored encoding valid
+  for every engine, and keying by the *resolved* name fragmented warm
+  entries under ``engine="auto"`` — ``resolve_engine`` picks ``python``
+  for a tiny graph before an index exists and ``kernel`` after.
 
 Thread-safety contract of the kernel read path (audited for this layer):
 a compiled :class:`~repro.core.kernel.GraphIndex` is **safe for
@@ -88,15 +98,6 @@ SERVICE_ALGORITHMS = (
     "match-plus", "match", "dual", "sim"
 ) + PATH_SERVICE_ALGORITHMS
 
-#: The engine slot cache and single-flight keys use.  Entries are keyed
-#: engine-independently: the engines' output-identity contract (the
-#: differential suites' invariant) makes one stored encoding valid for
-#: every engine, and keying by the *resolved* name fragmented warm
-#: entries under ``engine="auto"`` — ``resolve_engine`` picks ``python``
-#: for a tiny graph before an index exists and ``kernel`` after, so the
-#: same query stream recomputed across the flip.
-_ENGINE_ANY = "*"
-
 
 @dataclass(frozen=True)
 class Query:
@@ -132,36 +133,19 @@ class ServiceStats:
 _ALL_SERVICES: "weakref.WeakSet" = weakref.WeakSet()
 
 _SERVICE_FIELDS = ("queries", "computed", "replayed", "coalesced")
-_CACHE_FIELDS = (
-    "hits", "misses", "stores", "invalidations", "retained", "evictions",
-)
 
 
 def _sample_service_metrics():
     """Snapshot-time fold of every live service's counters.
 
-    Services sharing one :class:`ResultCache` share its ``CacheStats``
-    object — deduplicate by identity so ``cache.*`` counts each store
-    once, however many services front it.
+    ``cache.*`` comes from the caches themselves (see
+    :mod:`repro.service.cache`), so a cluster's result store counts too.
     """
     totals = {name: 0 for name in _SERVICE_FIELDS}
-    cache_totals = {name: 0 for name in _CACHE_FIELDS}
-    seen_caches: set = set()
     for service in list(_ALL_SERVICES):
-        stats = service.stats
         for name in _SERVICE_FIELDS:
-            totals[name] += getattr(stats, name)
-        cache_stats = stats.cache
-        if id(cache_stats) in seen_caches:
-            continue
-        seen_caches.add(id(cache_stats))
-        for name in _CACHE_FIELDS:
-            cache_totals[name] += getattr(cache_stats, name)
-    return [
-        (f"service.{name}", {}, totals[name]) for name in _SERVICE_FIELDS
-    ] + [
-        (f"cache.{name}", {}, cache_totals[name]) for name in _CACHE_FIELDS
-    ]
+            totals[name] += getattr(service.stats, name)
+    return [(f"service.{name}", {}, totals[name]) for name in _SERVICE_FIELDS]
 
 
 _obs_registry().register_collector(
@@ -431,9 +415,10 @@ class MatchService:
 
         Distributed results are cached in the cluster's one
         ``result_store``, gated on its exact
-        :meth:`~repro.distributed.coordinator.Cluster.version_vector`
-        and kept alive across provably harmless ``apply_update`` deltas
-        by the same retention rules as centralized entries.  Every
+        :attr:`~repro.distributed.coordinator.Cluster.version` (the
+        per-site version vector) and judged by the same rule table as
+        centralized ball-based entries: any edge delta drops them, node
+        deltas whose labels avoid the pattern's keep them.  Every
         service over one cluster therefore shares warm entries and
         single-flight leadership.  A warm hit replays the full report —
         result set, per-site counts, and the query's own bus charges on
@@ -491,57 +476,49 @@ class MatchService:
         store = cluster.result_store
         canonical = canonical_form(pattern)
         effective_radius = pattern.diameter if radius is None else radius
+        key = (canonical.key, effective_radius)
 
         def compute():
             report = cluster.run(pattern, radius, engine=engine)
-            store.store_distributed(
+            # Distributed relations are keyed by the pattern's own nodes
+            # (the protocol unions per-ball `match` partials), so the
+            # plain canonical-position encoding applies — one entry
+            # serves every isomorphic pattern.
+            payload = (
+                _encode_match_result(report.result, canonical),
+                tuple(sorted(report.per_site_subgraphs.items())),
+                report.query_log,
+            )
+            store.store(
                 cluster,
-                canonical.key,
-                effective_radius,
+                key,
+                "distributed",
                 canonical.label_set,
-                self._encode_run_report(report, canonical),
-                computed_vector=report.version_vector,
+                payload,
+                computed_version=report.version_vector,
             )
             return report
 
-        # The key is engine-independent for the same reason cache keys
-        # are (see _ENGINE_ANY).
         return self._single_flight(
             store,
-            (cluster, canonical.key, effective_radius),
-            lambda: store.lookup_distributed(
-                cluster, canonical.key, effective_radius
-            ),
+            cluster,
+            key,
+            "distributed",
             compute,
-            lambda payload: self._decode_run_report(
+            lambda payload: self._replay_report(
                 payload, pattern, canonical, cluster
             ),
             _sp,
         )
 
     @staticmethod
-    def _encode_run_report(report, canonical: CanonicalPattern):
-        from repro.distributed.runtime.wire import encode_run_report
-
-        # Distributed relations are keyed by the pattern's own nodes
-        # (the protocol unions per-ball `match` partials), so the plain
-        # canonical-position encoding applies — one entry serves every
-        # isomorphic pattern.
-        return encode_run_report(
-            _encode_match_result(report.result, canonical),
-            report.per_site_subgraphs,
-            report.query_log,
-        )
-
-    @staticmethod
-    def _decode_run_report(
+    def _replay_report(
         payload, pattern: Pattern, canonical: CanonicalPattern, cluster
     ):
         from repro.distributed.coordinator import DistributedRunReport
         from repro.distributed.network import MessageBus
-        from repro.distributed.runtime.wire import decode_run_report
 
-        entries, per_site, log = decode_run_report(payload)
+        entries, per_site, log = payload
         result = _decode_match_result(
             entries, pattern, canonical, minimized=False
         )
@@ -556,9 +533,9 @@ class MatchService:
         return DistributedRunReport(
             result,
             bus,
-            per_site,
-            version_vector=cluster.version_vector(),
-            query_log=tuple(log),
+            dict(per_site),
+            version_vector=cluster.version,
+            query_log=log,
         )
 
     # ------------------------------------------------------------------
@@ -615,21 +592,20 @@ class MatchService:
                 data,
                 canonical.key,
                 algorithm,
-                _ENGINE_ANY,
                 canonical.label_set,
                 self._encode(result, pattern, canonical, algorithm),
                 computed_version=computed_version,
-                radius=pattern.diameter,
             )
             return result
 
-        # Isomorphic patterns share the key — and so do engines (see
-        # _ENGINE_ANY): N concurrent structurally identical misses cost
-        # one engine run, whatever mix of engines requested them.
+        # Isomorphic patterns share the key — and so do engines (see the
+        # module docstring): N concurrent structurally identical misses
+        # cost one engine run, whatever mix of engines requested them.
         return self._single_flight(
             cache,
-            (data, canonical.key, algorithm, _ENGINE_ANY),
-            lambda: cache.lookup(data, canonical.key, algorithm, _ENGINE_ANY),
+            data,
+            canonical.key,
+            algorithm,
             compute,
             lambda payload: self._decode(
                 payload, pattern, canonical, algorithm
@@ -637,23 +613,26 @@ class MatchService:
             _sp,
         )
 
-    def _single_flight(self, cache, flight_key, lookup, compute, decode, _sp):
+    def _single_flight(
+        self, cache, source, key, algorithm, compute, decode, _sp
+    ):
         """Look up; on a miss lead or follow; the leader computes and stores.
 
-        A miss either elects this thread the leader of ``flight_key`` in
-        ``cache``'s flight table (it runs ``compute``, which stores its
-        result) or finds a leader already computing the same key — then
-        it waits and re-runs the lookup, which resolves to a hit
-        replayed through ``decode``.  The table lives on the cache, so
-        every service sharing one cache (or one cluster's result store)
-        elects one leader per key across all of them.  No deadlock is
-        possible: an event only exists while its leader is already
-        executing on some pool thread, and the leader never waits on
-        anything.
+        A miss either elects this thread the leader of ``(source, key,
+        algorithm)`` in ``cache``'s flight table (it runs ``compute``,
+        which stores its result) or finds a leader already computing the
+        same entry — then it waits and re-runs the lookup, which
+        resolves to a hit replayed through ``decode``.  The table lives
+        on the cache, so every service sharing one cache (or one
+        cluster's result store) elects one leader per key across all of
+        them.  No deadlock is possible: an event only exists while its
+        leader is already executing on some pool thread, and the leader
+        never waits on anything.
         """
+        flight_key = (source, key, algorithm)
         coalesced = False  # count each query at most once, even on retry
         while True:
-            payload = lookup()
+            payload = cache.lookup(source, key, algorithm)
             if payload is not None:
                 with self._stats_lock:
                     self.stats.replayed += 1

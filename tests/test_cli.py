@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import gc
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core.pattern import Pattern
 from repro.io.jsonio import pattern_to_dict, write_graph_json
+from repro.obs import get_registry
 from repro.datasets.paper_figures import data_g2, pattern_q2
 
 
@@ -144,16 +146,31 @@ class TestDistributedCommand:
         assert "distributed cache" not in out
 
     def test_repeat_reports_cache_accounting(
-        self, graph_file, pattern_file, capsys
+        self, tmp_path, graph_file, pattern_file, capsys
     ):
+        out_path = tmp_path / "metrics.prom"
+        # cache.* folds every live cache: count from what is live now.
+        gc.collect()
+        before = get_registry().snapshot()["counters"]
         code = main([
             "distributed", "--data", graph_file, "--pattern", pattern_file,
-            "--sites", "2", "--repeat", "3",
+            "--sites", "2", "--repeat", "3", "--metrics-out", str(out_path),
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "distributed cache: 1 computed, 2 replayed over 3 runs" in out
         assert "version vector (0, 0)" in out
+        # The cluster's result store belongs to no service, yet its
+        # hits, miss and store reach the cache.* metrics.
+        exposed = dict(
+            line.rsplit(" ", 1)
+            for line in out_path.read_text().splitlines()
+            if line.startswith("repro_cache_")
+        )
+        for name, served in (("hits", 2), ("misses", 1), ("stores", 1)):
+            assert int(exposed[f"repro_cache_{name}"]) == (
+                before.get(f"cache.{name}", 0) + served
+            )
 
 
 @pytest.fixture

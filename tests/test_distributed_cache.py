@@ -7,10 +7,10 @@ the exact vector, and a warm hit replays the *full*
 ``DistributedRunReport`` observation — result set, per-site partial
 counts, and the complete per-query bus log — byte-identically to a
 fresh ``cluster.run``, across engines, backends, isomorphic pattern
-twins and interleaved ``apply_update`` streams.  Retention is stricter
-than for centralized entries (edge deltas always drop; only
-label-disjoint node deltas survive), because a distributed entry
-replays traffic, not just results.  Every cluster carries one
+twins and interleaved ``apply_update`` streams.  Retention follows the
+rule table of centralized ball-based entries (edge deltas always drop;
+only label-disjoint node deltas survive), which also preserves the
+replayed traffic, not just the results.  Every cluster carries one
 coordinator-hosted result store, so several ``MatchService`` front-ends
 over one cluster share warm entries and coalesce concurrent misses on
 one single-flight leader.
@@ -57,13 +57,13 @@ needs_processes = pytest.mark.skipif(
 )
 
 
-def two_site_cluster(**kwargs) -> Cluster:
-    """A tiny two-site cluster with a hand-pinned assignment.
+def two_site_graph() -> DiGraph:
+    """The graph of :func:`two_site_cluster`.
 
-    Site 0 owns ``a`` (label A) and ``b`` (B); site 1 owns ``c`` (A) and
-    ``d`` (B); the edge ``b -> c`` crosses the cut.  Two spare nodes
-    ``s0``/``s1`` (labels Z/W, one per site, no edges) exist so tests
-    can mutate label-disjoint regions.
+    ``a``/``c`` carry label A, ``b``/``d`` label B, with edges
+    ``a -> b``, ``c -> d`` and ``b -> c``.  Two spare nodes ``s0``/``s1``
+    (labels Z/W, no edges) exist so tests can mutate label-disjoint
+    regions.
     """
     graph = DiGraph()
     for node, label in [
@@ -74,8 +74,17 @@ def two_site_cluster(**kwargs) -> Cluster:
     graph.add_edge("a", "b")
     graph.add_edge("c", "d")
     graph.add_edge("b", "c")
+    return graph
+
+
+def two_site_cluster(**kwargs) -> Cluster:
+    """A tiny two-site cluster with a hand-pinned assignment.
+
+    Site 0 owns ``a``, ``b`` and ``s0``; site 1 owns ``c``, ``d`` and
+    ``s1``; the edge ``b -> c`` crosses the cut.
+    """
     assignment = {"a": 0, "b": 0, "s0": 0, "c": 1, "d": 1, "s1": 1}
-    return Cluster(graph, assignment, 2, **kwargs)
+    return Cluster(two_site_graph(), assignment, 2, **kwargs)
 
 
 def pattern_ab() -> Pattern:
@@ -90,37 +99,64 @@ def pattern_ab() -> Pattern:
 class TestVersionVector:
     def test_fresh_cluster_is_all_zeros(self):
         with two_site_cluster() as cluster:
-            assert cluster.version_vector() == (0, 0)
+            assert cluster.version == (0, 0)
 
     def test_intra_site_edge_bumps_owner_only(self):
         with two_site_cluster() as cluster:
             cluster.remove_edge("a", "b")
-            assert cluster.version_vector() == (1, 0)
+            assert cluster.version == (1, 0)
             cluster.add_edge("a", "b")
-            assert cluster.version_vector() == (2, 0)
+            assert cluster.version == (2, 0)
 
     def test_cross_site_edge_bumps_both_endpoints(self):
         with two_site_cluster() as cluster:
             cluster.add_edge("a", "d")
-            assert cluster.version_vector() == (1, 1)
+            assert cluster.version == (1, 1)
             cluster.remove_edge("b", "c")
-            assert cluster.version_vector() == (2, 2)
+            assert cluster.version == (2, 2)
 
     def test_node_lifecycle_bumps_owner(self):
         with two_site_cluster() as cluster:
             cluster.relabel_node("d", "X")
-            assert cluster.version_vector() == (0, 1)
+            assert cluster.version == (0, 1)
             cluster.add_node("e", "A", site=1)
-            assert cluster.version_vector() == (0, 2)
+            assert cluster.version == (0, 2)
             cluster.remove_node("s0")  # isolated: one delta, site 0
-            assert cluster.version_vector() == (1, 2)
+            assert cluster.version == (1, 2)
 
     def test_remove_node_counts_incident_edge_deltas(self):
         with two_site_cluster() as cluster:
             # b has edges a->b (intra site 0) and b->c (crossing): the
             # removal stream is two edge deltas plus the node delta.
             cluster.remove_node("b")
-            assert cluster.version_vector() == (3, 1)
+            assert cluster.version == (3, 1)
+
+    def test_subscribers_hear_each_delta_with_the_new_version(self):
+        """A cluster delivers like a DiGraph: ``on_graph_deltas`` gets
+        one ``(delta,)`` per routed update, with the new version
+        already in place."""
+
+        class Recorder:
+            def __init__(self, cluster):
+                self.cluster = cluster
+                self.heard = []
+                cluster.subscribe(self)
+
+            def on_graph_deltas(self, deltas):
+                self.heard.append(
+                    ([delta.kind for delta in deltas], self.cluster.version)
+                )
+
+        with two_site_cluster() as cluster:
+            recorder = Recorder(cluster)
+            cluster.relabel_node("d", "X")
+            cluster.remove_node("b")
+            assert recorder.heard == [
+                (["relabel"], (0, 1)),
+                (["remove_edge"], (1, 2)),  # b -> c crosses the cut
+                (["remove_edge"], (2, 2)),  # a -> b
+                (["remove_node"], (3, 2)),
+            ]
 
     def test_run_report_stamps_current_vector(self):
         with two_site_cluster() as cluster:
@@ -129,7 +165,7 @@ class TestVersionVector:
             cluster.relabel_node("s1", "V")
             report = cluster.run(pattern_ab())
             assert report.version_vector == (0, 1)
-            assert report.version_vector == cluster.version_vector()
+            assert report.version_vector == cluster.version
 
     def test_query_log_is_exactly_this_querys_messages(self):
         with two_site_cluster() as cluster:
@@ -207,9 +243,9 @@ class TestServiceReplay:
             assert distributed_observation(again) == fresh
 
     def test_edge_delta_invalidates_even_when_label_disjoint(self):
-        # s0 -> s1 touches only labels Z/W, far from every candidate:
-        # the centralized d_Q rule would retain, but a distributed entry
-        # replays fetch traffic, and this new crossing edge changes it.
+        # s0 -> s1 touches only labels Z/W, far from every candidate,
+        # but a distributed entry replays fetch traffic, and this new
+        # crossing edge changes it.
         with two_site_cluster() as cluster, MatchService() as service:
             service.query_distributed(pattern_ab(), cluster)
             cluster.add_edge("s0", "s1")
@@ -225,7 +261,7 @@ class TestServiceReplay:
             cluster.add_node("zz", "Z")
             cluster.relabel_node("zz", "W")
             cluster.remove_node("s1")  # isolated, label W
-            assert cluster.version_vector() != (0, 0)
+            assert cluster.version != (0, 0)
             fresh = distributed_observation(cluster.run(pattern_ab()))
             again = service.query_distributed(pattern_ab(), cluster)
             assert service.stats.computed == 1
@@ -237,22 +273,50 @@ class TestServiceReplay:
     def test_store_refuses_stale_computed_vector(self):
         cache = ResultCache()
         with two_site_cluster() as cluster:
-            stale = cluster.version_vector()
+            stale = cluster.version
             cluster.relabel_node("d", "X")
-            cache.store_distributed(
-                cluster, ("key",), 1, frozenset({"A"}),
-                payload=("payload",), computed_vector=stale,
+            cache.store(
+                cluster, (("key",), 1), "distributed", frozenset({"A"}),
+                payload=("payload",), computed_version=stale,
             )
             assert len(cache) == 0
-            assert cache.lookup_distributed(cluster, ("key",), 1) is None
-            current = cluster.version_vector()
-            cache.store_distributed(
-                cluster, ("key",), 1, frozenset({"A"}),
-                payload=("payload",), computed_vector=current,
+            assert cache.lookup(cluster, (("key",), 1), "distributed") is None
+            current = cluster.version
+            cache.store(
+                cluster, (("key",), 1), "distributed", frozenset({"A"}),
+                payload=("payload",), computed_version=current,
             )
-            assert cache.lookup_distributed(
-                cluster, ("key",), 1
+            assert cache.lookup(
+                cluster, (("key",), 1), "distributed"
             ) == ("payload",)
+
+
+@pytest.mark.parametrize(
+    "mutate, kept",
+    [
+        (lambda source: source.add_node("zz", "Z"), True),
+        (lambda source: source.relabel_node("s0", "A"), False),
+        (lambda source: source.add_edge("s0", "s1"), False),
+    ],
+    ids=["label-disjoint-node", "overlapping-node", "far-spare-edge"],
+)
+def test_graph_and_cluster_entries_share_one_rule(mutate, kept):
+    """One rule table judges both delta sources: the same delta keeps or
+    drops a graph-keyed ``match-plus`` entry and a cluster-keyed
+    ``distributed`` entry alike — an edge inside the spare component,
+    far from every candidate, drops both."""
+    graph = two_site_graph()
+    with two_site_cluster() as cluster, MatchService() as service:
+        service.query(pattern_ab(), graph, "match-plus")
+        service.query_distributed(pattern_ab(), cluster)
+        mutate(graph)
+        mutate(cluster)
+        service.query(pattern_ab(), graph, "match-plus")
+        service.query_distributed(pattern_ab(), cluster)
+        graph_kept = service.cache.stats.hits == 1
+        cluster_kept = cluster.result_store.stats.hits == 1
+        assert graph_kept == cluster_kept == kept
+        assert service.stats.computed == (2 if kept else 4)
 
 
 @pytest.mark.parametrize("backend", available_backends())

@@ -472,6 +472,31 @@ class TestCollectorLifetimes:
         gc.collect()
         assert ref() is None
 
+    def test_cache_metrics_count_each_live_cache_once(self):
+        """``cache.*`` folds every live cache exactly once: one shared
+        by two services counts once, and a dropped cache stops
+        counting."""
+        from repro.service import MatchService, ResultCache
+
+        data = small_graph()
+        pattern = pattern_for(data)
+        gc.collect()
+        before = get_registry().snapshot()["counters"]
+        shared = ResultCache()
+        with MatchService(cache=shared) as one, MatchService(
+            cache=shared
+        ) as two:
+            one.query(pattern, data)
+            two.query(pattern, data)
+        during = get_registry().snapshot()["counters"]
+        for name, served in (("stores", 1), ("hits", 1), ("misses", 1)):
+            key = f"cache.{name}"
+            assert during[key] == before[key] + served, key
+        del one, two, shared
+        gc.collect()
+        after = get_registry().snapshot()["counters"]
+        assert after["cache.stores"] == before["cache.stores"]
+
     def test_forked_workers_ship_only_their_own_samples(self):
         """A forked worker inherits the coordinator's collectors and the
         indexes and clusters they sample; its ``done`` frames must not
@@ -595,6 +620,23 @@ class TestServiceStatsThreadSafety:
 # Instrumented engines stay observation-identical under tracing
 # ----------------------------------------------------------------------
 class TestTracingDoesNotPerturb:
+    def test_kernel_match_span_counts_every_ball(self, traced):
+        """One ball loop serves both tracing states: the traced run
+        returns the untraced result and its span counts one scanned
+        ball per live center."""
+        from repro.core.kernel import kernel_match
+
+        data = small_graph(seed=81)
+        pattern = pattern_for(data, seed=83)
+        traced_result = [sg.signature() for sg in kernel_match(pattern, data)]
+        root = collector().roots()[-1]
+        set_tracing(False)
+        plain_result = [sg.signature() for sg in kernel_match(pattern, data)]
+        assert traced_result == plain_result
+        assert root.name == "kernel.match"
+        assert root.attrs["balls.scanned"] == data.num_nodes
+        assert root.attrs["balls.matched"] == len(traced_result)
+
     @pytest.mark.parametrize("engine", ["python", "kernel", "numpy"])
     def test_match_plus_identical_traced(self, engine, traced):
         data = small_graph(seed=81)

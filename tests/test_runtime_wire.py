@@ -170,41 +170,6 @@ class TestBusLogRoundTrip:
         assert wire.decode_bus_log(wire.encode_bus_log(log)) == log
 
 
-class TestRunReportRoundTrip:
-    def test_report_rides_through(self):
-        entries = (((0, "n0"), (1, ("odd", None))), ((0, -3),))
-        per_site = {1: 4, 0: 2}
-        log = [(-1, 0, "query", 3), (1, 0, "fetch", 5), (0, -1, "result", 2)]
-        observed = wire.decode_run_report(
-            wire.encode_run_report(entries, per_site, log)
-        )
-        assert observed[0] == entries
-        assert observed[1] == per_site
-        assert observed[2] == log
-
-    def test_empty_report(self):
-        assert wire.decode_run_report(
-            wire.encode_run_report((), {}, [])
-        ) == ((), {}, [])
-
-    def test_truncated_body_rejected(self):
-        magic, version, kind, body = wire.encode_run_report((), {0: 1}, [])
-        with pytest.raises(WireFormatError, match="run-report body"):
-            wire.decode_run_report((magic, version, kind, body[:-1]))
-
-    def test_malformed_per_site_rejected(self):
-        magic, version, kind, body = wire.encode_run_report((), {}, [])
-        mangled = (body[0], ((0, 1, 2),), body[2])
-        with pytest.raises(WireFormatError, match="per-site"):
-            wire.decode_run_report((magic, version, kind, mangled))
-
-    def test_malformed_log_entry_rejected(self):
-        magic, version, kind, body = wire.encode_run_report((), {}, [])
-        mangled = (body[0], body[1], ((0, 1, "fetch"),))
-        with pytest.raises(WireFormatError, match="query-log"):
-            wire.decode_run_report((magic, version, kind, mangled))
-
-
 class TestEnvelopeValidation:
     def test_version_skew_rejected(self):
         stamped = wire.encode_bus_log([(0, 1, "fetch", 1)])
