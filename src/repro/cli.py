@@ -399,8 +399,12 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         if case.skipped is None and case.digest_ok is False
     ]
     for case in failed:
-        print(f"DIGEST MISMATCH {case.case_key}: expected "
-              f"{case.expected_digest}, observed {case.digest}")
+        expected, observed = case.expected_digest, case.digest
+        if case.expected_traffic_digest is not None:
+            expected += f" (traffic {case.expected_traffic_digest})"
+            observed += f" (traffic {case.traffic_digest})"
+        print(f"DIGEST MISMATCH {case.case_key}: expected {expected}, "
+              f"observed {observed}")
     return 1 if failed else 0
 
 

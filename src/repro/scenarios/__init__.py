@@ -6,8 +6,9 @@ MADlib's reproducible library-of-workloads methodology).  Latency is
 perfbench's job (``perfbench/``); scenario reports carry no timings.
 
 * :mod:`repro.scenarios.manifest` — the declarative, seeded scenario
-  matrix (:data:`SCENARIOS`) and the pinned observation digests
-  (:data:`EXPECTED_DIGESTS`);
+  matrix (:data:`SCENARIOS`) and the pinned digest halves
+  (:data:`EXPECTED_DIGESTS` for results, :data:`EXPECTED_TRAFFIC_DIGESTS`
+  for distributed traffic);
 * :mod:`repro.scenarios.digest` — canonical, engine- and
   backend-independent observation digests;
 * :mod:`repro.scenarios.runner` — deterministic replay through
@@ -20,9 +21,14 @@ perfbench's job (``perfbench/``); scenario reports carry no timings.
 CLI surface: ``repro scenarios list | run``.
 """
 
-from repro.scenarios.digest import canonical_observation, digest_observations
+from repro.scenarios.digest import (
+    canonical_observation,
+    digest_halves,
+    digest_observations,
+)
 from repro.scenarios.manifest import (
     EXPECTED_DIGESTS,
+    EXPECTED_TRAFFIC_DIGESTS,
     SCALES,
     SCENARIOS,
     ScenarioManifest,
@@ -39,6 +45,7 @@ from repro.scenarios.runner import ScenarioRunner, run_matrix
 
 __all__ = [
     "EXPECTED_DIGESTS",
+    "EXPECTED_TRAFFIC_DIGESTS",
     "SCALES",
     "SCENARIOS",
     "SCENARIO_SCHEMA_VERSION",
@@ -46,6 +53,7 @@ __all__ = [
     "ScenarioManifest",
     "ScenarioRunner",
     "canonical_observation",
+    "digest_halves",
     "digest_observations",
     "get_scenario",
     "matrix_payload",

@@ -15,15 +15,21 @@ mismatch a first-class correctness failure rather than flake:
   invariant) makes the digest engine-independent; the distributed
   protocol's byte-identical observation contract makes it
   backend-independent.
+
+:func:`digest_halves` splits the same stream in two.  The *result half*
+drops every distributed report's bus log, so a change that only moves
+traffic leaves it alone; for a stream without distributed reports it
+equals :func:`digest_observations`.  The *traffic half* digests the
+sorted bus logs alone, in stream order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Iterable
+from typing import Any, Iterable, Tuple
 
-__all__ = ["canonical_observation", "digest_observations"]
+__all__ = ["canonical_observation", "digest_halves", "digest_observations"]
 
 
 def _dump(value: Any) -> str:
@@ -71,6 +77,10 @@ def _subgraph_entry(subgraph) -> dict:
     }
 
 
+def _is_run_report(value: Any) -> bool:
+    return hasattr(value, "query_log") and hasattr(value, "per_site_subgraphs")
+
+
 def canonical_observation(value: Any) -> Any:
     """``value`` as canonical JSON-able data (see module docstring).
 
@@ -80,7 +90,7 @@ def canonical_observation(value: Any) -> Any:
     ``DistributedRunReport`` (result + per-site counts + version vector
     + exact per-query bus log) — plus plain containers and scalars.
     """
-    if hasattr(value, "query_log") and hasattr(value, "per_site_subgraphs"):
+    if _is_run_report(value):
         # DistributedRunReport: the full protocol observation.
         return {
             "kind": "distributed",
@@ -133,3 +143,22 @@ def digest_observations(observations: Iterable[Any]) -> str:
         hasher.update(_dump(canonical_observation(observation)).encode())
         hasher.update(b"\x00")
     return hasher.hexdigest()[:16]
+
+
+def digest_halves(observations: Iterable[Any]) -> Tuple[str, str]:
+    """``(result half, traffic half)`` of the case digest.
+
+    The result half is :func:`digest_observations` with the ``bus_log``
+    of every distributed report left out; the traffic half is a digest
+    of those sorted bus logs alone, in stream order.
+    """
+    results = hashlib.sha256()
+    traffic = hashlib.sha256()
+    for observation in observations:
+        canonical = canonical_observation(observation)
+        if _is_run_report(observation):
+            traffic.update(_dump(canonical.pop("bus_log")).encode())
+            traffic.update(b"\x00")
+        results.update(_dump(canonical).encode())
+        results.update(b"\x00")
+    return results.hexdigest()[:16], traffic.hexdigest()[:16]

@@ -5,7 +5,11 @@ reproducible — generator seed and dataset kind, pattern sample seeds,
 the query/mutation stream shape, the engine/backend matrix and the
 scale table — so ``repro scenarios run`` is a pure function of the
 manifest.  The committed :data:`EXPECTED_DIGESTS` table pins the
-observation digest per (scenario, scale); engines and backends are
+result half of the observation digest per (scenario, scale), and
+:data:`EXPECTED_TRAFFIC_DIGESTS` the traffic half of the distributed
+scenario (see :func:`~repro.scenarios.digest.digest_halves`), so a
+change that only moves protocol traffic re-pins the second table and
+leaves the first alone.  Engines and backends are
 deliberately *not* part of the key, because the engines'
 output-identity contract makes the digest engine- and
 backend-independent — a digest that differs across engines is a
@@ -22,6 +26,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 __all__ = [
     "EXPECTED_DIGESTS",
+    "EXPECTED_TRAFFIC_DIGESTS",
     "SCALES",
     "SCENARIOS",
     "ScenarioManifest",
@@ -195,7 +200,7 @@ def get_scenario(name: str) -> ScenarioManifest:
         ) from None
 
 
-#: Pinned observation digests per (scenario, scale) — filled by running
+#: Pinned result digests per (scenario, scale) — filled by running
 #: the matrix and committing what it prints (``repro scenarios run``
 #: prints the digest per case).  A missing key means "record, don't
 #: gate" (used while a new scenario or scale stabilizes); present keys
@@ -211,10 +216,17 @@ EXPECTED_DIGESTS: Dict[Tuple[str, str], str] = {
     ("tenancy-mixed", "S"): "9af2c4c0d86e6e0a",
     ("hot-key-skew", "smoke"): "e6f809c7e1aa8aeb",
     ("hot-key-skew", "S"): "d39a35bbbfb747e3",
-    ("distributed-4site", "smoke"): "f8b10880d67e8940",
-    ("distributed-4site", "S"): "00c45c9b4d1dea82",
+    ("distributed-4site", "smoke"): "7ebc15976c514b9e",
+    ("distributed-4site", "S"): "87b34b76b2c62983",
     ("paths-bounded", "smoke"): "b9388d1b10f70ccf",
     ("paths-bounded", "S"): "f5d9e310075c677f",
     ("paths-regular", "smoke"): "202a916d42b17ebd",
     ("paths-regular", "S"): "cdb8d93de1a75836",
+}
+
+#: Pinned traffic halves (the sorted per-query bus logs) of the
+#: distributed scenario, per scale; gated like :data:`EXPECTED_DIGESTS`.
+EXPECTED_TRAFFIC_DIGESTS: Dict[Tuple[str, str], str] = {
+    ("distributed-4site", "smoke"): "6b8ecc0843b434e3",
+    ("distributed-4site", "S"): "8dbe3e8e9c14cb63",
 }

@@ -2,7 +2,8 @@
 
 :class:`ScenarioCaseReport` is the per-(engine, backend) observation a
 :class:`~repro.scenarios.runner.ScenarioRunner` produces: the digest
-(the correctness gate), cache behavior, execution counts, and — for
+halves (the correctness gate: the result half always, the traffic half
+of distributed cases where pinned), cache behavior, execution counts, and — for
 distributed cases — exact bus traffic and the trace cross-check.  It
 carries no timings; perfbench (``perfbench/``) is the one latency
 source.  :func:`matrix_payload` folds case reports into the shared
@@ -33,6 +34,8 @@ class ScenarioCaseReport:
     scale: str
     engine: str
     backend: Optional[str]
+    #: The result half of the case digest (see
+    #: :func:`~repro.scenarios.digest.digest_halves`).
     digest: str
     expected_digest: Optional[str]
     queries: int
@@ -44,6 +47,10 @@ class ScenarioCaseReport:
     #: with the reports' ``query_log``?  ``None`` off the distributed
     #: path.
     bus_log_matches_trace: Optional[bool] = None
+    #: Distributed cases: the traffic half of the case digest, and its
+    #: pin (``None`` where none is pinned).
+    traffic_digest: Optional[str] = None
+    expected_traffic_digest: Optional[str] = None
     skipped: Optional[str] = None
 
     @property
@@ -53,10 +60,13 @@ class ScenarioCaseReport:
 
     @property
     def digest_ok(self) -> Optional[bool]:
-        """``None`` when no digest is pinned for this (scenario, scale)."""
+        """Both halves against their pins; ``None`` when no result
+        digest is pinned for this (scenario, scale)."""
         if self.skipped is not None or self.expected_digest is None:
             return None
-        return self.digest == self.expected_digest
+        if self.digest != self.expected_digest:
+            return False
+        return self.expected_traffic_digest in (None, self.traffic_digest)
 
     def to_payload(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
@@ -74,6 +84,10 @@ class ScenarioCaseReport:
         if self.bus is not None:
             payload["bus"] = self.bus
             payload["bus_log_matches_trace"] = self.bus_log_matches_trace
+            payload["traffic_digest"] = self.traffic_digest
+            payload["expected_traffic_digest"] = (
+                self.expected_traffic_digest
+            )
         if self.skipped is not None:
             payload["skipped"] = self.skipped
         return payload
@@ -106,5 +120,8 @@ def render_cases(cases: List[ScenarioCaseReport]) -> str:
             )
             continue
         gate = {True: "ok", False: "FAIL", None: "new"}[case.digest_ok]
-        lines.append(f"{case.case_key:<44} {case.digest:<18} {gate}")
+        line = f"{case.case_key:<44} {case.digest:<18} {gate}"
+        if case.traffic_digest is not None:
+            line += f"  (traffic {case.traffic_digest})"
+        lines.append(line)
     return "\n".join(lines)

@@ -8,7 +8,8 @@ isolated, reproducible observation:
 
 * **Digest** — SHA-256 over the canonical result stream (see
   :mod:`repro.scenarios.digest`): results only, in submission order,
-  never timings or scheduler-dependent statistics.
+  never timings or scheduler-dependent statistics.  Distributed cases
+  also carry the traffic half, a digest of their sorted bus logs.
 * **Counts** — the service's execution counts, and cache behavior from
   the :class:`~repro.service.cache.CacheStats` of whichever cache the
   case filled: the service's, or the cluster's result store.
@@ -26,9 +27,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.trace import collector, set_tracing
-from repro.scenarios.digest import digest_observations
+from repro.scenarios.digest import digest_halves
 from repro.scenarios.manifest import (
     EXPECTED_DIGESTS,
+    EXPECTED_TRAFFIC_DIGESTS,
     SCENARIOS,
     ScenarioManifest,
     get_scenario,
@@ -217,7 +219,7 @@ class ScenarioRunner:
             scale=scale,
             engine=engine,
             backend=None,
-            digest=digest_observations(results),
+            digest=digest_halves(results)[0],
             expected_digest=EXPECTED_DIGESTS.get((manifest.name, scale)),
             queries=len(stream),
             cache=_cache_block(stats.cache),
@@ -274,12 +276,13 @@ class ScenarioRunner:
         for report in reports:
             for kind, units in report.units_by_kind().items():
                 by_kind[kind] = by_kind.get(kind, 0) + units
+        digest, traffic_digest = digest_halves(reports)
         return ScenarioCaseReport(
             scenario=manifest.name,
             scale=scale,
             engine=engine,
             backend=backend,
-            digest=digest_observations(reports),
+            digest=digest,
             expected_digest=EXPECTED_DIGESTS.get((manifest.name, scale)),
             queries=len(reports),
             cache=_cache_block(cache_stats),
@@ -291,6 +294,10 @@ class ScenarioRunner:
                 "final_version_vector": final_vector,
             },
             bus_log_matches_trace=trace_ok,
+            traffic_digest=traffic_digest,
+            expected_traffic_digest=EXPECTED_TRAFFIC_DIGESTS.get(
+                (manifest.name, scale)
+            ),
         )
 
     @staticmethod

@@ -24,10 +24,12 @@ import pytest
 from repro.cli import main
 from repro.scenarios import (
     EXPECTED_DIGESTS,
+    EXPECTED_TRAFFIC_DIGESTS,
     SCENARIO_SCHEMA_VERSION,
     ScenarioCaseReport,
     ScenarioRunner,
     canonical_observation,
+    digest_halves,
     digest_observations,
     get_scenario,
     matrix_payload,
@@ -107,6 +109,51 @@ class TestDigestDeterminism:
     def test_unknown_scale_reports_skips_not_silence(self):
         cases = run_matrix(["distributed-4site"], "M")
         assert cases and all(case.skipped for case in cases)
+
+
+class TestDigestHalves:
+    @pytest.fixture(scope="class")
+    def run_report(self):
+        from repro.datasets.paper_figures import data_g1, pattern_q1
+        from repro.distributed import Cluster, hash_partition
+
+        data = data_g1(4)
+        cluster = Cluster(data, hash_partition(data, 2), 2)
+        return cluster.run(pattern_q1())
+
+    def test_result_half_is_the_digest_of_a_stream_without_reports(self):
+        from repro.core.strong import match
+        from repro.datasets.paper_figures import data_g1, pattern_q1
+
+        stream = [match(pattern_q1(), data_g1(4)), {"note": [1, 2]}]
+        result_half, _ = digest_halves(stream)
+        assert result_half == digest_observations(stream)
+
+    def test_traffic_moves_only_the_traffic_half(self, run_report):
+        from dataclasses import replace
+
+        assert run_report.query_log
+        lighter = replace(run_report, query_log=run_report.query_log[:-1])
+        result_half, traffic_half = digest_halves([run_report])
+        assert digest_halves([lighter])[0] == result_half
+        assert digest_halves([lighter])[1] != traffic_half
+        # The full digest keeps both: it is what perfbench gates on.
+        assert digest_observations([lighter]) != (
+            digest_observations([run_report])
+        )
+
+    def test_traffic_pin_gates_the_distributed_case(self, monkeypatch, capsys):
+        case = ("distributed-4site", "smoke")
+        monkeypatch.setitem(EXPECTED_TRAFFIC_DIGESTS, case, "f" * 16)
+        code = main([
+            "scenarios", "run", "--scenario", "distributed-4site", "--smoke",
+        ])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "DIGEST MISMATCH" in out
+        assert f"(traffic {'f' * 16})" in out
+        # The result half still matched its own pin.
+        assert EXPECTED_DIGESTS[case] in out.split("DIGEST MISMATCH")[1]
 
 
 # ----------------------------------------------------------------------
