@@ -1,16 +1,30 @@
 """The coordinator of the distributed strong-simulation protocol.
 
-Section 4.3, transcribed:
+Section 4.3, transcribed, with the paper's Match+ dual filter run at
+the sites:
 
 1. the coordinator receives a pattern ``Q`` and broadcasts it to every
    site (accounted as ``query`` traffic);
-2. each site evaluates the per-ball algorithm for balls centered at its
-   own nodes, fetching cross-fragment ball regions through the bus
-   (accounted as ``fetch`` traffic — the quantity the paper's locality
-   bound constrains);
-3. each site ships its partial result back (``result`` traffic);
-4. the coordinator unions the partials, deduplicating identical perfect
+2. the sites compute the dual-simulation relation of ``Q`` and ``G`` by
+   partial evaluation over border nodes
+   (:mod:`repro.distributed.sitefilter`): round 0 returns with the
+   broadcast, and the coordinator routes each round's candidate
+   announcements and removals between sites (``filter`` traffic) until
+   a round k ≥ 1 sends nothing;
+3. each site evaluates the per-ball algorithm for balls centered at its
+   *surviving* nodes — its nodes in that relation, in fragment order —
+   fetching cross-fragment ball regions through the bus (accounted as
+   ``fetch`` traffic — the quantity the paper's locality bound
+   constrains);
+4. each site ships its partial result back (``result`` traffic);
+5. the coordinator unions the partials, deduplicating identical perfect
    subgraphs discovered from centers on different sites.
+
+Step 2 changes no result: a ball's maximum dual relation is a dual
+simulation of ``G`` and so lies inside the global relation, and a
+center outside it yields no perfect subgraph.  Results, per-site
+partial counts and ``result`` traffic are those of plain ``Match``;
+only ``fetch`` traffic shrinks, and ``filter`` traffic is added.
 
 The protocol is generic over partitioning and returns *exactly* the
 centralized ``Match`` output (asserted by the integration tests).
@@ -123,7 +137,8 @@ class DistributedRunReport:
         store gates hits on.
     query_log:
         The ``(sender, receiver, kind, units)`` charges this query alone
-        put on the bus, in charge order.  ``Cluster.run`` holds the
+        put on the bus, in charge order: ``query``, then ``filter`` by
+        (round, sender, receiver), then ``fetch``, then ``result``.  ``Cluster.run`` holds the
         protocol lock for the whole evaluation, so the slice is exact;
         replaying it onto a fresh bus reproduces the query's accounting
         byte-identically.
@@ -411,9 +426,22 @@ class Cluster:
             for site in self.workers:
                 self.bus.send(COORDINATOR_ID, site, "query", query_units)
 
-            # Step 2: each site matches the balls of its own centers.
+            # Step 2: the dual filter, routed round by round.
+            with _obs_span("coordinator.filter") as _fs:
+                rounds, messages, units, survivors = self._dual_filter(
+                    pattern, radius, engine
+                )
+                if _fs.enabled:
+                    _fs.set(**{
+                        "filter.rounds": rounds,
+                        "filter.messages": messages,
+                        "filter.units": units,
+                        "filter.survivors": survivors,
+                    })
+
+            # Step 3: each site matches the balls of its survivors.
             with _obs_span("coordinator.evaluate"):
-                partials = self._transport.evaluate(pattern, radius, engine)
+                partials = self._transport.evaluate()
             if _sp.enabled:
                 # Graft the per-site ``site.evaluate`` subtrees (captured
                 # worker-side, shipped in wire form on the process
@@ -422,7 +450,7 @@ class Cluster:
                 for site in sorted(site_spans):
                     _sp.adopt(site_spans[site])
 
-            # Steps 3-4: ship partials and union with dedup, in site order.
+            # Steps 4-5: ship partials and union with dedup, in site order.
             with _obs_span("coordinator.union"):
                 result = MatchResult(pattern)
                 per_site: Dict[int, int] = {}
@@ -459,6 +487,46 @@ class Cluster:
                 version_vector=self.version,
                 query_log=query_log,
             )
+
+    def _dual_filter(
+        self, pattern: Pattern, radius: int, engine: Optional[str]
+    ) -> Tuple[int, int, int, int]:
+        """Step 2: route dual-filter rounds until a round sends nothing.
+
+        Round 0 returns with the broadcast.  Round 1 goes to every site
+        (it is each site's first refinement); a later round goes only to
+        the sites with mail, since no other site's sets can change.  The
+        loop ends after the first round k ≥ 1 in which no site sends.
+        Each non-empty payload is one ``filter`` message of one unit per
+        (data node, pattern node) pair, charged here in (round, sender,
+        receiver) order, so both backends log it identically.  Returns
+        ``(rounds run, messages, units, surviving centers)``.
+        """
+        replies = self._transport.begin(pattern, radius, engine)
+        survivors = {site: reply[1] for site, reply in replies.items()}
+        rounds = 1
+        messages = units = 0
+        while True:
+            inboxes: Dict[int, list] = {}
+            for sender in sorted(replies):
+                outbox = replies[sender][0]
+                for receiver in sorted(outbox):
+                    payload = outbox[receiver]
+                    amount = sum(len(entry[1]) for entry in payload)
+                    if not amount:
+                        continue
+                    self.bus.send(sender, receiver, "filter", amount)
+                    messages += 1
+                    units += amount
+                    inboxes.setdefault(receiver, []).extend(payload)
+            if rounds == 1:
+                inboxes = {site: inboxes.get(site, []) for site in survivors}
+            elif not inboxes:
+                return rounds, messages, units, sum(survivors.values())
+            replies = self._transport.filter_round(inboxes)
+            for site, reply in replies.items():
+                survivors[site] = reply[1]
+            rounds += 1
 
     def worker_stats(self) -> Dict[int, Dict[str, object]]:
         """Per-site runtime counters, fetched from wherever workers live.

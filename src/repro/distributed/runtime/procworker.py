@@ -17,7 +17,11 @@ Protocol (one duplex pipe per site; the coordinator end lives in
 ===============================  =====================================
 coordinator -> worker             worker -> coordinator
 ===============================  =====================================
-``("query", pattern, r, e, t)``   ``("fetch_many", nodes)`` * per BFS
+``("query", pattern, r, e)``      ``("filter", outbox, survivors)``:
+                                  round 0 of the dual filter
+``("filter", inbox)``             ``("filter", outbox, survivors)``:
+                                  one later round
+``("evaluate", trace)``           ``("fetch_many", nodes)`` * per BFS
                                   layer with unmaterialized remotes,
                                   then ``("done", partials, bus_log,
                                   span, metrics)``
@@ -27,7 +31,12 @@ coordinator -> worker             worker -> coordinator
 ``("shutdown",)``                 *(exits)*
 ===============================  =====================================
 
-Fetch replies arrive as ``("records", ((owner_site, record), ...))`` in
+A query is one ``query`` frame (the only one carrying the pattern),
+one ``filter`` frame per later round in which the site has mail (every
+site gets round 1), and one ``evaluate`` frame once no site sends
+anything.  Outboxes map a receiving site to its ``(node, pattern
+nodes)`` entries; the coordinator routes and charges them.  Fetch
+replies arrive as ``("records", ((owner_site, record), ...))`` in
 request order; an ``("error", text)`` reply to any command aborts it.
 Any exception in the worker is reported as ``("error", traceback)`` so
 the coordinator can fail loud with the child's stack attached.  Fetch
@@ -117,18 +126,23 @@ def worker_main(conn, wire_fragment, engine: str) -> None:
             command = message[0]
             try:
                 if command == "query":
-                    _, wire_pattern, radius, engine_override, trace = message
-                    pattern = decode_pattern(wire_pattern)
-                    worker.clear_cache()
+                    _, wire_pattern, radius, engine_override = message
                     worker.fetch_log = []
+                    outbox, survivors = worker.begin_query(
+                        decode_pattern(wire_pattern), radius,
+                        engine=engine_override,
+                    )
+                    conn.send(("filter", outbox, survivors))
+                elif command == "filter":
+                    outbox, survivors = worker.filter_round(message[1])
+                    conn.send(("filter", outbox, survivors))
+                elif command == "evaluate":
                     # Per-query tracing: the coordinator's flag turns the
                     # worker's tracing on for exactly this evaluation (a
                     # worker already enabled via REPRO_TRACE stays on).
-                    previous = set_tracing(trace or tracing_enabled())
+                    previous = set_tracing(message[1] or tracing_enabled())
                     try:
-                        partial = worker.match_local(
-                            pattern, radius, engine=engine_override
-                        )
+                        partial = worker.match_local()
                     finally:
                         set_tracing(previous)
                     conn.send(

@@ -6,14 +6,24 @@ never says the sites must share an interpreter.  A
 "host the workers, evaluate a query, route an update" mechanics to a
 :class:`Transport`:
 
-* :class:`InProcTransport` — in-process workers, evaluated serially in
-  site order.  Workers charge the cluster's
+A query crosses a transport in three steps: :meth:`Transport.begin`
+broadcasts it and returns every site's round 0 of the dual filter,
+:meth:`Transport.filter_round` delivers each later round's mail and
+returns the sites' answers, and :meth:`Transport.evaluate` has every
+site match the balls of its surviving centers.  The coordinator routes
+the filter payloads between sites and charges them itself, so the
+transport only carries them.
+
+* :class:`InProcTransport` — in-process workers, run serially in site
+  order.  Workers charge the cluster's
   :class:`~repro.distributed.network.MessageBus` directly and
   cross-site fetches read the owning peer's fragment.  This is the
   reference every observation is compared against.
 * :class:`ProcessTransport` — one OS process per site, talking over
   ``multiprocessing`` pipes.  Queries are *broadcast* in wire form
-  (:mod:`repro.distributed.runtime.wire`); updates are **batched** —
+  (:mod:`repro.distributed.runtime.wire`) — the pattern crosses each
+  pipe once per query — and each filter round is one request/reply per
+  site with mail; updates are **batched** —
   deltas buffer per site and ship as one ``update`` frame per site at
   the next flush point (query, stats, forget, i.e. anything that could
   observe worker state), so an N-delta burst costs one pipe round trip
@@ -35,7 +45,7 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.digraph import Node
 from repro.core.pattern import Pattern
@@ -51,7 +61,7 @@ from repro.distributed.runtime.wire import (
     encode_fragment,
     encode_pattern,
 )
-from repro.distributed.worker import SiteWorker
+from repro.distributed.worker import FilterReply, SiteWorker
 from repro.exceptions import DistributedError
 from repro.obs.trace import tracing_enabled
 
@@ -96,16 +106,34 @@ def _make_context():
     )
 
 
+#: The mail one site receives in one filter round: ``(node, pattern
+#: nodes)`` entries from every sender, in sender order.
+Inbox = Iterable[Tuple[Node, Tuple[Node, ...]]]
+
+
 class Transport:
     """Hosts a cluster's site workers and routes the protocol to them."""
 
-    def evaluate(
+    def begin(
         self,
         pattern: Pattern,
         radius: int,
         engine: Optional[str],
-    ) -> Dict[int, List[PerfectSubgraph]]:
-        """Step 2 of the protocol: every site's partial Θ_i, in site order.
+    ) -> Dict[int, FilterReply]:
+        """Broadcast one query: every site's round-0 filter reply, in
+        site order (see :meth:`SiteWorker.begin_query`)."""
+        raise NotImplementedError
+
+    def filter_round(
+        self, inboxes: Dict[int, Inbox]
+    ) -> Dict[int, FilterReply]:
+        """One dual-filter round on the sites in ``inboxes``: each
+        applies its mail and answers (see :meth:`SiteWorker.filter_round`)."""
+        raise NotImplementedError
+
+    def evaluate(self) -> Dict[int, List[PerfectSubgraph]]:
+        """Every site's partial Θ_i for the query :meth:`begin` started,
+        in site order.
 
         Implementations must charge (or replay) each worker's ``fetch``
         traffic on the cluster bus exactly as the serial in-process path
@@ -149,19 +177,29 @@ class InProcTransport(Transport):
     """Serial in-process sites: the reference backend.
 
     The workers share the cluster's bus and read peers' fragments
-    directly; :meth:`evaluate` runs them one after another in site
-    order.
+    directly; every step runs them one after another in site order.
     """
 
     def __init__(self, workers: Dict[int, SiteWorker]) -> None:
         self._workers = workers
 
-    def evaluate(self, pattern, radius, engine):
-        partials = {}
-        for site, worker in self._workers.items():
-            worker.clear_cache()
-            partials[site] = worker.match_local(pattern, radius, engine=engine)
-        return partials
+    def begin(self, pattern, radius, engine):
+        return {
+            site: worker.begin_query(pattern, radius, engine=engine)
+            for site, worker in self._workers.items()
+        }
+
+    def filter_round(self, inboxes):
+        return {
+            site: self._workers[site].filter_round(inbox)
+            for site, inbox in inboxes.items()
+        }
+
+    def evaluate(self):
+        return {
+            site: worker.match_local()
+            for site, worker in self._workers.items()
+        }
 
     def apply_update(self, site_id, delta, owner_of):
         self._workers[site_id].apply_update(delta, owner_of)
@@ -305,13 +343,33 @@ class ProcessTransport(Transport):
             self._ack(site, f"a batch of {len(deltas)} delta(s)")
 
     # ------------------------------------------------------------------
-    def evaluate(self, pattern, radius, engine):
+    def begin(self, pattern, radius, engine):
         self._guard_open()
         self._flush_updates()
         wire_pattern = encode_pattern(pattern)
+        for conn in self._conns.values():
+            conn.send(("query", wire_pattern, radius, engine))
+        return self._filter_replies(self._conns)
+
+    def filter_round(self, inboxes):
+        for site, inbox in inboxes.items():
+            self._conns[site].send(("filter", tuple(inbox)))
+        return self._filter_replies(inboxes)
+
+    def _filter_replies(self, sites) -> Dict[int, FilterReply]:
+        """Collect one ``filter`` reply from each of ``sites``."""
+        replies: Dict[int, FilterReply] = {}
+        for site in sites:
+            reply = self._recv(site)
+            if reply[0] != "filter":
+                raise self._fail(f"site {site} dual filter failed:\n{reply[1]}")
+            replies[site] = (reply[1], reply[2])
+        return replies
+
+    def evaluate(self):
         trace = tracing_enabled()
         for conn in self._conns.values():
-            conn.send(("query", wire_pattern, radius, engine, trace))
+            conn.send(("evaluate", trace))
         pending = {conn: site for site, conn in self._conns.items()}
         partials: Dict[int, List[PerfectSubgraph]] = {}
         logs: Dict[int, list] = {}

@@ -1,8 +1,13 @@
-"""Site workers: per-fragment ball construction and matching.
+"""Site workers: per-fragment dual filter, ball construction and matching.
 
-Each worker owns a :class:`~repro.distributed.fragment.Fragment` and can
-evaluate the per-ball part of algorithm ``Match`` for every ball centered
-at one of its own nodes.  When a ball's BFS crosses the fragment boundary,
+Each worker owns a :class:`~repro.distributed.fragment.Fragment`.  Per
+query it first takes part in the distributed dual filter
+(:mod:`repro.distributed.sitefilter`: :meth:`SiteWorker.begin_query`,
+then :meth:`SiteWorker.filter_round` until the coordinator stops), and
+then evaluates the per-ball part of algorithm ``Match`` for every ball
+centered at one of its *surviving* nodes — the owned nodes inside the
+global dual-simulation relation; a ball around any other center cannot
+match.  When a ball's BFS crosses the fragment boundary,
 the worker *fetches* the remote node records (label + adjacency) from the
 owning site through the message bus — the accounted data shipment.  A
 per-worker cache ensures each remote record is shipped at most once per
@@ -25,15 +30,17 @@ substrates, and the ``compiled`` flag of the engine's row in
   arrive over the bus; balls and fixpoints then run over flat integer
   arrays exactly as in :mod:`repro.core.kernel`.
 
-All engines fetch exactly the records of the remote ball members, so the
-message sequence, the per-link unit totals and the Section 4.3 data-
-shipment bound are engine-independent (enforced by
+The dual filter runs once, over the fragment dicts both substrates
+share, and both substrates evaluate the same survivors in fragment
+order.  All engines fetch exactly the records of the remote ball
+members, so the message sequence, the per-link unit totals and the
+Section 4.3 data-shipment bound are engine-independent (enforced by
 ``tests/test_distributed_kernel_equivalence.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.ball import Ball
 from repro.core.digraph import (
@@ -54,6 +61,7 @@ from repro.core.result import PerfectSubgraph
 from repro.core.strong import extract_max_perfect_subgraph
 from repro.distributed.fragment import Fragment
 from repro.distributed.network import MessageBus
+from repro.distributed.sitefilter import FilterOutbox, SiteFilter
 from repro.distributed.sitekernel import (
     NodeRecord,
     SiteGraphIndex,
@@ -61,6 +69,10 @@ from repro.distributed.sitekernel import (
 )
 from repro.exceptions import DistributedError
 from repro.obs.trace import capture as _obs_capture
+
+#: A site's answer to one dual-filter round: its sends, by receiving
+#: site, and how many of its owned nodes still survive.
+FilterReply = Tuple[FilterOutbox, int]
 
 
 class SiteWorker:
@@ -95,6 +107,10 @@ class SiteWorker:
         #: tracing was enabled during it (``None`` otherwise).  The
         #: coordinator grafts it under its ``distributed.run`` span.
         self.last_span = None
+        #: The query in flight — ``(pattern, radius, resolved engine)`` —
+        #: and its dual filter, from ``begin_query`` to ``match_local``.
+        self._query: Optional[Tuple[Pattern, int, str]] = None
+        self._filter: Optional[SiteFilter] = None
 
     # ------------------------------------------------------------------
     # Cluster wiring
@@ -354,31 +370,64 @@ class SiteWorker:
                     subgraph.add_edge(node, target)
         return Ball(subgraph, center, radius, distances)
 
-    def match_local(
+    def begin_query(
         self,
         pattern: Pattern,
         radius: Optional[int] = None,
         engine: Optional[str] = None,
-    ) -> List[PerfectSubgraph]:
-        """Run per-ball strong simulation for every owned center.
+    ) -> FilterReply:
+        """Start one query: reset per-query state and seed the dual filter.
 
-        Returns the site's partial result Θ_i (possibly containing
-        subgraphs that other sites also discover; the coordinator dedups).
-        ``engine`` overrides the worker default for this query only.
+        Returns round 0 of the filter, which travels back with the query
+        broadcast.  ``engine`` overrides the worker default for this
+        query only.
         """
         if radius is None:
             radius = pattern.diameter
         resolved = resolve_engine(self.engine if engine is None else engine)
+        self.clear_cache()
+        self._query = (pattern, radius, resolved)
+        self._filter = SiteFilter(self.fragment, pattern)
+        return self._filter.announce(), len(self._filter.survivors())
+
+    def filter_round(
+        self, inbox: Iterable[Tuple[Node, Tuple[Node, ...]]]
+    ) -> FilterReply:
+        """One dual-filter round k ≥ 1 over what the peers sent."""
+        if self._filter is None:
+            raise DistributedError(
+                f"site {self.fragment.site_id} has no query in flight"
+            )
+        outbox = self._filter.refine(inbox)
+        return outbox, len(self._filter.survivors())
+
+    def match_local(self) -> List[PerfectSubgraph]:
+        """Run per-ball strong simulation around every surviving center.
+
+        Evaluates the query :meth:`begin_query` started, once its dual
+        filter has converged, and ends it.  Returns the site's partial
+        result Θ_i (possibly containing subgraphs that other sites also
+        discover; the coordinator dedups).
+        """
+        if self._filter is None:
+            raise DistributedError(
+                f"site {self.fragment.site_id} has no query in flight"
+            )
+        pattern, radius, resolved = self._query
+        survivors = self._filter.survivors()
+        self._query = self._filter = None
+        centers = [node for node in self.fragment.labels if node in survivors]
         self.queries_served += 1
         with _obs_capture("site.evaluate") as _sp:
             if ENGINE_TABLE[resolved].compiled:
-                partial = self._match_local_kernel(pattern, radius)
+                partial = self._match_local_kernel(pattern, radius, centers)
             else:
-                partial = self._match_local_python(pattern, radius)
+                partial = self._match_local_python(pattern, radius, centers)
             if _sp.enabled:
                 _sp.set(
                     site=self.fragment.site_id,
                     engine=resolved,
+                    balls=len(centers),
                     partial=len(partial),
                     **{
                         "fetch.round_trips": self.fetch_round_trips,
@@ -390,11 +439,11 @@ class SiteWorker:
         return partial
 
     def _match_local_python(
-        self, pattern: Pattern, radius: int
+        self, pattern: Pattern, radius: int, centers: List[Node]
     ) -> List[PerfectSubgraph]:
         """Reference path: per-ball ``DiGraph`` + set-based fixpoint."""
         partial: List[PerfectSubgraph] = []
-        for center in self.fragment.labels:
+        for center in centers:
             ball = self.build_ball(center, radius)
             relation = dual_simulation(pattern, ball.graph)
             if relation.is_empty():
@@ -405,21 +454,25 @@ class SiteWorker:
         return partial
 
     def _match_local_kernel(
-        self, pattern: Pattern, radius: int
+        self, pattern: Pattern, radius: int, centers: List[Node]
     ) -> List[PerfectSubgraph]:
         """Kernel path: ball BFS + counter fixpoint over the site index.
 
-        Centers iterate in the same fragment order as the reference path
-        (owned ids are assigned in fragment insertion order), and no
-        per-site dedup is applied, so the partial list — and with it the
-        per-site counts and the ``result`` traffic — is engine-identical.
+        ``centers`` arrive in the same fragment order as on the reference
+        path, and no per-site dedup is applied, so the partial list — and
+        with it the per-site counts and the ``result`` traffic — is
+        engine-identical.  The index is compiled on the first query even
+        when no center survives, so a warm worker stays warm.
         """
         index = self.site_index()
         cp = _CompiledPattern(pattern)
         fetch_many = self._records_for_many
+        index_of = index.index_of
         partial: List[PerfectSubgraph] = []
-        for center in index.owned_ids:
-            subgraph = site_match_ball(cp, index, fetch_many, center, radius)
+        for center in centers:
+            subgraph = site_match_ball(
+                cp, index, fetch_many, index_of[center], radius
+            )
             if subgraph is not None:
                 partial.append(subgraph)
         return partial

@@ -227,6 +227,6 @@ EXPECTED_DIGESTS: Dict[Tuple[str, str], str] = {
 #: Pinned traffic halves (the sorted per-query bus logs) of the
 #: distributed scenario, per scale; gated like :data:`EXPECTED_DIGESTS`.
 EXPECTED_TRAFFIC_DIGESTS: Dict[Tuple[str, str], str] = {
-    ("distributed-4site", "smoke"): "6b8ecc0843b434e3",
-    ("distributed-4site", "S"): "8dbe3e8e9c14cb63",
+    ("distributed-4site", "smoke"): "636fb91bd7319da7",
+    ("distributed-4site", "S"): "98b14b6724d244de",
 }
