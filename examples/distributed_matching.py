@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Distributed strong simulation over a partitioned graph (Section 4.3).
 
-The locality of strong simulation makes it distributable: each site
-evaluates the balls centered at its own nodes, fetching only the
-boundary-crossing ball regions from its peers.  This script partitions a
-synthetic social network across simulated sites with two different
-partitioners, runs the coordinator protocol, verifies the answer equals
-the centralized one, and reports the measured data shipment against the
-paper's bound.
+The locality of strong simulation makes it distributable: the sites
+first agree on the dual-simulation relation (the dual filter), then each
+site evaluates the balls centered at its own surviving nodes, fetching
+only the boundary-crossing ball regions from its peers.  This script
+partitions a synthetic social network across simulated sites with two
+different partitioners, runs the coordinator protocol, verifies the
+answer equals the centralized one, and reports the measured data
+shipment against the paper's bound.
 
 Run:  python examples/distributed_matching.py
 """

@@ -67,11 +67,11 @@ def main() -> None:
               {sg.signature() for sg in proc_report.result} == centralized)
         print("observation identical to in-process backend:",
               observation(proc_report) == observation(inproc_report))
-        kinds = proc_report.bus.units_by_kind()
-        print(f"traffic: fetch={kinds.get('fetch', 0)} units "
-              f"(the Sec. 4.3 accounted shipment), "
-              f"query={kinds.get('query', 0)}, "
-              f"result={kinds.get('result', 0)}")
+        kinds = proc_report.units_by_kind()
+        listed = ", ".join(f"{kind}={units}" for kind, units in kinds.items())
+        print(f"traffic: {len(proc_report.query_log)} messages, "
+              f"{sum(kinds.values())} units ({listed}); fetch is the "
+              f"Sec. 4.3 accounted shipment")
 
         # --------------------------------------------------------------
         # 2. Warm worker processes: compile once, survive updates.

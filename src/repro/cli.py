@@ -275,11 +275,11 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
         fragment = cluster.workers[site].fragment
         print(f"  site {site}: |V|={fragment.num_nodes} "
               f"partial subgraphs={count}")
-    kinds = report.bus.units_by_kind()
-    print(f"traffic: {report.bus.total_messages} messages, "
-          f"{report.bus.total_units} units "
-          f"(query={kinds.get('query', 0)}, fetch={kinds.get('fetch', 0)}, "
-          f"result={kinds.get('result', 0)})")
+    # This query's own charges (a replayed report carries them too).
+    kinds = report.units_by_kind()
+    listed = ", ".join(f"{kind}={units}" for kind, units in kinds.items())
+    print(f"traffic: {len(report.query_log)} messages, "
+          f"{sum(kinds.values())} units ({listed})")
     print(f"data shipment (Sec. 4.3 accounted volume): "
           f"{report.data_shipment_units} units")
     if cache_line is not None:

@@ -144,6 +144,13 @@ class TestDistributedCommand:
         out = capsys.readouterr().out
         assert "data shipment" in out
         assert "distributed cache" not in out
+        # Every traffic kind is listed, and the kinds add up to the
+        # printed total.
+        (line,) = [x for x in out.splitlines() if x.startswith("traffic:")]
+        head, listed = line[:-1].split(" (")
+        kinds = dict(field.split("=") for field in listed.split(", "))
+        assert set(kinds) == {"query", "filter", "fetch", "result"}
+        assert head.endswith(f" {sum(int(v) for v in kinds.values())} units")
 
     def test_repeat_reports_cache_accounting(
         self, tmp_path, graph_file, pattern_file, capsys

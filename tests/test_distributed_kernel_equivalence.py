@@ -8,16 +8,28 @@ protocol that identity is three-fold: the deduplicated result set Θ, the
 per-site partial-subgraph counts, and the complete message-bus
 accounting (message count, units per kind, units per directed link —
 hence also the Section 4.3 data-shipment volume).
+
+The distributed dual filter gets its own checks below: each site's
+surviving centers are its nodes of the centralized dual-simulation
+relation, each site's partial count is what centralized ``Match``
+finds from that site's centers, and a hand-built removal chain that
+crosses the cut three times logs exactly its ``filter`` charges.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from typing import Dict, List
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.digraph import DiGraph
+from repro.core.dualsim import dual_simulation
+from repro.core.pattern import Pattern
 from repro.core.strong import match
 from repro.distributed import (
     PARTITIONERS,
@@ -26,6 +38,7 @@ from repro.distributed import (
     crossing_ball_bound,
     hash_partition,
 )
+from repro.distributed.worker import SiteWorker
 from repro.datasets.paper_figures import data_g1, pattern_q1
 from repro.datasets.patterns import sample_pattern_from_data
 
@@ -40,6 +53,7 @@ from tests.engines import (
     ENGINES,
     assert_all_entry_points_identical,
     assert_entry_point_identical,
+    available_backends,
     canonical_result,
     cluster_observation,
     run_entry_point,
@@ -231,5 +245,115 @@ class TestRandomizedClusterEquivalence:
             assert observed[engine] == reference
         # And the distributed result agrees with centralized Match.
         assert reference["result"] == canonical_result(
+            match(pattern, data, engine="python")
+        )
+
+
+# ----------------------------------------------------------------------
+# The distributed dual filter
+# ----------------------------------------------------------------------
+@contextmanager
+def recorded_centers():
+    """The centers each in-process site evaluates, by site."""
+    seen: Dict[int, List] = {}
+
+    def spying(original):
+        def spy(self, pattern, radius, centers):
+            seen[self.fragment.site_id] = list(centers)
+            return original(self, pattern, radius, centers)
+
+        return spy
+
+    with mock.patch.object(
+        SiteWorker, "_match_local_python",
+        spying(SiteWorker._match_local_python),
+    ), mock.patch.object(
+        SiteWorker, "_match_local_kernel",
+        spying(SiteWorker._match_local_kernel),
+    ):
+        yield seen
+
+
+def ping_pong_fixture():
+    """Two sites; one removal crosses the cut, comes back, crosses again.
+
+    ``a0 <-> b0`` is a stable cycle on site 0 for the 2-cycle pattern.
+    The chain ``a0 -> b1 -> a2 -> b2`` alternates sites; ``b2`` has no
+    child, so it loses its candidate (site 1 tells site 0), then ``a2``
+    (site 0 tells site 1), then ``b1`` (site 1 tells site 0).  ``a0``
+    keeps its candidate through ``b0``.
+    """
+    data = DiGraph.from_parts(
+        {"a0": "A", "b0": "B", "b1": "B", "a2": "A", "b2": "B"},
+        [("a0", "b0"), ("b0", "a0"), ("a0", "b1"), ("b1", "a2"),
+         ("a2", "b2")],
+    )
+    assignment = {"a0": 0, "b0": 0, "a2": 0, "b1": 1, "b2": 1}
+    pattern = Pattern.build({"u1": "A", "u2": "B"},
+                            [("u1", "u2"), ("u2", "u1")])
+    return pattern, data, assignment
+
+
+class TestDistributedDualFilter:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=graph_seeds,
+        pattern_seed=pattern_seeds,
+        num_sites=st.integers(min_value=1, max_value=4),
+        sampled=st.booleans(),
+    )
+    def test_survivors_are_the_global_dual_relation(
+        self, seed, pattern_seed, num_sites, sampled
+    ):
+        data = random_digraph(seed, max_nodes=14, edge_prob=0.3)
+        pattern = None
+        if sampled:
+            pattern = sample_pattern_from_data(data, 3, seed=pattern_seed)
+        if pattern is None:
+            pattern = random_connected_pattern(pattern_seed, max_nodes=3)
+        assignment = random_assignment(data, num_sites, seed ^ pattern_seed)
+        relation = dual_simulation(pattern, data)
+        related = set().union(
+            *(relation.matches_of_raw(u) for u in relation.pattern_nodes())
+        )
+        for engine in ENGINES:
+            cluster = Cluster(data, assignment, num_sites, engine=engine)
+            with recorded_centers() as centers:
+                report = cluster.run(pattern)
+            for site, worker in cluster.workers.items():
+                owned = list(worker.fragment.labels)
+                # Survivors, in fragment order: the owned nodes of the
+                # centralized relation (collapse included).
+                assert centers[site] == [v for v in owned if v in related]
+                # An oracle that does not use the filter: centralized
+                # Match from each owned center.
+                assert report.per_site_subgraphs[site] == sum(
+                    len(match(pattern, data, centers=[v], engine="python"))
+                    for v in owned
+                )
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_removal_chain_crossing_the_cut_three_times(
+        self, engine, backend
+    ):
+        pattern, data, assignment = ping_pong_fixture()
+        with Cluster(
+            data, assignment, 2, engine=engine, backend=backend
+        ) as cluster:
+            report = cluster.run(pattern)
+        filter_log = [e for e in report.query_log if e[2] == "filter"]
+        assert filter_log == [
+            # Round 0: border candidates a0, a2 and b1, b2 announced.
+            (0, 1, "filter", 2),
+            (1, 0, "filter", 2),
+            # Rounds 1-3: b2 loses u2, a2 loses u1, b1 loses u2.
+            (1, 0, "filter", 1),
+            (0, 1, "filter", 1),
+            (1, 0, "filter", 1),
+        ]
+        # Only the stable cycle survives: both of its balls match.
+        assert report.per_site_subgraphs == {0: 2, 1: 0}
+        assert canonical_result(report.result) == canonical_result(
             match(pattern, data, engine="python")
         )

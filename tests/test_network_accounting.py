@@ -6,17 +6,26 @@ The Section 4.3 claim is quantitative, so the accounting machinery in
 silently-dropped fetch would invalidate every traffic number the
 benchmarks report.  These tests pin the previously untested failure
 paths: the fetch-once-per-query cache (on both engines), monotonicity of
-``data_units()``, kind/link/total consistency, and the ownership errors
-a mis-routed ``serve_node`` must raise.
+``data_units()``, kind/link/total consistency, the bound on the dual
+filter's ``filter`` traffic, and the ownership errors a mis-routed
+``serve_node`` must raise.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
 from repro.core.digraph import DiGraph
 from repro.datasets.patterns import sample_pattern_from_data
-from repro.distributed import Cluster, MessageBus, hash_partition
+from repro.distributed import (
+    Cluster,
+    MessageBus,
+    bfs_partition,
+    crossing_ball_bound,
+    hash_partition,
+)
 from repro.distributed.fragment import fragment_graph
 from repro.distributed.network import Message
 from repro.distributed.worker import SiteWorker
@@ -166,6 +175,47 @@ class TestWorkerFetchAccounting:
                 previous = current
             assert deltas[0] > 0
             assert deltas[0] == deltas[1] == deltas[2]
+
+
+def filter_bound(pattern, graph, assignment) -> int:
+    """2 x the sum, over (border node, reader site), of the node's label
+    candidates: each such triple is announced once and removed at most
+    once."""
+    candidates = Counter(pattern.label(u) for u in pattern.nodes())
+    triples = 0
+    for node in graph.nodes():
+        readers = {assignment[n] for n in graph.neighbors(node)}
+        readers.discard(assignment[node])
+        triples += len(readers) * candidates[graph.label(node)]
+    return 2 * triples
+
+
+class TestFilterAccounting:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_filter_units_bounded_by_border_candidates(
+        self, engine, small_synthetic
+    ):
+        checked = 0
+        for sites, partition in ((2, bfs_partition), (4, hash_partition)):
+            assignment = partition(small_synthetic, sites)
+            cluster = Cluster(small_synthetic, assignment, sites,
+                              engine=engine)
+            for seed in range(4):
+                pattern = sample_pattern_from_data(small_synthetic, 4,
+                                                   seed=seed)
+                if pattern is None:
+                    continue
+                report = cluster.run(pattern)
+                units = report.units_by_kind()
+                assert 0 < units["filter"] <= filter_bound(
+                    pattern, small_synthetic, assignment
+                )
+                # The Sec. 4.3 bound on fetch traffic is unchanged.
+                assert report.data_shipment_units <= crossing_ball_bound(
+                    small_synthetic, assignment, pattern.diameter
+                )
+                checked += 1
+        assert checked
 
 
 class TestServeNodeOwnership:

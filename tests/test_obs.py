@@ -414,6 +414,43 @@ class TestMergedTrace:
         assert "distributed.run" in text and "bus traffic:" in text
 
     @pytest.mark.parametrize("backend", BACKENDS)
+    def test_filter_span_accounts_the_filter_traffic(self, workload, backend):
+        from repro.core.dualsim import dual_simulation
+
+        data, pattern, assignment = workload
+        with Cluster(
+            data, assignment, 3, engine="kernel", backend=backend
+        ) as cluster:
+            collector().clear()
+            previous = set_tracing(True)
+            try:
+                reports = [cluster.run(pattern), cluster.run(pattern)]
+            finally:
+                set_tracing(previous)
+        roots = collector().roots()
+        # Still one merged root per query.
+        assert [root.name for root in roots] == ["distributed.run"] * 2
+        relation = dual_simulation(pattern, data)
+        related = set().union(
+            *(relation.matches_of_raw(u) for u in relation.pattern_nodes())
+        )
+        for root, report in zip(roots, reports):
+            (span,) = [
+                c for c in root.children if c.name == "coordinator.filter"
+            ]
+            filter_log = [e for e in report.query_log if e[2] == "filter"]
+            assert span.attrs["filter.units"] == sum(e[3] for e in filter_log)
+            assert span.attrs["filter.units"] > 0
+            assert span.attrs["filter.messages"] == len(filter_log)
+            assert span.attrs["filter.rounds"] >= 2
+            assert span.attrs["filter.survivors"] == len(related)
+            balls = [
+                c.attrs["balls"] for c in root.children
+                if c.name == "site.evaluate"
+            ]
+            assert sum(balls) == len(related)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_worker_stats_are_per_site(self, workload, backend):
         data, pattern, assignment = workload
         with Cluster(
