@@ -138,10 +138,10 @@ class DistributedRunReport:
     query_log:
         The ``(sender, receiver, kind, units)`` charges this query alone
         put on the bus, in charge order: ``query``, then ``filter`` by
-        (round, sender, receiver), then ``fetch``, then ``result``.  ``Cluster.run`` holds the
-        protocol lock for the whole evaluation, so the slice is exact;
-        replaying it onto a fresh bus reproduces the query's accounting
-        byte-identically.
+        (round, sender, receiver), then ``fetch``, then ``result``.
+        ``Cluster.run`` holds the protocol lock for the whole
+        evaluation, so the slice is exact; replaying it onto a fresh bus
+        reproduces the query's accounting byte-identically.
     """
 
     result: MatchResult

@@ -353,7 +353,7 @@ class ProcessTransport(Transport):
 
     def filter_round(self, inboxes):
         for site, inbox in inboxes.items():
-            self._conns[site].send(("filter", tuple(inbox)))
+            self._conns[site].send(("filter", inbox))
         return self._filter_replies(inboxes)
 
     def _filter_replies(self, sites) -> Dict[int, FilterReply]:
@@ -362,7 +362,9 @@ class ProcessTransport(Transport):
         for site in sites:
             reply = self._recv(site)
             if reply[0] != "filter":
-                raise self._fail(f"site {site} dual filter failed:\n{reply[1]}")
+                raise self._fail(
+                    f"site {site} dual filter failed:\n{reply[1]}"
+                )
             replies[site] = (reply[1], reply[2])
         return replies
 
