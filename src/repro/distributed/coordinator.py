@@ -497,9 +497,10 @@ class Cluster:
         (it is each site's first refinement); a later round goes only to
         the sites with mail, since no other site's sets can change.  The
         loop ends after the first round k ≥ 1 in which no site sends.
-        Each non-empty payload is one ``filter`` message of one unit per
-        (data node, pattern node) pair, charged here in (round, sender,
-        receiver) order, so both backends log it identically.  Returns
+        Each payload (sites address only non-empty ones) is one
+        ``filter`` message of one unit per (data node, pattern node)
+        pair, charged here in (round, sender, receiver) order, so both
+        backends log it identically.  Returns
         ``(rounds run, messages, units, surviving centers)``.
         """
         replies = self._transport.begin(pattern, radius, engine)
@@ -513,8 +514,6 @@ class Cluster:
                 for receiver in sorted(outbox):
                     payload = outbox[receiver]
                     amount = sum(len(entry[1]) for entry in payload)
-                    if not amount:
-                        continue
                     self.bus.send(sender, receiver, "filter", amount)
                     messages += 1
                     units += amount

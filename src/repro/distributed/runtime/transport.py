@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.core.digraph import Node
 from repro.core.pattern import Pattern
@@ -61,6 +61,7 @@ from repro.distributed.runtime.wire import (
     encode_fragment,
     encode_pattern,
 )
+from repro.distributed.sitefilter import FilterEntry
 from repro.distributed.worker import FilterReply, SiteWorker
 from repro.exceptions import DistributedError
 from repro.obs.trace import tracing_enabled
@@ -106,9 +107,9 @@ def _make_context():
     )
 
 
-#: The mail one site receives in one filter round: ``(node, pattern
-#: nodes)`` entries from every sender, in sender order.
-Inbox = Iterable[Tuple[Node, Tuple[Node, ...]]]
+#: The mail one site receives in one filter round: the entries of
+#: every sender, in sender order.
+Inbox = Iterable[FilterEntry]
 
 
 class Transport:

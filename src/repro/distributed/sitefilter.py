@@ -48,8 +48,11 @@ from repro.core.digraph import Label, Node
 from repro.core.pattern import Pattern
 from repro.distributed.fragment import Fragment
 
-#: The ``(node, pattern nodes)`` entries one site sends another.
-FilterPayload = Tuple[Tuple[Node, Tuple[Node, ...]], ...]
+#: One data node with the pattern nodes it announces or loses.
+FilterEntry = Tuple[Node, Tuple[Node, ...]]
+
+#: The entries one site sends another in one round.
+FilterPayload = Tuple[FilterEntry, ...]
 
 #: One site's sends of one round, by receiving site.
 FilterOutbox = Dict[int, FilterPayload]
@@ -111,9 +114,7 @@ class SiteFilter:
             {node: by_label[labels[node]] for node in self._readers}
         )
 
-    def refine(
-        self, inbox: Iterable[Tuple[Node, Tuple[Node, ...]]]
-    ) -> FilterOutbox:
+    def refine(self, inbox: Iterable[FilterEntry]) -> FilterOutbox:
         """Round k ≥ 1: apply ``inbox`` to the ghosts, refine, send losses.
 
         The first inbox holds the peers' round-0 announcements and seeds

@@ -50,7 +50,7 @@ unmaterialized stubs outside the ball are never touched.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 from repro.core.digraph import Label, Node
 from repro.core.kernel import (
@@ -76,12 +76,10 @@ FetchManyFn = Callable[[List[Node]], List[NodeRecord]]
 class SiteGraphIndex(GrowableCSRIndex):
     """One site's fragment compiled to integer ids + growable CSR rows.
 
-    Owned nodes are interned first, in fragment insertion order (which is
-    data-graph node order restricted to the site, so per-site center
-    iteration matches the reference path); their ids are collected in
-    :attr:`owned_ids`.  Remote nodes are interned on first sight; a
-    remote id is *materialized* once its record has been fetched and its
-    label and adjacency rows filled in.
+    Owned nodes are interned first, in fragment insertion order, and
+    flagged in :attr:`is_owned`.  Remote nodes are interned on first
+    sight; a remote id is *materialized* once its record has been
+    fetched and its label and adjacency rows filled in.
 
     The row layout is inherited from
     :class:`~repro.core.kernel.GrowableCSRIndex` — the same layout
@@ -89,33 +87,20 @@ class SiteGraphIndex(GrowableCSRIndex):
     fixpoint and extraction helpers run on either index unchanged.
     """
 
-    __slots__ = ("materialized", "is_owned", "owned_ids", "_remote_live")
+    __slots__ = ("materialized", "is_owned", "_remote_live")
 
     def __init__(self, fragment: Fragment) -> None:
         super().__init__()
         self.materialized: List[bool] = []
         self.is_owned: List[bool] = []
-        # Insertion-ordered dict used as an ordered set: iteration is
-        # fragment insertion order (center order of the reference path),
-        # membership removal is O(1) even mid-stream.
-        self.owned_ids: Dict[int, None] = {}
         self._remote_live = 0  # currently materialized remote nodes
-        # Intern every owned node first so owned ids enumerate in
-        # fragment insertion order.
         for node in fragment.labels:
-            i = self._intern(node)
-            self.is_owned[i] = True
-            self.owned_ids[i] = None
+            self.is_owned[self._intern(node)] = True
         labels = fragment.labels
         succ = fragment.succ
         pred = fragment.pred
         for node, i in list(self.index_of.items()):
             self._fill(i, labels[node], succ[node], pred[node])
-
-    @property
-    def num_owned(self) -> int:
-        """Number of (live) owned nodes."""
-        return len(self.owned_ids)
 
     # ------------------------------------------------------------------
     def _intern(self, node: Node) -> int:
@@ -180,12 +165,10 @@ class SiteGraphIndex(GrowableCSRIndex):
         self.is_owned[i] = True
         self.materialized[i] = True
         self.labels[i] = label
-        self.owned_ids[i] = None
 
     def remove_owned_node(self, node: Node) -> None:
         """Tombstone an owned node whose incident edges are already gone."""
         i = self.index_of.pop(node)
-        del self.owned_ids[i]
         self.is_owned[i] = False
         self.materialized[i] = False
         self.labels[i] = None
@@ -255,7 +238,7 @@ class SiteGraphIndex(GrowableCSRIndex):
 
     def __repr__(self) -> str:
         return (
-            f"SiteGraphIndex(owned={self.num_owned}, "
+            f"SiteGraphIndex(owned={sum(self.is_owned)}, "
             f"interned={len(self.nodes)}, "
             f"materialized={sum(self.materialized)})"
         )

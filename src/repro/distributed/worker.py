@@ -61,7 +61,11 @@ from repro.core.result import PerfectSubgraph
 from repro.core.strong import extract_max_perfect_subgraph
 from repro.distributed.fragment import Fragment
 from repro.distributed.network import MessageBus
-from repro.distributed.sitefilter import FilterOutbox, SiteFilter
+from repro.distributed.sitefilter import (
+    FilterEntry,
+    FilterOutbox,
+    SiteFilter,
+)
 from repro.distributed.sitekernel import (
     NodeRecord,
     SiteGraphIndex,
@@ -390,16 +394,10 @@ class SiteWorker:
         self._filter = SiteFilter(self.fragment, pattern)
         return self._filter.announce(), len(self._filter.survivors())
 
-    def filter_round(
-        self, inbox: Iterable[Tuple[Node, Tuple[Node, ...]]]
-    ) -> FilterReply:
+    def filter_round(self, inbox: Iterable[FilterEntry]) -> FilterReply:
         """One dual-filter round k ≥ 1 over what the peers sent."""
-        if self._filter is None:
-            raise DistributedError(
-                f"site {self.fragment.site_id} has no query in flight"
-            )
-        outbox = self._filter.refine(inbox)
-        return outbox, len(self._filter.survivors())
+        site_filter = self._filter_in_flight()
+        return site_filter.refine(inbox), len(site_filter.survivors())
 
     def match_local(self) -> List[PerfectSubgraph]:
         """Run per-ball strong simulation around every surviving center.
@@ -409,12 +407,8 @@ class SiteWorker:
         result Θ_i (possibly containing subgraphs that other sites also
         discover; the coordinator dedups).
         """
-        if self._filter is None:
-            raise DistributedError(
-                f"site {self.fragment.site_id} has no query in flight"
-            )
+        survivors = self._filter_in_flight().survivors()
         pattern, radius, resolved = self._query
-        survivors = self._filter.survivors()
         self._query = self._filter = None
         centers = [node for node in self.fragment.labels if node in survivors]
         self.queries_served += 1
@@ -437,6 +431,13 @@ class SiteWorker:
                 )
         self.last_span = _sp if _sp.enabled else None
         return partial
+
+    def _filter_in_flight(self) -> SiteFilter:
+        if self._filter is None:
+            raise DistributedError(
+                f"site {self.fragment.site_id} has no query in flight"
+            )
+        return self._filter
 
     def _match_local_python(
         self, pattern: Pattern, radius: int, centers: List[Node]

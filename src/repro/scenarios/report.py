@@ -5,9 +5,9 @@
 halves (the correctness gate: the result half always, the traffic half
 of distributed cases where pinned), cache behavior, execution counts,
 and — for distributed cases — exact bus traffic and the trace
-cross-check.  It carries no timings; perfbench (``perfbench/``) is the one latency
-source.  :func:`matrix_payload` folds case reports into the shared
-result envelope's payload.
+cross-check.  It carries no timings; perfbench (``perfbench/``) is the
+one latency source.  :func:`matrix_payload` folds case reports into the
+shared result envelope's payload.
 """
 
 from __future__ import annotations
