@@ -21,9 +21,12 @@ exactly the payloads the runtime protocol ships:
   replayed verbatim onto the coordinator's bus so the protocol
   observation is byte-identical to the in-process backend.
 
-Cached distributed results have no wire form: a cluster's result store
-lives with the coordinator and never crosses a process boundary, so its
-payloads stay plain in-process tuples.
+Fetched node records and the dual filter's ``(node, pattern nodes)``
+entries cross as plain tuples of ids and labels, which the process
+backend already requires to be picklable.  Cached distributed results
+have no wire form: a cluster's result store lives with the coordinator
+and never crosses a process boundary, so its payloads stay plain
+in-process tuples.
 
 Every payload is wrapped ``(magic, version, kind, body)``.  Decoding
 validates all three header fields and the body shape and raises
