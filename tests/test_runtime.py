@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.pattern import Pattern
 from repro.core.strong import match
 from repro.datasets.paper_figures import data_g1, pattern_q1
 from repro.datasets.patterns import sample_pattern_from_data
@@ -251,7 +252,10 @@ class TestProcessRuntime:
     def test_worker_processes_keep_their_index_warm(self, small_synthetic):
         """Zero full recompiles across queries and an insertion stream:
         each worker process compiles its ``SiteGraphIndex`` exactly once
-        (``index_builds == 1``), and updates patch it in place."""
+        (``index_builds == 1``), and updates patch it in place.  The
+        first query compiles it even when no center survives the dual
+        filter, which is how a warm-up query with a label no node
+        carries prepares a cluster."""
         pattern = sample_pattern_from_data(small_synthetic, 4, seed=2)
         assert pattern is not None
         assignment = bfs_partition(small_synthetic, 3)
@@ -259,6 +263,10 @@ class TestProcessRuntime:
             small_synthetic, assignment, 3, engine="kernel",
             backend="processes",
         ) as cluster:
+            warm_up = cluster.run(Pattern.build({"warm": "\x00none"}, []))
+            assert not warm_up.result
+            first = cluster.worker_stats()
+            assert all(s["index_builds"] == 1 for s in first.values())
             cluster.run(pattern)
             first = cluster.worker_stats()
             assert all(s["index_builds"] == 1 for s in first.values())
@@ -274,7 +282,7 @@ class TestProcessRuntime:
             assert all(s["index_builds"] == 1 for s in after.values()), (
                 "an insertion stream must not recompile any site index"
             )
-            assert all(s["queries_served"] == 3 for s in after.values())
+            assert all(s["queries_served"] == 4 for s in after.values())
 
     def test_closed_transport_fails_loud(self, small_synthetic):
         pattern = sample_pattern_from_data(small_synthetic, 3, seed=5)
