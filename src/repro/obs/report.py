@@ -20,10 +20,14 @@ __all__ = ["PhaseRow", "QueryReport"]
 _PHASE_ATTRS = (
     "site",
     "engine",
+    "balls",
     "partial",
     "fetch.round_trips",
     "fetch.records",
     "fetch.units",
+    "filter.rounds",
+    "filter.units",
+    "filter.survivors",
     "balls.scanned",
     "balls.matched",
     "outcome",
