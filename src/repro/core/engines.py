@@ -10,17 +10,23 @@ The paper's algorithms run on three execution engines.  Every row of
     the decision ``Q ≺_LD G`` with early exit —
     ``(pattern, data) -> bool``;
 ``match_plus``
-    the matching core of ``Match+`` (Sec. 4.2) on the already minimized
-    working pattern — ``(pattern, data, radius, use_dual_filter=True,
-    use_pruning=True, restrict_centers_by_label=True) -> MatchResult``;
+    the matching core of ``Match+`` (Sec. 4.2) with every optimization
+    on, over the already minimized working pattern —
+    ``(pattern, data, radius) -> MatchResult``.  Only the reference
+    cell also takes the ablation toggles (``use_dual_filter``,
+    ``use_pruning``, ``restrict_centers_by_label``);
+    :func:`repro.core.matchplus.match_plus` sends every non-default
+    toggle there;
 ``dual`` / ``sim``
     the maximum dual / graph simulation relation —
     ``(pattern, data) -> MatchRelation``;
 
-plus ``compiled``, read by the stateful substrates (the incremental
-classes of :mod:`repro.core.incremental` and the distributed site
-workers).  Those keep exactly two implementations — the reference dicts
-and the compiled kernel index — and ``compiled`` picks one.
+plus ``compiled``, read by :class:`~repro.core.incremental.IncrementalMatcher`
+and the distributed site workers.  Those keep exactly two
+implementations — the reference dicts and the compiled kernel index —
+and ``compiled`` picks one.
+:class:`~repro.core.incremental.IncrementalDualSimulation` calls the
+``dual`` cell instead.
 
 The rows:
 

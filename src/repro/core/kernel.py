@@ -1062,11 +1062,7 @@ def _batch_prefilter(
 
 
 def _dual_sim_eager(
-    cp: _CompiledPattern,
-    gi: GraphIndex,
-    sim: List[Set[int]],
-    cnt_down: Optional[List[Dict[int, int]]] = None,
-    cnt_up: Optional[List[Dict[int, int]]] = None,
+    cp: _CompiledPattern, gi: GraphIndex, sim: List[Set[int]]
 ) -> bool:
     """Full counter fixpoint from arbitrary seeds (not known to be valid).
 
@@ -1076,13 +1072,6 @@ def _dual_sim_eager(
     deletions with O(1) decrements.  Used for the global dual simulation
     and for per-ball ``DualSim`` from label seeds.  Refines ``sim`` in
     place; ``False`` on collapse.
-
-    ``cnt_down`` / ``cnt_up`` (one empty dict per pattern edge) may be
-    supplied by callers that want to keep the witness counters after the
-    fixpoint — :class:`~repro.core.incremental.IncrementalDualSimulation`
-    decrements them across later deletions instead of recounting.  The
-    counter invariant at return: every stored count for a *surviving*
-    candidate is exact; missing entries are recomputed lazily on touch.
     """
     if not _batch_prefilter(cp, gi, sim):
         return False
@@ -1090,10 +1079,8 @@ def _dual_sim_eager(
     rev = gi.rev_rows
     edges = cp.edges
     num_edges = len(edges)
-    if cnt_down is None:
-        cnt_down = [{} for _ in range(num_edges)]
-    if cnt_up is None:
-        cnt_up = [{} for _ in range(num_edges)]
+    cnt_down: List[Dict[int, int]] = [{} for _ in range(num_edges)]
+    cnt_up: List[Dict[int, int]] = [{} for _ in range(num_edges)]
     pending: Deque[Pair] = deque()
     push = pending.append
     for e in range(num_edges):
@@ -1337,19 +1324,17 @@ def _ball_bfs(
 
 def _center_component(
     gi: GraphIndex, center: int, sim: List[Set[int]]
-) -> Optional[Set[int]]:
+) -> Set[int]:
     """Connectivity pruning (Example 6): the center's candidate component.
 
     The undirected component of ``center`` within the union of candidate
     sets (candidates are ball-restricted already, so ``w in union``
-    subsumes ball membership).  ``None`` when the center is no candidate —
-    the ball can be skipped outright, as ``ExtractMaxPG`` would return nil.
+    subsumes ball membership).  The center is a candidate itself: only
+    nodes of the global dual-simulation relation are ball centers.
     """
     union: Set[int] = set()
     for s in sim:
         union |= s
-    if center not in union:
-        return None
     rows = gi.und_rows
     component = {center}
     add = component.add
@@ -1451,7 +1436,6 @@ def _match_ball(
     gi: GraphIndex,
     center: int,
     radius: int,
-    use_pruning: bool = False,
     seen: Optional[Set[Tuple[FrozenSet[int], FrozenSet[Pair]]]] = None,
 ) -> Optional[PerfectSubgraph]:
     """One iteration of algorithm ``Match``: ball + DualSim + ExtractMaxPG.
@@ -1467,13 +1451,6 @@ def _match_ball(
         sim.append({v for v in group if stamp[v] == epoch})
         if not sim[u]:
             return None
-    if use_pruning:
-        component = _center_component(gi, center, sim)
-        if component is None:
-            return None
-        sim = [s & component for s in sim]
-        if not all(sim):
-            return None
     if not _dual_sim_eager(cp, gi, sim):
         return None
     return _extract_perfect_subgraph(cp, gi, center, sim, seen)
@@ -1485,7 +1462,6 @@ def _refine_ball(
     center: int,
     radius: int,
     sim_global: List[Set[int]],
-    use_pruning: bool,
     seen: Optional[Set[Tuple[FrozenSet[int], FrozenSet[Pair]]]] = None,
 ) -> Optional[PerfectSubgraph]:
     """The ``dualFilter`` step of ``Match+`` on a restricted ball.
@@ -1509,14 +1485,11 @@ def _refine_ball(
 
     pending: Deque[Pair] = deque()
     push = pending.append
-    if use_pruning:
-        component = _center_component(gi, center, sim)
-        if component is None:
-            return None
-        for u in range(cp.size):
-            for v in sim[u]:
-                if v not in component:
-                    push((u, v))
+    component = _center_component(gi, center, sim)
+    for u in range(cp.size):
+        for v in sim[u]:
+            if v not in component:
+                push((u, v))
 
     # Border seeding (lines 2–5 of Fig. 5): iterate the (small) candidate
     # sets and test border membership, not the other way around.  Witness
@@ -1663,25 +1636,21 @@ def kernel_matches_via_strong_simulation(
 
 
 def kernel_match_plus(
-    pattern: Pattern,
-    data: DiGraph,
-    radius: int,
-    use_dual_filter: bool = True,
-    use_pruning: bool = True,
-    restrict_centers_by_label: bool = True,
+    pattern: Pattern, data: DiGraph, radius: int
 ) -> MatchResult:
     """The matching core of ``Match+`` on the kernel engine.
 
     ``pattern`` is the (possibly minimized) working pattern and ``radius``
     the original diameter — minimization happens in the caller
-    (:func:`repro.core.matchplus.match_plus`), which owns the option
-    handling.  Output-identical to the reference path for every option
-    combination: same perfect subgraphs with the same match relations.
-    Only the incidental ``PerfectSubgraph.center`` attribution (which of
-    the equivalent discovering centers is recorded first) can differ on
-    the dual-filter path, because the reference implementation iterates
-    the matched-node *set* while the kernel visits centers in graph node
-    order.
+    (:func:`repro.core.matchplus.match_plus`).  Runs the composition
+    with every optimization on: the global dual filter, restricted balls
+    around its matched nodes, connectivity pruning and border-seeded
+    refinement.  Output-identical to the reference path: same perfect
+    subgraphs with the same match relations.  Only the incidental
+    ``PerfectSubgraph.center`` attribution (which of the equivalent
+    discovering centers is recorded first) can differ, because the
+    reference implementation iterates the matched-node *set* while the
+    kernel visits centers in graph node order.
     """
     with _obs_span("kernel.match_plus") as _sp:
         gi = get_index(data)
@@ -1696,58 +1665,32 @@ def kernel_match_plus(
         result = MatchResult(pattern)
 
         with gi.reading():
-            if use_dual_filter:
-                with _obs_span("kernel.global_dual_filter"):
-                    sim_global = _seed_by_label_full(cp, gi)
-                    filtered = all(sim_global) and _dual_sim_eager(
-                        cp, gi, sim_global
-                    )
-                if not filtered:
-                    _sp.set(**{"balls.scanned": 0, "balls.matched": 0})
-                    return result
-                matched: Set[int] = set()
-                for s in sim_global:
-                    matched |= s
-                seen: Set[Tuple[FrozenSet[int], FrozenSet[Pair]]] = set()
-                with _obs_span("kernel.ball_scan"):
-                    for center in range(gi.n):
-                        if center not in matched:
-                            continue
-                        subgraph = _refine_ball(
-                            cp, gi, center, radius, sim_global, use_pruning,
-                            seen=seen,
-                        )
-                        if subgraph is not None:
-                            result.add(subgraph)
-                if _sp.enabled:
-                    _sp.set(
-                        **{
-                            "balls.scanned": len(matched),
-                            "balls.matched": len(result),
-                        }
-                    )
+            with _obs_span("kernel.global_dual_filter"):
+                sim_global = _seed_by_label_full(cp, gi)
+                filtered = all(sim_global) and _dual_sim_eager(
+                    cp, gi, sim_global
+                )
+            if not filtered:
+                _sp.set(**{"balls.scanned": 0, "balls.matched": 0})
                 return result
-
-            # Dual filter off: per-ball dual simulation from label seeds.
-            labels = gi.labels
-            if restrict_centers_by_label:
-                pattern_labels = set(cp.labels)
-                center_ids: Iterable[int] = (
-                    i for i in range(gi.n) if labels[i] in pattern_labels
-                )
-            else:
-                center_ids = (
-                    i for i in range(gi.n) if labels[i] is not _DEAD
-                )
-            seen = set()
+            matched: Set[int] = set()
+            for s in sim_global:
+                matched |= s
+            seen: Set[Tuple[FrozenSet[int], FrozenSet[Pair]]] = set()
             with _obs_span("kernel.ball_scan"):
-                for center in center_ids:
-                    subgraph = _match_ball(
-                        cp, gi, center, radius, use_pruning=use_pruning,
-                        seen=seen,
+                for center in range(gi.n):
+                    if center not in matched:
+                        continue
+                    subgraph = _refine_ball(
+                        cp, gi, center, radius, sim_global, seen=seen
                     )
                     if subgraph is not None:
                         result.add(subgraph)
             if _sp.enabled:
-                _sp.set(**{"balls.matched": len(result)})
+                _sp.set(
+                    **{
+                        "balls.scanned": len(matched),
+                        "balls.matched": len(result),
+                    }
+                )
             return result

@@ -25,10 +25,14 @@ argument and runs the ``match_plus`` cell of that engine's row in
 path below (:func:`match_plus_reference`), ``"kernel"`` the same
 algorithm over the compiled CSR kernel of :mod:`repro.core.kernel`, and
 ``"numpy"`` refines all balls of the scan in one batched array fixpoint
-(:mod:`repro.core.npkernel`) — output-identical for every option
-combination.  The default ``"auto"`` picks by graph size.  Query
-minimization always happens here (pattern-side work is
-engine-independent).
+(:mod:`repro.core.npkernel`).  The default ``"auto"`` picks by graph
+size.  Query minimization always happens here (pattern-side work is
+engine-independent), so ``use_minimization`` works on every engine.
+The other three toggles are a feature of the reference cell alone: the
+compiled cells run only the composition with every optimization on, so
+turning one off runs the reference cell under ``"auto"`` and raises
+:class:`~repro.exceptions.MatchingError` for an explicit ``"kernel"`` or
+``"numpy"``.
 """
 
 from __future__ import annotations
@@ -40,12 +44,14 @@ from repro.core.ball import Ball, extract_ball, extract_ball_restricted
 from repro.core.digraph import DiGraph, Node
 from repro.core.dualfilter import dual_filter
 from repro.core.dualsim import dual_simulation
+from repro.core.kernel import resolve_engine
 from repro.core.matchrel import MatchRelation
 from repro.core.minimize import minimize_pattern
 from repro.core.pattern import Pattern
 from repro.core.pruning import prune_candidates_by_connectivity
 from repro.core.result import MatchResult, PerfectSubgraph
 from repro.core.strong import candidate_centers, extract_max_perfect_subgraph
+from repro.exceptions import MatchingError
 
 
 @dataclass(frozen=True)
@@ -65,6 +71,9 @@ class MatchPlusOptions:
     restrict_centers_by_label:
         When the dual filter is off, still skip ball centers whose label
         does not occur in the pattern (a cheap, always-sound restriction).
+
+    Turning off any of the last three runs on the reference engine only
+    (see :func:`match_plus`); minimization runs on every engine.
     """
 
     use_minimization: bool = True
@@ -85,6 +94,12 @@ def match_plus(
     :func:`repro.core.strong.match`.  ``engine`` selects the execution
     backend (``"auto"`` | ``"kernel"`` | ``"numpy"`` | ``"python"``, see
     module docstring); the result set is identical either way.
+
+    Options that turn off the dual filter, pruning or the label
+    restriction of centers run the reference cell,
+    ``ENGINE_TABLE["python"].match_plus``, under ``"auto"`` and
+    ``"python"``; with ``"kernel"`` or ``"numpy"`` they raise
+    :class:`~repro.exceptions.MatchingError`.
     """
     if options is None:
         options = MatchPlusOptions()
@@ -97,9 +112,24 @@ def match_plus(
         working_pattern = pattern
         radius = pattern.diameter
 
-    from repro.core.engines import engine_for  # the table imports this module
+    # The table imports this module.
+    from repro.core.engines import ENGINE_TABLE, engine_for
 
-    return engine_for(engine, data).match_plus(
+    if (
+        options.use_dual_filter
+        and options.use_pruning
+        and options.restrict_centers_by_label
+    ):
+        return engine_for(engine, data).match_plus(
+            working_pattern, data, radius
+        )
+    if engine != "auto" and resolve_engine(engine) != "python":
+        raise MatchingError(
+            f"engine={engine!r} runs Match+ with every optimization on; "
+            "the dual-filter, pruning and center toggles of "
+            "MatchPlusOptions run on engine='python' or 'auto'"
+        )
+    return ENGINE_TABLE["python"].match_plus(
         working_pattern,
         data,
         radius,
@@ -121,7 +151,8 @@ def match_plus_reference(
 
     ``pattern`` is the (possibly minimized) working pattern and
     ``radius`` the original diameter; :func:`match_plus` owns the option
-    handling and minimization.
+    handling and minimization.  The only ``match_plus`` cell that takes
+    the optimization toggles.
     """
     result = MatchResult(pattern)
 

@@ -43,7 +43,6 @@ except ImportError:  # pragma: no cover - exercised via a subprocess test
 
 from repro.core.digraph import DiGraph, Label
 from repro.core.kernel import (
-    _DEAD,
     GraphIndex,
     Pair,
     _CompiledPattern,
@@ -356,23 +355,21 @@ def _np_refine_all_balls(
     cp: _CompiledPattern,
     gi: GraphIndex,
     view: _ArrayView,
-    centers: "np.ndarray",
     radius: int,
     cand_global: "np.ndarray",
-    use_pruning: bool,
+    matched: "np.ndarray",
     seen: Set[Tuple[FrozenSet[int], FrozenSet[Pair]]],
     result: MatchResult,
 ) -> None:
-    """Project a global candidate relation onto every ball and re-refine.
+    """Project the global dual-filter relation onto every ball and re-refine.
 
-    ``cand_global`` is either the global dual-filter fixpoint (the
-    ``Match+`` fast path) or the plain label seeds (``Match`` and the
-    filterless option combinations) — in both cases the per-ball
-    greatest fixpoint below the ball-restricted projection is exactly
-    what the kernel's per-center loop computes.  The batched mirror of
-    that loop:
-    instead of touching one ball at a time, whole chunks of balls are
-    processed as a single array program —
+    ``cand_global`` is the global dual-filter fixpoint and ``matched``
+    its node mask.  Every matched node is a ball center, and the
+    per-ball greatest fixpoint below the ball-restricted projection
+    (after connectivity pruning) is exactly what the kernel's per-center
+    loop computes.  The batched mirror of that loop: instead of touching
+    one ball at a time, whole chunks of balls are processed as a single
+    array program —
 
     * a multi-ball BFS over flat ``ball * n + node`` keys grows every
       ball of the chunk at once (one boolean stamp of ``b * n`` pairs);
@@ -390,9 +387,7 @@ def _np_refine_all_balls(
     observes the kernel's exact sequence.  Chunking bounds the stamp at
     ``_MAX_PAIR_KEYS`` pair keys.
     """
-    if not centers.size:
-        return
-    matched = cand_global.any(axis=0)
+    centers = np.nonzero(matched)[0]
     chunk = max(1, _MAX_PAIR_KEYS // max(view.n, 1))
     for lo in range(0, centers.size, chunk):
         _np_refine_chunk(
@@ -403,7 +398,6 @@ def _np_refine_all_balls(
             radius,
             cand_global,
             matched,
-            use_pruning,
             seen,
             result,
         )
@@ -417,7 +411,6 @@ def _np_refine_chunk(
     radius: int,
     cand_global: "np.ndarray",
     matched: "np.ndarray",
-    use_pruning: bool,
     seen: Set[Tuple[FrozenSet[int], FrozenSet[Pair]]],
     result: MatchResult,
 ) -> None:
@@ -449,13 +442,12 @@ def _np_refine_chunk(
     # the candidate part of each ball — the dominant cost at density.
     # ``visited`` keeps the *full* ball stamp: ball membership is a
     # distance property of the whole graph, so the BFS above walks
-    # non-candidates, and the filter below must not affect it.
+    # non-candidates, and the filter below must not affect it.  Every
+    # center is a candidate, so each ball keeps at least its center.
     visited.reshape(b, n)[:] &= matched
     member_keys = np.nonzero(visited)[0]  # sorted: grouped by ball
     member_node = member_keys % n
     m = member_keys.size
-    if not m:
-        return  # no candidate-bearing member in any ball of the chunk
     seg_ptr = np.searchsorted(
         member_keys, np.arange(b + 1, dtype=np.int64) * n
     )
@@ -475,55 +467,30 @@ def _np_refine_chunk(
         out=union.rev_indptr[1:],
     )
 
-    if use_pruning:
-        # Batched ``_center_component``: one BFS seeded at every live
-        # center, restricted to candidate-bearing members.  Blocks are
-        # disjoint, so each ball gets exactly its own center component;
-        # a ball whose center has no candidate contributes no seed and
-        # its whole block prunes to empty.
-        union.und_indptr, union.und_indices, _ = _union_block_csr(
-            view.und_indptr, view.und_indices, member_keys, member_node,
-            visited,
-        )
-        # A center that is not itself a candidate was dropped from the
-        # members; its ball seeds nothing and prunes to empty, exactly
-        # like the kernel's ``_center_component`` returning ``None``.
-        center_pos = np.minimum(
-            np.searchsorted(member_keys, center_keys), m - 1
-        )
-        present = member_keys[center_pos] == center_keys
-        allowed = cand.any(axis=0)
-        comp = np.zeros(m, dtype=bool)
-        frontier = center_pos[present]
-        frontier = frontier[allowed[frontier]]
+    # Batched ``_center_component``: one BFS seeded at every center,
+    # over the candidate-bearing members.  Blocks are disjoint, so each
+    # ball gets exactly its own center component.
+    union.und_indptr, union.und_indices, _ = _union_block_csr(
+        view.und_indptr, view.und_indices, member_keys, member_node, visited
+    )
+    comp = np.zeros(m, dtype=bool)
+    frontier = np.searchsorted(member_keys, center_keys)
+    comp[frontier] = True
+    while frontier.size:
+        neigh = _gather_rows(union.und_indptr, union.und_indices, frontier)
+        frontier = np.unique(neigh[~comp[neigh]])
         comp[frontier] = True
-        while frontier.size:
-            neigh = _gather_rows(
-                union.und_indptr, union.und_indices, frontier
-            )
-            neigh = neigh[allowed[neigh] & ~comp[neigh]]
-            frontier = np.unique(neigh)
-            comp[frontier] = True
-        cand &= comp
+    cand &= comp
 
     if not _np_dual_fixpoint(union, cp, cand):
         return
     # Per-ball validity: every pattern row non-empty within the ball's
-    # segment.  Empty segments (a ball with no candidate-bearing member
-    # at all) are invalid outright and excluded from the reduceat — the
-    # surviving starts are strictly increasing, so each reduction spans
-    # exactly its own segment (an empty ball between two non-empty ones
-    # has equal boundary offsets and contributes nothing in between; a
-    # clamp-style workaround would instead truncate the last non-empty
-    # segment whenever trailing balls are empty).
-    seg_len = np.diff(seg_ptr)
-    valid = seg_len > 0
-    starts = seg_ptr[:-1][valid]
-    if starts.size:
-        ok = np.ones(starts.size, dtype=bool)
-        for u in range(cp.size):
-            ok &= np.maximum.reduceat(cand[u], starts)
-        valid[valid] = ok
+    # segment.  No segment is empty (it holds at least its center), so
+    # each ``reduceat`` reduction spans exactly its own segment.
+    valid = np.ones(b, dtype=bool)
+    starts = seg_ptr[:-1]
+    for u in range(cp.size):
+        valid &= np.maximum.reduceat(cand[u], starts)
     for i in np.nonzero(valid)[0].tolist():
         s, e = int(seg_ptr[i]), int(seg_ptr[i + 1])
         nodes_seg = member_node[s:e]
@@ -541,19 +508,14 @@ def _np_refine_chunk(
 # Public entry point — mirrors the kernel signature exactly
 # ======================================================================
 def np_match_plus(
-    pattern: Pattern,
-    data: DiGraph,
-    radius: int,
-    use_dual_filter: bool = True,
-    use_pruning: bool = True,
-    restrict_centers_by_label: bool = True,
+    pattern: Pattern, data: DiGraph, radius: int
 ) -> MatchResult:
     """The matching core of ``Match+`` on the numpy engine.
 
-    Same contract as :func:`repro.core.kernel.kernel_match_plus`:
-    output-identical for every option combination, with the centers on
-    the dual-filter path visited in ascending id order (the kernel's
-    order, so even the incidental center attribution matches it).
+    Same contract as :func:`repro.core.kernel.kernel_match_plus`: every
+    optimization on, output-identical to the reference path, with the
+    centers visited in ascending id order (the kernel's order, so even
+    the incidental center attribution matches it).
     """
     _require_numpy()
     with _obs_span("numpy.match_plus") as _sp:
@@ -570,56 +532,24 @@ def np_match_plus(
 
         with gi.reading():
             view = get_array_view(gi)
-            if use_dual_filter:
-                with _obs_span("numpy.global_dual_filter"):
-                    cand_global = _seed_masks(view, gi, cp)
-                    filtered = cand_global is not None and _np_dual_fixpoint(
-                        view, cp, cand_global
-                    )
-                if not filtered:
-                    _sp.set(**{"balls.scanned": 0, "balls.matched": 0})
-                    return result
-                matched = cand_global.any(axis=0)
-                seen: Set[Tuple[FrozenSet[int], FrozenSet[Pair]]] = set()
-                with _obs_span("numpy.ball_scan"):
-                    _np_refine_all_balls(
-                        cp, gi, view, np.nonzero(matched)[0], radius,
-                        cand_global, use_pruning, seen, result,
-                    )
-                if _sp.enabled:
-                    _sp.set(
-                        **{
-                            "balls.scanned": int(matched.sum()),
-                            "balls.matched": len(result),
-                        }
-                    )
+            with _obs_span("numpy.global_dual_filter"):
+                cand_global = _seed_masks(view, gi, cp)
+                filtered = cand_global is not None and _np_dual_fixpoint(
+                    view, cp, cand_global
+                )
+            if not filtered:
+                _sp.set(**{"balls.scanned": 0, "balls.matched": 0})
                 return result
-
-            # Dual filter off: per-ball dual simulation from label seeds,
-            # still batched — the projected relation is just the seeds.
-            labels = gi.labels
-            if restrict_centers_by_label:
-                pattern_labels = set(cp.labels)
-                center_ids = (
-                    i for i in range(gi.n) if labels[i] in pattern_labels
-                )
-            else:
-                center_ids = (
-                    i for i in range(gi.n) if labels[i] is not _DEAD
-                )
-            centers_arr = np.fromiter(center_ids, dtype=np.int64)
-            seen = set()
-            cand_global = _seed_masks(view, gi, cp)
+            matched = cand_global.any(axis=0)
+            seen: Set[Tuple[FrozenSet[int], FrozenSet[Pair]]] = set()
             with _obs_span("numpy.ball_scan"):
-                if cand_global is not None and centers_arr.size:
-                    _np_refine_all_balls(
-                        cp, gi, view, centers_arr, radius, cand_global,
-                        use_pruning, seen, result,
-                    )
+                _np_refine_all_balls(
+                    cp, gi, view, radius, cand_global, matched, seen, result
+                )
             if _sp.enabled:
                 _sp.set(
                     **{
-                        "balls.scanned": int(centers_arr.size),
+                        "balls.scanned": int(matched.sum()),
                         "balls.matched": len(result),
                     }
                 )

@@ -77,6 +77,10 @@ ROUTED_ENTRY_POINTS = {
         "sim", lambda p, g, e: graph_simulation(p, g, engine=e)
     ),
     "service_dual": ("dual", _run_service_dual),
+    "IncrementalDualSimulation": (
+        "dual",
+        lambda p, g, e: IncrementalDualSimulation(p, g, engine=e).relation,
+    ),
 }
 
 
@@ -147,11 +151,11 @@ class TestSubstrates:
             replace(ENGINE_TABLE["kernel"], compiled=False),
         )
         data = data_g2()
-        inc = IncrementalDualSimulation(pattern_q2(), data, engine="kernel")
+        matcher = IncrementalMatcher(pattern_q2(), data, engine="kernel")
         assert resolve_engine("auto", data) == "python"
-        assert inc.relation.pair_set() == (
-            IncrementalDualSimulation(pattern_q2(), data_g2(), engine="python")
-            .relation.pair_set()
+        assert canonical_result(matcher.result()) == canonical_result(
+            IncrementalMatcher(pattern_q2(), data_g2(), engine="python")
+            .result()
         )
 
     @pytest.mark.parametrize("engine", ENGINES)

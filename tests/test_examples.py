@@ -15,6 +15,10 @@ EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
 LIGHT_EXAMPLES = {
     "quickstart.py": ["Bio4", "strong simulation"],
+    "query_optimization.py": [
+        "Match+ ablation (engine='python')",
+        "identical output: True",
+    ],
     "regex_paths.py": ["regex constraint", "en1"],
     "streaming_updates.py": ["initial matches", "balls recomputed"],
     "concurrent_service.py": [

@@ -71,6 +71,17 @@ class TestIncrementalDualSimulation:
         inc.add_node("z", "A")
         assert inc.relation.pair_set() == before
 
+    @pytest.mark.parametrize("engine", ["python", "kernel"])
+    def test_remove_missing_node_raises(self, engine):
+        pattern, data = fresh_pair()
+        inc = IncrementalDualSimulation(pattern, data, engine=engine)
+        before = inc.relation.pair_set()
+        version = data.version
+        with pytest.raises(MatchingError):
+            inc.remove_node("zzz")
+        assert data.version == version
+        assert inc.relation.pair_set() == before
+
     def test_isolated_node_insert_single_node_pattern(self):
         pattern = Pattern.build({"a": "A"}, [])
         data = DiGraph.from_parts({"x": "B"}, [])

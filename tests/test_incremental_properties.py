@@ -8,8 +8,9 @@ maintained relation equals a from-scratch
 :func:`~repro.core.dualsim.dual_simulation` on the mutated graph — on
 both execution engines (the reference set-based fixpoint and the kernel's
 counter fixpoint), which must themselves agree.  The *maintainer* itself
-is parametrized over the same engines: the reference cascade and the
-kernel's persistent-counter cascade must both track the scratch runs.
+is parametrized over the same engines: it repairs deletions with the
+reference cascade on both, and runs construction and insertions on the
+engine's ``dual`` cell.
 """
 
 from __future__ import annotations

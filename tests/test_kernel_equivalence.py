@@ -5,6 +5,9 @@ is *output identity*: for every input, ``engine="kernel"``,
 ``engine="numpy"`` and ``engine="python"`` produce the same set of
 maximum perfect subgraphs with the same match relations (the recorded
 discovering center may legitimately differ — see ``kernel_match_plus``).
+``match_plus`` options that turn off the dual filter, pruning or the
+label restriction of centers run on the reference engine only; there
+they must still return plain ``Match``'s subgraphs.
 These tests enforce the contract over the paper-figure fixtures, the
 synthetic fixture corpus, and randomized graph/pattern pairs, plus the
 kernel-specific machinery (index caching, version invalidation, engine
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +37,7 @@ from repro.core.kernel import (
 from repro.core.matchplus import MatchPlusOptions, match_plus
 from repro.core.pattern import Pattern
 from repro.core.strong import match, matches_via_strong_simulation
+from repro.exceptions import MatchingError
 
 from tests.conftest import (
     graph_and_pattern,
@@ -56,6 +61,13 @@ ALL_OPTION_COMBOS = [
     ),
 ]
 
+#: One option set per toggle that only the reference cell runs.
+TOGGLED_OFF = [
+    MatchPlusOptions(use_dual_filter=False),
+    MatchPlusOptions(use_pruning=False),
+    MatchPlusOptions(restrict_centers_by_label=False),
+]
+
 
 def canonical(result):
     """Engine-independent form of a MatchResult: subgraphs + relations."""
@@ -64,20 +76,41 @@ def canonical(result):
     }
 
 
+def compiled_accepts(options):
+    """Whether the compiled ``match_plus`` cells run ``options``.
+
+    They run only the composition with every optimization on; the other
+    toggles are a feature of the reference cell (minimization happens
+    before any cell runs, so it is accepted either way).
+    """
+    return (
+        options.use_dual_filter
+        and options.use_pruning
+        and options.restrict_centers_by_label
+    )
+
+
+def assert_match_plus_agrees(pattern, data, engines):
+    """Every option combination returns plain ``Match``'s subgraphs on the
+    reference engine, and ``engines`` agree with it wherever they run."""
+    plain = {sg.signature() for sg in match(pattern, data, engine="python")}
+    for options in ALL_OPTION_COMBOS:
+        reference = match_plus(pattern, data, options, engine="python")
+        assert {sg.signature() for sg in reference} == plain
+        if not compiled_accepts(options):
+            continue
+        for engine in engines:
+            assert canonical(
+                match_plus(pattern, data, options, engine=engine)
+            ) == canonical(reference)
+
+
 def assert_engines_agree(pattern, data):
     """Both entry points agree between engines on (pattern, data)."""
     plain_python = canonical(match(pattern, data, engine="python"))
     assert canonical(match(pattern, data, engine="kernel")) == plain_python
     assert canonical(match(pattern, data, engine="numpy")) == plain_python
-    for options in ALL_OPTION_COMBOS:
-        reference = canonical(
-            match_plus(pattern, data, options, engine="python")
-        )
-        for engine in ("kernel", "numpy"):
-            assert (
-                canonical(match_plus(pattern, data, options, engine=engine))
-                == reference
-            )
+    assert_match_plus_agrees(pattern, data, ("kernel", "numpy"))
 
 
 # ----------------------------------------------------------------------
@@ -187,13 +220,7 @@ class TestRandomizedEquivalence:
     @given(graph_with_sampled_pattern())
     def test_match_plus_agrees_all_options(self, pair):
         data, pattern = pair
-        for options in ALL_OPTION_COMBOS:
-            assert (
-                canonical(match_plus(pattern, data, options, engine="kernel"))
-                == canonical(
-                    match_plus(pattern, data, options, engine="python")
-                )
-            )
+        assert_match_plus_agrees(pattern, data, ("kernel",))
 
     @settings(max_examples=60, deadline=None)
     @given(graph_and_pattern())
@@ -308,6 +335,56 @@ class TestEngineSelection:
         nodes = {i: "A" for i in range(NUMPY_AUTO_THRESHOLD + 1)}
         data = DiGraph.from_parts(nodes, [])
         assert resolve_engine("auto", data) == "numpy"
+
+    def test_toggles_run_the_reference_cell_under_auto(self, monkeypatch):
+        data = random_digraph(17, max_nodes=10)
+        pattern = random_connected_pattern(23, max_nodes=4)
+        get_index(data)  # a cached index: "auto" now picks a compiled row
+        assert resolve_engine("auto", data) != "python"
+        row = ENGINE_TABLE["python"]
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return row.match_plus(*args, **kwargs)
+
+        monkeypatch.setitem(
+            ENGINE_TABLE, "python", replace(row, match_plus=spy)
+        )
+        for options in TOGGLED_OFF:
+            before = len(calls)
+            result = match_plus(pattern, data, options)
+            assert len(calls) == before + 1
+            assert calls[-1] == {
+                "use_dual_filter": options.use_dual_filter,
+                "use_pruning": options.use_pruning,
+                "restrict_centers_by_label": (
+                    options.restrict_centers_by_label
+                ),
+            }
+            assert {sg.signature() for sg in result} == {
+                sg.signature() for sg in match(pattern, data, engine="python")
+            }
+
+    @pytest.mark.parametrize("engine", ["kernel", "numpy"])
+    def test_toggles_raise_on_compiled_engines(self, engine):
+        data = random_digraph(17, max_nodes=10)
+        pattern = random_connected_pattern(23, max_nodes=4)
+        for options in TOGGLED_OFF:
+            with pytest.raises(MatchingError, match=engine):
+                match_plus(pattern, data, options, engine=engine)
+
+    def test_minimization_toggle_runs_on_every_engine(self):
+        data = random_digraph(17, max_nodes=10)
+        pattern = random_connected_pattern(23, max_nodes=4)
+        options = MatchPlusOptions(use_minimization=False)
+        reference = canonical(
+            match_plus(pattern, data, options, engine="python")
+        )
+        for engine in ("kernel", "numpy", "auto"):
+            assert canonical(
+                match_plus(pattern, data, options, engine=engine)
+            ) == reference
 
 
 class TestNumpyFallback:

@@ -508,10 +508,10 @@ class TestIncrementalKernelEngine:
 
     @pytest.mark.parametrize("engine", COMPILED_ENGINES)
     def test_survives_threshold_compaction(self, engine):
-        """Regression: a deletion-heavy stream pushes the warm index past
-        the density threshold, recompiling it IN PLACE with compacted
-        ids; the kernel incremental state must remap through the old
-        node list (captured before the recompile), not the new one."""
+        """A deletion-heavy stream pushes the warm index past the density
+        threshold, recompiling it IN PLACE with compacted ids; the
+        relation, whose insertions run on that index, must still track
+        the graph."""
         data = generate_graph(150, alpha=1.25, num_labels=4, seed=2)
         pattern = random_connected_pattern(61, max_nodes=3)
         inc = IncrementalDualSimulation(pattern, data, engine=engine)
