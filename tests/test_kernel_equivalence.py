@@ -105,6 +105,20 @@ def assert_match_plus_agrees(pattern, data, engines):
             ) == canonical(reference)
 
 
+def _spy_on_match_plus(monkeypatch, engine):
+    """Swap a recording spy into one row's ``match_plus`` cell; returns
+    the keyword arguments of every call."""
+    row = ENGINE_TABLE[engine]
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return row.match_plus(*args, **kwargs)
+
+    monkeypatch.setitem(ENGINE_TABLE, engine, replace(row, match_plus=spy))
+    return calls
+
+
 def assert_engines_agree(pattern, data):
     """Both entry points agree between engines on (pattern, data)."""
     plain_python = canonical(match(pattern, data, engine="python"))
@@ -341,16 +355,7 @@ class TestEngineSelection:
         pattern = random_connected_pattern(23, max_nodes=4)
         get_index(data)  # a cached index: "auto" now picks a compiled row
         assert resolve_engine("auto", data) != "python"
-        row = ENGINE_TABLE["python"]
-        calls = []
-
-        def spy(*args, **kwargs):
-            calls.append(kwargs)
-            return row.match_plus(*args, **kwargs)
-
-        monkeypatch.setitem(
-            ENGINE_TABLE, "python", replace(row, match_plus=spy)
-        )
+        calls = _spy_on_match_plus(monkeypatch, "python")
         for options in TOGGLED_OFF:
             before = len(calls)
             result = match_plus(pattern, data, options)
@@ -374,17 +379,27 @@ class TestEngineSelection:
             with pytest.raises(MatchingError, match=engine):
                 match_plus(pattern, data, options, engine=engine)
 
-    def test_minimization_toggle_runs_on_every_engine(self):
+    def test_minimization_toggle_runs_on_every_engine(self, monkeypatch):
         data = random_digraph(17, max_nodes=10)
         pattern = random_connected_pattern(23, max_nodes=4)
+        get_index(data)  # a cached index: "auto" now picks a compiled row
         options = MatchPlusOptions(use_minimization=False)
         reference = canonical(
             match_plus(pattern, data, options, engine="python")
         )
+        calls = {
+            engine: _spy_on_match_plus(monkeypatch, engine)
+            for engine in ENGINE_TABLE
+        }
         for engine in ("kernel", "numpy", "auto"):
+            ran = resolve_engine(engine, data)
+            before = {name: len(log) for name, log in calls.items()}
             assert canonical(
                 match_plus(pattern, data, options, engine=engine)
             ) == reference
+            assert {
+                name: len(log) - before[name] for name, log in calls.items()
+            } == {name: int(name == ran) for name in calls}
 
 
 class TestNumpyFallback:
