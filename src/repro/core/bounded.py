@@ -21,14 +21,15 @@ fixpoint through the :class:`~repro.core.reach.ReachIndex` distance
 labeling compiled into the graph's :class:`~repro.core.kernel.GraphIndex`:
 witness tests become hub-label probes, so each fixpoint round costs
 adjacency-row scans instead of BFS traversals.  The index is built once
-per graph (lazily, on the first path query) and patched in place across
-edge insertions — it amortizes as soon as a graph is queried more than
-once, or once under repeated fixpoint rounds on graphs whose BFS
-frontiers are large (anything past a few hundred nodes); for one-shot
-queries on tiny graphs the reference path wins, which is exactly the
-``engine="auto"`` policy.  Both paths compute the unique maximum
-bounded-simulation relation, so their outputs are identical — enforced
-by the differential suite (``tests/test_paths_equivalence.py``).
+per graph (lazily, on the first path query with a bound other than 1)
+and patched in place across edge insertions — it amortizes as soon as
+a graph is queried more than once, or once under repeated fixpoint
+rounds on graphs whose BFS frontiers are large (anything past a few
+hundred nodes); for one-shot queries on tiny graphs the reference path
+wins, yet ``engine="auto"`` picks the kernel on every graph (routing by
+measured work is a ROADMAP open item).  Both paths compute the unique
+maximum bounded-simulation relation, so their outputs are identical —
+enforced by the differential suite (``tests/test_paths_equivalence.py``).
 """
 
 from __future__ import annotations

@@ -6,9 +6,6 @@ The paper's algorithms run on three execution engines.  Every row of
 ``match``
     algorithm ``Match`` (Fig. 3) —
     ``(pattern, data, centers=None, radius=None) -> MatchResult``;
-``matches``
-    the decision ``Q ≺_LD G`` with early exit —
-    ``(pattern, data) -> bool``;
 ``match_plus``
     the matching core of ``Match+`` (Sec. 4.2) with every optimization
     on, over the already minimized working pattern —
@@ -16,7 +13,9 @@ The paper's algorithms run on three execution engines.  Every row of
     cell also takes the ablation toggles (``use_dual_filter``,
     ``use_pruning``, ``restrict_centers_by_label``);
     :func:`repro.core.matchplus.match_plus` sends every non-default
-    toggle there;
+    toggle there.  The decision ``Q ≺_LD G``
+    (:func:`repro.core.strong.matches_via_strong_simulation`) reads
+    this cell too: ``Θ`` is not empty;
 ``dual`` / ``sim``
     the maximum dual / graph simulation relation —
     ``(pattern, data) -> MatchRelation``;
@@ -42,6 +41,8 @@ The rows:
 
 Every row computes the same output on every cell; ``tests/engines.py``
 parametrizes the cross-engine differential harness from this table.
+``"auto"`` names no row: :func:`engine_for` resolves it by graph size
+alone (:func:`repro.core.kernel.resolve_engine`).
 """
 
 from __future__ import annotations
@@ -56,13 +57,12 @@ from repro.core.kernel import (
     graph_simulation_kernel,
     kernel_match,
     kernel_match_plus,
-    kernel_matches_via_strong_simulation,
     resolve_engine,
 )
 from repro.core.matchplus import match_plus_reference
 from repro.core.npkernel import np_match_plus
 from repro.core.simulation import simulation_fixpoint
-from repro.core.strong import match_reference, matches_reference
+from repro.core.strong import match_reference
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,6 @@ class Engine:
     """One row of the engine table (see the module docstring)."""
 
     match: Callable
-    matches: Callable
     match_plus: Callable
     dual: Callable
     sim: Callable
@@ -82,7 +81,6 @@ CELLS = tuple(f.name for f in fields(Engine) if f.name != "compiled")
 
 _KERNEL = Engine(
     match=kernel_match,
-    matches=kernel_matches_via_strong_simulation,
     match_plus=kernel_match_plus,
     dual=dual_simulation_kernel,
     sim=graph_simulation_kernel,
@@ -93,7 +91,6 @@ _KERNEL = Engine(
 ENGINE_TABLE: Dict[str, Engine] = {
     "python": Engine(
         match=match_reference,
-        matches=matches_reference,
         match_plus=match_plus_reference,
         dual=dual_simulation,
         sim=simulation_fixpoint,

@@ -216,7 +216,10 @@ class IncrementalMatcher:
     the balls whose center lies within ``d_Q`` undirected hops of either
     endpoint of the changed edge (measured in the graph where the edge is
     present — before a deletion, after an insertion).  Everything else is
-    provably untouched by the update (locality).
+    provably untouched by the update (locality).  Only centers whose
+    label occurs in the pattern are ever evaluated: any other center
+    matches no pattern node, so ``ExtractMaxPG`` returns nothing for its
+    ball (line 1; see :func:`repro.core.strong.candidate_centers`).
 
     On the compiled substrate (``kernel`` and ``numpy``), affected-region
     discovery and ball re-evaluation both run over the incrementally
@@ -233,7 +236,9 @@ class IncrementalMatcher:
         self.engine = resolve_engine(engine, data)
         self._compiled = ENGINE_TABLE[self.engine].compiled
         self.radius = pattern.diameter
+        self._labels = pattern.label_set()
         self._cp = _CompiledPattern(pattern) if self._compiled else None
+        #: Candidate center -> its ball's perfect subgraph (or ``None``).
         self._cache: Dict[Node, Optional[PerfectSubgraph]] = {}
         self.balls_recomputed = 0
         self._evaluate_all()
@@ -252,8 +257,10 @@ class IncrementalMatcher:
         return extract_max_perfect_subgraph(self.pattern, ball, relation)
 
     def _evaluate_all(self) -> None:
+        label_of = self.data.labels_raw()
         for center in self.data.nodes():
-            self._cache[center] = self._evaluate_ball(center)
+            if label_of[center] in self._labels:
+                self._cache[center] = self._evaluate_ball(center)
 
     # ------------------------------------------------------------------
     def result(self) -> MatchResult:
@@ -265,7 +272,8 @@ class IncrementalMatcher:
         return result
 
     def _affected_centers(self, source: Node, target: Node) -> Set[Node]:
-        """Centers within d_Q of either endpoint (edge currently present)."""
+        """Candidate centers within d_Q of either endpoint (edge
+        currently present)."""
         affected: Set[Node] = set()
         endpoints = (source,) if source == target else (source, target)
         if self._compiled:
@@ -276,13 +284,14 @@ class IncrementalMatcher:
                     order, _, _, _ = _ball_bfs(gi, endpoint_id, self.radius)
                     nodes = gi.nodes
                     affected.update(nodes[v] for v in order)
-            return affected
-        for endpoint in endpoints:
-            if endpoint in self.data:
-                affected |= set(
-                    undirected_distances(self.data, endpoint, self.radius)
-                )
-        return affected
+        else:
+            for endpoint in endpoints:
+                if endpoint in self.data:
+                    affected |= set(
+                        undirected_distances(self.data, endpoint, self.radius)
+                    )
+        label_of = self.data.labels_raw()
+        return {v for v in affected if label_of[v] in self._labels}
 
     def add_edge(self, source: Node, target: Node) -> None:
         """Insert an edge; re-evaluate only the affected balls."""
@@ -300,7 +309,8 @@ class IncrementalMatcher:
     def add_node(self, node: Node, label) -> None:
         """Insert an isolated node (its own new ball; others untouched)."""
         self.data.add_node(node, label)
-        self._cache[node] = self._evaluate_ball(node)
+        if label in self._labels:
+            self._cache[node] = self._evaluate_ball(node)
 
     def remove_node(self, node: Node) -> None:
         """Delete a node with its edges; re-evaluate the affected balls."""

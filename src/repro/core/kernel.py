@@ -58,9 +58,7 @@ Entry points — all *output-identical* to the reference Python path:
 * :func:`dual_simulation_kernel` — the maximum dual-simulation relation
   over the full data graph;
 * :func:`graph_simulation_kernel` — the maximum (child-direction-only)
-  graph-simulation relation over the full data graph;
-* :func:`kernel_matches_via_strong_simulation` — the boolean decision
-  procedure with early exit.
+  graph-simulation relation over the full data graph.
 
 The distributed runtime (:mod:`repro.distributed.sitekernel`) reuses the
 compiled-pattern and fixpoint internals over its own incrementally
@@ -111,11 +109,6 @@ except ImportError:  # pragma: no cover - exercised via a subprocess test
 
 ENGINES = ("auto", "kernel", "numpy", "python")
 
-#: ``"auto"`` falls back to the reference engine below this ``|V| + |E|``
-#: when the graph has no compiled index yet: for a one-shot tiny query
-#: the O(|V| + |E|) compilation cannot amortize.
-TINY_AUTO_THRESHOLD = 256
-
 #: ``"auto"`` prefers the vectorized numpy engine at or above this
 #: ``|V| + |E|`` (when numpy is installed): the per-call dispatch
 #: overhead of array operations amortizes once the CSR rows are a few
@@ -135,19 +128,16 @@ def resolve_engine(engine: str, data: Optional[DiGraph] = None) -> str:
     """Validate ``engine`` and collapse ``"auto"`` to a concrete choice.
 
     The answer names a row of :data:`repro.core.engines.ENGINE_TABLE`.
-    ``"auto"`` picks by size alone: when ``data`` is given, is tiny
-    (``|V| + |E| <`` :data:`TINY_AUTO_THRESHOLD`) and has no compiled
-    index cached yet, the reference engine is chosen, because a one-shot
-    query on a tiny graph cannot amortize compilation (a cached index —
-    even one with pending deltas, syncing is cheaper than compiling —
-    always means a compiled engine); at or above
-    :data:`NUMPY_AUTO_THRESHOLD` the ``numpy`` row is chosen when numpy
-    is installed (it shares the same cached :class:`GraphIndex` and
-    differs from the kernel only in its batched ``match_plus``);
-    everything in between is the kernel.  Size
-    does not predict the faster row on every workload.  Without ``data``
-    the answer is ``"kernel"``, preserving the pre-heuristic behavior
-    for callers that validate only.
+    ``"auto"`` picks by size alone: the ``numpy`` row when numpy is
+    installed and ``data`` has ``|V| + |E| >=``
+    :data:`NUMPY_AUTO_THRESHOLD` (it shares the same cached
+    :class:`GraphIndex` and differs from the kernel only in its batched
+    ``match_plus``), the kernel otherwise — also without ``data``.
+    Size does not predict the faster row on every workload.  Even a
+    one-shot query on a tiny graph runs on the kernel: there, compiling
+    the index cost less than the reference engine's per-ball graphs on
+    ``match`` and ``match_plus``, and lost only tenths of a millisecond
+    on ``dual``.
 
     ``"numpy"`` requested explicitly without numpy installed raises
     :class:`~repro.exceptions.MatchingError` — the ``python`` and
@@ -165,12 +155,6 @@ def resolve_engine(engine: str, data: Optional[DiGraph] = None) -> str:
         )
     if engine != "auto":
         return engine
-    if (
-        data is not None
-        and data.size < TINY_AUTO_THRESHOLD
-        and _INDEX_CACHE.get(data) is None
-    ):
-        return "python"
     if (
         NUMPY_AVAILABLE
         and data is not None
@@ -1611,28 +1595,6 @@ def _resolve_centers(
             yield index_of[center]
         except KeyError:
             raise NodeNotFound(center) from None
-
-
-def kernel_matches_via_strong_simulation(
-    pattern: Pattern, data: DiGraph
-) -> bool:
-    """Decide ``Q ≺_LD G`` on the kernel engine (early exit)."""
-    radius = pattern.diameter
-    with _obs_span("kernel.matches") as _sp:
-        gi = get_index(data)
-        cp = _CompiledPattern(pattern)
-        with gi.reading():
-            labels = gi.labels
-            for center in range(gi.n):
-                if labels[center] is _DEAD:
-                    continue
-                if _match_ball(cp, gi, center, radius) is not None:
-                    if _sp.enabled:
-                        _sp.set(engine="kernel", outcome=True)
-                    return True
-            if _sp.enabled:
-                _sp.set(engine="kernel", outcome=False)
-            return False
 
 
 def kernel_match_plus(

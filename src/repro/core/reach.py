@@ -25,11 +25,11 @@ The reference implementations answer both with a fresh BFS per
     keeps the labels near-minimal on the scale-free synthetic graphs.
 
     A DFS spanning forest over the forward rows is kept alongside the
-    labels: each live slot has a pre/post interval and a tree level, so
-    "``u`` is a forest ancestor of ``w``" (a *sufficient* reachability
-    certificate with tree-path length ``level[w] - level[u]``) is an
-    O(1) comparison — the fast path for the acyclic reaches, consulted
-    before any hub intersection.
+    labels: each live slot has a pre/post interval, so "some target is
+    a forest descendant of ``u``" (a *sufficient* reachability
+    certificate) is one bisect — the fast path of unbounded
+    :class:`TargetProbe` witnesses, consulted before any hub
+    intersection.
 
 ``TargetProbe`` / ``SourceProbe``
     One-pass set probes built per fixpoint round: they collapse a whole
@@ -63,7 +63,6 @@ from repro.core.kernel import (
     GraphIndex,
     _ball_bfs,
     get_index,
-    resolve_engine,
 )
 from repro.core.matchrel import MatchRelation
 from repro.core.regex import LazyDfa, reversed_nfa
@@ -84,17 +83,17 @@ def resolve_path_engine(engine: str, data: Optional[DiGraph] = None) -> str:
     """Resolve the engine seam for bounded/regular path matching.
 
     Same contract as :func:`repro.core.kernel.resolve_engine` restricted
-    to the engines that exist for path workloads: ``"auto"`` picks
-    ``"python"`` for tiny cold graphs and the index-backed ``"kernel"``
-    otherwise (the numpy tier maps onto the kernel — probe batching is
-    future work, see ROADMAP).
+    to the engines that exist for path workloads: ``"python"``, and the
+    index-backed ``"kernel"``, which ``"auto"`` picks on every graph
+    (there is no numpy tier — probe batching is future work, see
+    ROADMAP).  ``data`` keeps the call shape of ``resolve_engine``; the
+    answer does not depend on it.
     """
     if engine not in PATH_ENGINES:
         raise ValueError(
             f"unknown path engine {engine!r}; expected one of {PATH_ENGINES}"
         )
-    resolved = resolve_engine(engine, data)
-    return "kernel" if resolved == "numpy" else resolved
+    return "python" if engine == "python" else "kernel"
 
 
 def _label_dist(out_d: Dict[int, int], in_d: Dict[int, int]) -> float:
@@ -131,7 +130,6 @@ class ReachIndex:
         "in_labels",
         "tree_pre",
         "tree_post",
-        "tree_level",
         "_tree_counter",
         "_next_rank",
     )
@@ -176,14 +174,12 @@ class ReachIndex:
         n = len(labels)
         pre = [-1] * n
         post = [-1] * n
-        level = [0] * n
         counter = 0
         for root in live:
             if pre[root] >= 0:
                 continue
             pre[root] = counter
             counter += 1
-            level[root] = 0
             stack: List[Tuple[int, object]] = [(root, iter(fwd[root]))]
             while stack:
                 v, children = stack[-1]
@@ -192,7 +188,6 @@ class ReachIndex:
                     if pre[w] < 0 and labels[w] is not _DEAD:
                         pre[w] = counter
                         counter += 1
-                        level[w] = level[v] + 1
                         stack.append((w, iter(fwd[w])))
                         advanced = True
                         break
@@ -201,7 +196,6 @@ class ReachIndex:
                     stack.pop()
         self.tree_pre = pre
         self.tree_post = post
-        self.tree_level = level
         self._tree_counter = counter
 
     def _root_bfs(self, h: int, forward: bool) -> None:
@@ -241,7 +235,6 @@ class ReachIndex:
         pre = self._tree_counter
         self.tree_pre.append(pre)
         self.tree_post.append(pre + 1)
-        self.tree_level.append(0)
         self._tree_counter = pre + 1
 
     def apply_add_edge(self, a: int, b: int) -> None:
@@ -300,30 +293,6 @@ class ReachIndex:
             return 0
         d = _label_dist(self.out_labels[u], self.in_labels[w])
         return None if d == _INF else int(d)
-
-    def within(self, u: int, w: int, bound: Bound) -> bool:
-        """Is ``w`` reachable from ``u`` in at most ``bound`` hops?
-
-        ``bound=None`` means plain reachability; ``u == w`` counts as
-        reachable in 0 hops (callers wanting "a real cycle" go through
-        the probes, whose one-hop shift enforces length >= 1).
-        """
-        self.gi.stats.reach_probes += 1
-        if u == w:
-            return True
-        pre_u = self.tree_pre[u]
-        if pre_u >= 0 and pre_u <= self.tree_pre[w] < self.tree_post[u]:
-            if (
-                bound is None
-                or self.tree_level[w] - self.tree_level[u] <= bound
-            ):
-                return True
-        d = _label_dist(self.out_labels[u], self.in_labels[w])
-        return d != _INF and (bound is None or d <= bound)
-
-    def reaches(self, u: int, w: int) -> bool:
-        """Plain reachability ``u ->* w`` (0 hops allowed)."""
-        return self.within(u, w, None)
 
 
 class TargetProbe:
@@ -473,12 +442,17 @@ def bounded_simulation_kernel(bounded_pattern, data: DiGraph) -> MatchRelation:
     (whose result — the unique maximum bounded-simulation relation — it
     must and does reproduce), but every bounded-edge witness test is a
     :class:`TargetProbe` label probe instead of a cached BFS, and
-    bound-1 edges are plain CSR row tests.
+    bound-1 edges are plain CSR row tests — so a pattern whose bounds
+    are all 1 never builds the labels.
     """
     pattern = bounded_pattern.pattern
     gi = get_index(data)
     with gi.reading():
-        ri = reach_index_for(gi)
+        ri = (
+            reach_index_for(gi)
+            if any(bounded_pattern.bound(e) != 1 for e in pattern.edges())
+            else None
+        )
         groups = gi.label_groups
         fwd = gi.fwd_rows
         sim: Dict[Node, Set[int]] = {
@@ -780,7 +754,9 @@ def regular_dual_simulation_kernel(rpattern, data: DiGraph) -> MatchRelation:
     gi = get_index(data)
     prog = _RegularProgram(rpattern)
     with gi.reading():
-        ri = reach_index_for(gi)
+        # Only global ``.*`` edges probe the labels: build them for those.
+        wildcard = _WILDCARD in prog.kinds.values()
+        ri = reach_index_for(gi) if wildcard else None
         sim, _ = _regular_fixpoint(prog, gi, ri, None)
         return _to_relation(gi, sim)
 
@@ -802,7 +778,8 @@ def regular_strong_match_kernel(
     gi = get_index(data)
     prog = _RegularProgram(rpattern)
     with gi.reading():
-        ri = reach_index_for(gi)
+        wildcard = _WILDCARD in prog.kinds.values()
+        ri = reach_index_for(gi) if wildcard else None
         global_sim, _ = _regular_fixpoint(prog, gi, ri, None)
         matched: Set[int] = set()
         for candidates in global_sim.values():

@@ -14,15 +14,16 @@ For every ball ``Ĝ[w, d_Q]`` of the data graph:
 Complexity: O(|V| (|V| + (|Vq| + |Eq|)(|V| + |E|))) — cubic, as Theorem 5
 states.  The optimized variant lives in :mod:`repro.core.matchplus`.
 
-:func:`match` and :func:`matches_via_strong_simulation` take an
-``engine`` argument and run the ``match`` / ``matches`` cell of that
-engine's row in :data:`repro.core.engines.ENGINE_TABLE`.  The ``python``
-row is the reference code below (:func:`match_reference`,
-:func:`matches_reference`: per-ball ``DiGraph`` construction + set-based
-fixpoints, kept as the readable ground truth); ``kernel`` and
-``numpy`` both run the compiled CSR kernel.  ``"auto"`` (default) picks
-by graph size (:func:`repro.core.kernel.resolve_engine`).  All engines
-are output-identical.
+:func:`match` takes an ``engine`` argument and runs the ``match`` cell
+of that engine's row in :data:`repro.core.engines.ENGINE_TABLE`.  The
+``python`` row is the reference code below (:func:`match_reference`:
+per-ball ``DiGraph`` construction + set-based fixpoints, kept as the
+readable ground truth); ``kernel`` and ``numpy`` both run the compiled
+CSR kernel.  ``"auto"`` (default) picks by graph size
+(:func:`repro.core.kernel.resolve_engine`).  All engines are
+output-identical.  :func:`matches_via_strong_simulation` decides
+``Q ≺_LD G`` the way the paper defines it, "Θ is not empty", reading Θ
+from ``Match+``, which computes exactly Θ.
 """
 
 from __future__ import annotations
@@ -130,23 +131,14 @@ def match_reference(
 def matches_via_strong_simulation(
     pattern: Pattern, data: DiGraph, engine: str = "auto"
 ) -> bool:
-    """Decide ``Q ≺_LD G`` — at least one perfect subgraph exists."""
-    from repro.core.engines import engine_for  # the table imports this module
+    """Decide ``Q ≺_LD G`` — at least one perfect subgraph exists.
 
-    return engine_for(engine, data).matches(pattern, data)
+    Whether :func:`repro.core.matchplus.match_plus` on ``engine`` found
+    one, as the other ``matches_via_*`` deciders read their relation.
+    """
+    from repro.core.matchplus import match_plus  # it imports this module
 
-
-def matches_reference(pattern: Pattern, data: DiGraph) -> bool:
-    """The ``python`` engine's ``matches`` cell (early exit)."""
-    radius = pattern.diameter
-    for center in data.nodes():
-        ball = extract_ball(data, center, radius)
-        relation = dual_simulation(pattern, ball.graph)
-        if relation.is_empty():
-            continue
-        if extract_max_perfect_subgraph(pattern, ball, relation) is not None:
-            return True
-    return False
+    return len(match_plus(pattern, data, engine=engine)) > 0
 
 
 def candidate_centers(pattern: Pattern, data: DiGraph) -> Set[Node]:

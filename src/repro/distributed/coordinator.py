@@ -30,9 +30,10 @@ The protocol is generic over partitioning and returns *exactly* the
 centralized ``Match`` output (asserted by the integration tests).
 
 The protocol is also generic over the *execution engine*: ``Cluster``
-accepts ``engine="auto"|"kernel"|"python"`` and threads it to every
-:class:`~repro.distributed.worker.SiteWorker`.  With the kernel engine
-each site compiles its fragment once into a per-site CSR index
+accepts ``engine="auto"|"kernel"|"numpy"|"python"`` and hands it to
+every :class:`~repro.distributed.worker.SiteWorker`, which resolves it
+once; every query on the cluster runs on that engine.  With a compiled
+engine each site compiles its fragment once into a per-site CSR index
 (:mod:`repro.distributed.sitekernel`) and extends it incrementally as
 remote records arrive over the bus; the result set, the per-site partial
 counts and the full traffic accounting are engine-independent, so the
@@ -397,23 +398,18 @@ class Cluster:
         )
 
     def run(
-        self,
-        pattern: Pattern,
-        radius: Optional[int] = None,
-        engine: Optional[str] = None,
+        self, pattern: Pattern, radius: Optional[int] = None
     ) -> DistributedRunReport:
         """Run the Section 4.3 protocol for one pattern.
 
-        ``engine`` overrides the cluster default for this query only;
-        the result, per-site counts and traffic accounting are identical
+        The sites evaluate on the engine the cluster was built with; the
+        result, per-site counts and traffic accounting are identical
         for every engine choice.  Partials are unioned in site order on
         every backend, keeping the dedup order deterministic; the
         ``processes`` backend replays its sites' fetch charges onto the
         bus in site order, so the full observation is byte-identical to
         the serial ``inproc`` run.
         """
-        if engine is not None:
-            resolve_engine(engine)  # fail before any traffic is charged
         with self._protocol_lock, _obs_span("distributed.run") as _sp:
             if radius is None:
                 radius = pattern.diameter
@@ -429,7 +425,7 @@ class Cluster:
             # Step 2: the dual filter, routed round by round.
             with _obs_span("coordinator.filter") as _fs:
                 rounds, messages, units, survivors = self._dual_filter(
-                    pattern, radius, engine
+                    pattern, radius
                 )
                 if _fs.enabled:
                     _fs.set(**{
@@ -468,7 +464,7 @@ class Cluster:
                 _sp.set(
                     backend=self.backend,
                     sites=self.num_sites,
-                    engine=self.engine if engine is None else engine,
+                    engine=self.engine,
                     pattern=pattern.size,
                     radius=radius,
                     result=len(result),
@@ -489,7 +485,7 @@ class Cluster:
             )
 
     def _dual_filter(
-        self, pattern: Pattern, radius: int, engine: Optional[str]
+        self, pattern: Pattern, radius: int
     ) -> Tuple[int, int, int, int]:
         """Step 2: route dual-filter rounds until a round sends nothing.
 
@@ -503,7 +499,7 @@ class Cluster:
         backends log it identically.  Returns
         ``(rounds run, messages, units, surviving centers)``.
         """
-        replies = self._transport.begin(pattern, radius, engine)
+        replies = self._transport.begin(pattern, radius)
         survivors = {site: reply[1] for site, reply in replies.items()}
         rounds = 1
         messages = units = 0

@@ -17,7 +17,7 @@ Protocol (one duplex pipe per site; the coordinator end lives in
 ===============================  =====================================
 coordinator -> worker             worker -> coordinator
 ===============================  =====================================
-``("query", pattern, r, e)``      ``("filter", outbox, survivors)``:
+``("query", pattern, r)``         ``("filter", outbox, survivors)``:
                                   round 0 of the dual filter
 ``("filter", inbox)``             ``("filter", outbox, survivors)``:
                                   one later round
@@ -31,6 +31,8 @@ coordinator -> worker             worker -> coordinator
 ``("shutdown",)``                 *(exits)*
 ===============================  =====================================
 
+The engine is not part of any frame: it is an argument of
+:func:`worker_main`, which the worker resolves once at start-up.
 A query is one ``query`` frame (the only one carrying the pattern),
 one ``filter`` frame per later round in which the site has mail (every
 site gets round 1), and one ``evaluate`` frame once no site sends
@@ -126,11 +128,10 @@ def worker_main(conn, wire_fragment, engine: str) -> None:
             command = message[0]
             try:
                 if command == "query":
-                    _, wire_pattern, radius, engine_override = message
+                    _, wire_pattern, radius = message
                     worker.fetch_log = []
                     outbox, survivors = worker.begin_query(
-                        decode_pattern(wire_pattern), radius,
-                        engine=engine_override,
+                        decode_pattern(wire_pattern), radius
                     )
                     conn.send(("filter", outbox, survivors))
                 elif command == "filter":

@@ -115,14 +115,10 @@ Inbox = Iterable[FilterEntry]
 class Transport:
     """Hosts a cluster's site workers and routes the protocol to them."""
 
-    def begin(
-        self,
-        pattern: Pattern,
-        radius: int,
-        engine: Optional[str],
-    ) -> Dict[int, FilterReply]:
+    def begin(self, pattern: Pattern, radius: int) -> Dict[int, FilterReply]:
         """Broadcast one query: every site's round-0 filter reply, in
-        site order (see :meth:`SiteWorker.begin_query`)."""
+        site order (see :meth:`SiteWorker.begin_query`).  Each site runs
+        it on the engine its worker was built with."""
         raise NotImplementedError
 
     def filter_round(
@@ -184,9 +180,9 @@ class InProcTransport(Transport):
     def __init__(self, workers: Dict[int, SiteWorker]) -> None:
         self._workers = workers
 
-    def begin(self, pattern, radius, engine):
+    def begin(self, pattern, radius):
         return {
-            site: worker.begin_query(pattern, radius, engine=engine)
+            site: worker.begin_query(pattern, radius)
             for site, worker in self._workers.items()
         }
 
@@ -243,8 +239,8 @@ class ProcessTransport(Transport):
     bus:
         The cluster bus that per-site fetch logs are replayed onto.
     engine:
-        Default engine for the worker processes (per-query overrides
-        travel with each query command).
+        The engine every worker process resolves once at start-up and
+        runs each query on.
     """
 
     def __init__(
@@ -344,12 +340,12 @@ class ProcessTransport(Transport):
             self._ack(site, f"a batch of {len(deltas)} delta(s)")
 
     # ------------------------------------------------------------------
-    def begin(self, pattern, radius, engine):
+    def begin(self, pattern, radius):
         self._guard_open()
         self._flush_updates()
         wire_pattern = encode_pattern(pattern)
         for conn in self._conns.values():
-            conn.send(("query", wire_pattern, radius, engine))
+            conn.send(("query", wire_pattern, radius))
         return self._filter_replies(self._conns)
 
     def filter_round(self, inboxes):

@@ -60,7 +60,7 @@ from repro.obs.metrics import (
     METRICS_SCHEMA_VERSION,
     get_registry as _obs_registry,
 )
-from repro.obs.trace import Span
+from repro.obs.trace import Span, span_from_dict, span_to_dict
 
 #: Bump when any wire form changes shape; both ends must agree exactly.
 WIRE_VERSION = 1
@@ -307,40 +307,19 @@ def decode_bus_log(wire: object) -> List[Tuple[int, int, str, int]]:
 # ======================================================================
 # Trace span subtrees (the merged distributed trace)
 # ======================================================================
-def _span_body(span_obj: Span) -> tuple:
-    return (
-        span_obj.name,
-        span_obj.start,
-        span_obj.end,
-        tuple(span_obj.attrs.items()),
-        tuple(_span_body(child) for child in span_obj.children),
-    )
-
-
-def _span_from_body(entry: object) -> Span:
-    try:
-        name, start, end, attrs, children = entry
-        rebuilt = Span(name)
-        rebuilt.start = start
-        rebuilt.end = end
-        rebuilt.attrs = dict(attrs)
-        rebuilt.children = [_span_from_body(child) for child in children]
-    except (ValueError, TypeError) as exc:
-        raise WireFormatError(f"malformed span entry: {exc}") from exc
-    return rebuilt
-
-
 def encode_span(span_obj: "Span | None") -> tuple:
     """A worker's traced ``site.evaluate`` subtree — or its absence.
 
     The body is a 0- or 1-entry tuple so "tracing was off for this
     query" ships as an explicit empty frame rather than an out-of-band
-    ``None``; timings stay in the worker's own monotonic clock (only
-    durations are meaningful coordinator-side).
+    ``None``; the entry is the subtree's plain-data form,
+    :func:`~repro.obs.trace.span_to_dict`.  Timings stay in the worker's
+    own monotonic clock (only durations are meaningful
+    coordinator-side).
     """
     if span_obj is None:
         return _stamp(KIND_SPAN, ())
-    return _stamp(KIND_SPAN, (_span_body(span_obj),))
+    return _stamp(KIND_SPAN, (span_to_dict(span_obj),))
 
 
 def decode_span(wire: object) -> "Span | None":
@@ -350,7 +329,10 @@ def decode_span(wire: object) -> "Span | None":
         return None
     if len(body) != 1:
         raise WireFormatError("malformed span body: expected one root")
-    return _span_from_body(body[0])
+    try:
+        return span_from_dict(body[0])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WireFormatError(f"malformed span entry: {exc!r}") from exc
 
 
 # ======================================================================

@@ -15,8 +15,9 @@ query, so the total shipment is bounded by the union of the
 boundary-crossing balls, which is the Section 4.3 bound.
 
 Like the centralized entry points, a worker takes an execution engine
-(``engine="auto"|"kernel"|"numpy"|"python"``).  It keeps two
-substrates, and the ``compiled`` flag of the engine's row in
+(``engine="auto"|"kernel"|"numpy"|"python"``), resolved once when the
+worker is built; every query it serves runs on that engine.  It keeps
+two substrates, and the ``compiled`` flag of the engine's row in
 :data:`repro.core.engines.ENGINE_TABLE` picks one:
 
 * reference (``"python"``) — every ball rebuilds a hash-set ``DiGraph``
@@ -88,10 +89,12 @@ class SiteWorker:
         bus: MessageBus,
         engine: str = "auto",
     ) -> None:
-        resolve_engine(engine)  # validate eagerly, before any query runs
         self.fragment = fragment
         self.bus = bus
-        self.engine = engine
+        #: The resolved engine every query of this worker runs on
+        #: (validated here, before any query runs).
+        self.engine = resolve_engine(engine)
+        self._compiled = ENGINE_TABLE[self.engine].compiled
         self._peers: Dict[int, "SiteWorker"] = {}
         self._remote_cache: Dict[Node, NodeRecord] = {}
         self._site_index: Optional[SiteGraphIndex] = None
@@ -111,9 +114,9 @@ class SiteWorker:
         #: tracing was enabled during it (``None`` otherwise).  The
         #: coordinator grafts it under its ``distributed.run`` span.
         self.last_span = None
-        #: The query in flight — ``(pattern, radius, resolved engine)`` —
-        #: and its dual filter, from ``begin_query`` to ``match_local``.
-        self._query: Optional[Tuple[Pattern, int, str]] = None
+        #: The query in flight — ``(pattern, radius)`` — and its dual
+        #: filter, from ``begin_query`` to ``match_local``.
+        self._query: Optional[Tuple[Pattern, int]] = None
         self._filter: Optional[SiteFilter] = None
 
     # ------------------------------------------------------------------
@@ -375,22 +378,17 @@ class SiteWorker:
         return Ball(subgraph, center, radius, distances)
 
     def begin_query(
-        self,
-        pattern: Pattern,
-        radius: Optional[int] = None,
-        engine: Optional[str] = None,
+        self, pattern: Pattern, radius: Optional[int] = None
     ) -> FilterReply:
         """Start one query: reset per-query state and seed the dual filter.
 
         Returns round 0 of the filter, which travels back with the query
-        broadcast.  ``engine`` overrides the worker default for this
-        query only.
+        broadcast.
         """
         if radius is None:
             radius = pattern.diameter
-        resolved = resolve_engine(self.engine if engine is None else engine)
         self.clear_cache()
-        self._query = (pattern, radius, resolved)
+        self._query = (pattern, radius)
         self._filter = SiteFilter(self.fragment, pattern)
         return self._filter.announce(), len(self._filter.survivors())
 
@@ -408,19 +406,19 @@ class SiteWorker:
         discover; the coordinator dedups).
         """
         survivors = self._filter_in_flight().survivors()
-        pattern, radius, resolved = self._query
+        pattern, radius = self._query
         self._query = self._filter = None
         centers = [node for node in self.fragment.labels if node in survivors]
         self.queries_served += 1
         with _obs_capture("site.evaluate") as _sp:
-            if ENGINE_TABLE[resolved].compiled:
+            if self._compiled:
                 partial = self._match_local_kernel(pattern, radius, centers)
             else:
                 partial = self._match_local_python(pattern, radius, centers)
             if _sp.enabled:
                 _sp.set(
                     site=self.fragment.site_id,
-                    engine=resolved,
+                    engine=self.engine,
                     balls=len(centers),
                     partial=len(partial),
                     **{

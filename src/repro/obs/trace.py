@@ -287,10 +287,11 @@ def collector() -> TraceCollector:
 
 
 # ----------------------------------------------------------------------
-# Serialization (wire + JSON export share one plain-dict form)
+# Serialization: the plain-dict form the process wire ships
 # ----------------------------------------------------------------------
 def span_to_dict(span_obj: Span) -> Dict[str, Any]:
-    """The plain-data form of a span subtree (wire and JSON share it)."""
+    """The plain-data form of a span subtree, as the process backend's
+    wire ships it (:func:`repro.distributed.runtime.wire.encode_span`)."""
     return {
         "name": span_obj.name,
         "start": span_obj.start,

@@ -27,9 +27,9 @@ serving layer:
   is a plain tuple (encoded result, per-site counts, query log).
 * Cache keys carry no engine: the engines' output-identity contract
   (the differential suites' invariant) makes one stored encoding valid
-  for every engine, and keying by the *resolved* name fragmented warm
-  entries under ``engine="auto"`` — ``resolve_engine`` picks ``python``
-  for a tiny graph before an index exists and ``kernel`` after.
+  for every engine, so queries that name different engines, or an
+  ``engine="auto"`` that resolves differently as the graph grows past
+  the numpy threshold, share warm entries.
 
 Thread-safety contract of the kernel read path (audited for this layer):
 a compiled :class:`~repro.core.kernel.GraphIndex` is **safe for
@@ -399,13 +399,13 @@ class MatchService:
         pattern: Pattern,
         cluster,
         radius: Optional[int] = None,
-        engine: Optional[str] = None,
         cached: bool = True,
     ) -> "Future":
         """Enqueue one Section 4.3 run against a live ``Cluster``.
 
         The future resolves to a
         :class:`~repro.distributed.coordinator.DistributedRunReport`.
+        The sites run on the engine the cluster was built with.
         Runs on one cluster serialize on the cluster's protocol lock
         (the bus accounting and per-query worker state demand it), but
         with a ``backend="processes"`` cluster the site evaluation
@@ -429,8 +429,8 @@ class MatchService:
         force-recompute escape hatch).
         """
         return self._pool.submit(
-            self._execute_distributed, pattern, cluster, radius, engine,
-            cached, perf_counter(),
+            self._execute_distributed, pattern, cluster, radius, cached,
+            perf_counter(),
         )
 
     def query_distributed(
@@ -438,17 +438,15 @@ class MatchService:
         pattern: Pattern,
         cluster,
         radius: Optional[int] = None,
-        engine: Optional[str] = None,
         cached: bool = True,
     ):
         """Synchronous convenience: submit a distributed run and wait."""
         return self.submit_distributed(
-            pattern, cluster, radius, engine, cached
+            pattern, cluster, radius, cached
         ).result()
 
     def _execute_distributed(
-        self, pattern, cluster, radius, engine, cached=True,
-        submitted_at=None,
+        self, pattern, cluster, radius, cached=True, submitted_at=None
     ):
         started = perf_counter()
         registry = _obs_registry()
@@ -459,27 +457,25 @@ class MatchService:
         with _obs_span("service.distributed_query") as _sp:
             try:
                 return self._run_distributed(
-                    pattern, cluster, radius, engine, cached, _sp
+                    pattern, cluster, radius, cached, _sp
                 )
             finally:
                 registry.histogram(
                     "service.query_seconds", algorithm="distributed"
                 ).observe(perf_counter() - started)
 
-    def _run_distributed(self, pattern, cluster, radius, engine, cached, _sp):
+    def _run_distributed(self, pattern, cluster, radius, cached, _sp):
         with self._stats_lock:
             self.stats.queries += 1
         if not cached:
-            return self._computed(
-                cluster.run(pattern, radius, engine=engine), _sp
-            )
+            return self._computed(cluster.run(pattern, radius), _sp)
         store = cluster.result_store
         canonical = canonical_form(pattern)
         effective_radius = pattern.diameter if radius is None else radius
         key = (canonical.key, effective_radius)
 
         def compute():
-            report = cluster.run(pattern, radius, engine=engine)
+            report = cluster.run(pattern, radius)
             # Distributed relations are keyed by the pattern's own nodes
             # (the protocol unions per-ball `match` partials), so the
             # plain canonical-position encoding applies — one entry

@@ -180,15 +180,17 @@ ENTRY_POINTS = {
 #: Engine-table cell -> the entry point that observes it.
 _CELL_ENTRY_POINTS = {
     "match": "match",
-    "matches": "matches_via_strong_simulation",
     "match_plus": "match_plus",
     "dual": "dual_simulation",
     "sim": "graph_simulation",
 }
 
 #: The entry points that need no cluster setup: one per table cell, so
-#: a cell added to the table without a runner here fails at import.
-CENTRALIZED_ENTRY_POINTS = tuple(_CELL_ENTRY_POINTS[cell] for cell in CELLS)
+#: a cell added to the table without a runner here fails at import, plus
+#: the decision ``Q ≺_LD G``, which reads the ``match_plus`` cell.
+CENTRALIZED_ENTRY_POINTS = tuple(
+    _CELL_ENTRY_POINTS[cell] for cell in CELLS
+) + ("matches_via_strong_simulation",)
 
 
 def run_entry_point(

@@ -35,6 +35,7 @@ from repro.distributed import (
     hash_partition,
     process_backend_available,
 )
+from repro.exceptions import DistributedError
 from repro.service import MatchService
 from repro.service.cache import ResultCache
 
@@ -209,20 +210,6 @@ class TestServiceReplay:
             assert service.stats.computed == 1
             assert service.stats.replayed == 1
             assert distributed_observation(replayed) == direct
-
-    def test_entry_is_engine_independent(self):
-        with two_site_cluster() as cluster, MatchService() as service:
-            first = service.query_distributed(
-                pattern_ab(), cluster, engine="python"
-            )
-            second = service.query_distributed(
-                pattern_ab(), cluster, engine="kernel"
-            )
-            assert service.stats.computed == 1
-            assert service.stats.replayed == 1
-            assert distributed_observation(first) == distributed_observation(
-                second
-            )
 
     def test_radius_is_part_of_the_key(self):
         with two_site_cluster() as cluster, MatchService() as service:
@@ -426,12 +413,21 @@ class TestSharedStore:
 class TestFailedSubmitAccounting:
     """A raising distributed run must not count as computed."""
 
-    def test_bad_engine_counts_query_not_computed(self):
+    @staticmethod
+    def fail_next_run(cluster: Cluster) -> None:
+        """Make the cluster's next run raise, as a dead site would."""
+
+        def failing_run(*args, **kwargs):
+            del cluster.run  # restore the bound method: fail once only
+            raise DistributedError("site 0 died mid-protocol")
+
+        cluster.run = failing_run
+
+    def test_failed_run_counts_query_not_computed(self):
         with two_site_cluster() as cluster, MatchService() as service:
-            future = service.submit_distributed(
-                pattern_ab(), cluster, engine="no-such-engine"
-            )
-            with pytest.raises(ValueError):
+            self.fail_next_run(cluster)
+            future = service.submit_distributed(pattern_ab(), cluster)
+            with pytest.raises(DistributedError):
                 future.result(timeout=60)
             assert service.stats.queries == 1
             assert service.stats.computed == 0
@@ -443,12 +439,13 @@ class TestFailedSubmitAccounting:
                 cluster.run(pattern_ab())
             )
 
-    def test_bad_engine_uncached_path(self):
+    def test_failed_run_uncached_path(self):
         with two_site_cluster() as cluster, MatchService() as service:
+            self.fail_next_run(cluster)
             future = service.submit_distributed(
-                pattern_ab(), cluster, engine="no-such-engine", cached=False
+                pattern_ab(), cluster, cached=False
             )
-            with pytest.raises(ValueError):
+            with pytest.raises(DistributedError):
                 future.result(timeout=60)
             assert service.stats.queries == 1
             assert service.stats.computed == 0

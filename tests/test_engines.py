@@ -22,7 +22,7 @@ from repro.core.incremental import (
     IncrementalDualSimulation,
     IncrementalMatcher,
 )
-from repro.core.kernel import TINY_AUTO_THRESHOLD, resolve_engine
+from repro.core.kernel import _INDEX_CACHE
 from repro.core.matchplus import match_plus
 from repro.core.simulation import graph_simulation
 from repro.core.strong import match, matches_via_strong_simulation
@@ -69,7 +69,7 @@ def _run_service_dual(pattern, data, engine):
 ROUTED_ENTRY_POINTS = {
     "match": ("match", lambda p, g, e: match(p, g, engine=e)),
     "matches_via_strong_simulation": (
-        "matches",
+        "match_plus",
         lambda p, g, e: matches_via_strong_simulation(p, g, engine=e),
     ),
     "match_plus": ("match_plus", lambda p, g, e: match_plus(p, g, engine=e)),
@@ -134,14 +134,12 @@ class TestSubstrates:
     )
     def test_incremental_substrate_follows_compiled_flag(self, cls, engine):
         data = data_g2()
-        assert data.size < TINY_AUTO_THRESHOLD
-        assert resolve_engine("auto", data) == "python"  # nothing compiled
+        assert _INDEX_CACHE.get(data) is None  # nothing compiled
         cls(pattern_q2(), data, engine=engine)
-        # The compiled substrate runs over the graph's cached GraphIndex,
-        # which "auto" then prefers even on a tiny graph; the reference
-        # substrate leaves the graph uncompiled.
-        expected = "kernel" if ENGINE_TABLE[engine].compiled else "python"
-        assert resolve_engine("auto", data) == expected
+        # The compiled substrate runs over the graph's cached GraphIndex;
+        # the reference substrate leaves the graph uncompiled.
+        compiled = _INDEX_CACHE.get(data) is not None
+        assert compiled == ENGINE_TABLE[engine].compiled
 
     def test_incremental_substrate_reads_the_flag_from_the_table(
         self, monkeypatch
@@ -152,7 +150,7 @@ class TestSubstrates:
         )
         data = data_g2()
         matcher = IncrementalMatcher(pattern_q2(), data, engine="kernel")
-        assert resolve_engine("auto", data) == "python"
+        assert _INDEX_CACHE.get(data) is None
         assert canonical_result(matcher.result()) == canonical_result(
             IncrementalMatcher(pattern_q2(), data_g2(), engine="python")
             .result()

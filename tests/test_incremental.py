@@ -161,6 +161,35 @@ class TestIncrementalMatcher:
             "a1" in sg.graph.nodes() for sg in matcher.result()
         )
 
+    @pytest.mark.parametrize("engine", ["python", "kernel"])
+    def test_centers_outside_the_pattern_labels_are_never_evaluated(
+        self, monkeypatch, engine
+    ):
+        # m0/m1 carry a label the pattern lacks: line 1 of ExtractMaxPG
+        # rejects their balls, so the matcher must never build them.
+        pattern, data = fresh_pair()
+        data.add_node("m0", "M")
+        data.add_edge("b1", "m0")
+        data.add_edge("m0", "a2")
+        evaluated = []
+        original = IncrementalMatcher._evaluate_ball
+
+        def spy(self, center):
+            evaluated.append(self.data.label(center))
+            return original(self, center)
+
+        monkeypatch.setattr(IncrementalMatcher, "_evaluate_ball", spy)
+        matcher = IncrementalMatcher(pattern, data, engine=engine)
+        assert matcher.balls_recomputed == 4  # a1, a2, b1, b2
+        matcher.add_edge("m0", "b2")
+        matcher.add_node("m1", "M")
+        matcher.add_edge("m1", "a1")
+        matcher.remove_edge("b1", "m0")
+        matcher.remove_node("b2")
+        assert evaluated and set(evaluated) <= {"A", "B"}
+        batch = {sg.signature() for sg in match(pattern, data, engine=engine)}
+        assert {sg.signature() for sg in matcher.result()} == batch
+
     def test_node_operations(self):
         pattern, data = fresh_pair()
         matcher = IncrementalMatcher(pattern, data)

@@ -31,7 +31,6 @@ from repro.core.kernel import (
     GraphIndex,
     dual_simulation_kernel,
     get_index,
-    kernel_matches_via_strong_simulation,
     resolve_engine,
 )
 from repro.core.matchplus import MatchPlusOptions, match_plus
@@ -211,11 +210,11 @@ class TestFixtureCorpus:
     def test_decision_procedure(self, small_synthetic):
         pattern = pattern_from_subgraph(small_synthetic, 4, 3)
         assert pattern is not None
-        assert kernel_matches_via_strong_simulation(
-            pattern, small_synthetic
-        ) == matches_via_strong_simulation(
-            pattern, small_synthetic, engine="python"
-        )
+        expected = len(match(pattern, small_synthetic, engine="python")) > 0
+        for engine in ("python", "kernel", "numpy"):
+            assert matches_via_strong_simulation(
+                pattern, small_synthetic, engine=engine
+            ) is expected
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +352,6 @@ class TestEngineSelection:
     def test_toggles_run_the_reference_cell_under_auto(self, monkeypatch):
         data = random_digraph(17, max_nodes=10)
         pattern = random_connected_pattern(23, max_nodes=4)
-        get_index(data)  # a cached index: "auto" now picks a compiled row
         assert resolve_engine("auto", data) != "python"
         calls = _spy_on_match_plus(monkeypatch, "python")
         for options in TOGGLED_OFF:
@@ -382,7 +380,6 @@ class TestEngineSelection:
     def test_minimization_toggle_runs_on_every_engine(self, monkeypatch):
         data = random_digraph(17, max_nodes=10)
         pattern = random_connected_pattern(23, max_nodes=4)
-        get_index(data)  # a cached index: "auto" now picks a compiled row
         options = MatchPlusOptions(use_minimization=False)
         reference = canonical(
             match_plus(pattern, data, options, engine="python")

@@ -356,6 +356,10 @@ class TestWire:
 
         with pytest.raises(WireFormatError):
             decode_span(_stamp("span", ("not", "a", "span")))
+        with pytest.raises(WireFormatError):
+            decode_span(_stamp("span", (("not", "a", "span"),)))
+        with pytest.raises(WireFormatError):
+            decode_span(_stamp("span", ({"name": "site.evaluate"},)))
 
 
 # ----------------------------------------------------------------------

@@ -38,6 +38,8 @@ from tests.engines import (
     assert_paths_containment,
     assert_paths_identical,
     assert_paths_update_workload_identical,
+    canonical_path_observation,
+    canonical_result,
     mixed_bounds,
 )
 
@@ -227,6 +229,49 @@ class TestReachIndex:
                 assert ri.dist(
                     gi.index_of[u], gi.index_of[w]
                 ) == _bfs_dist(data, u, w)
+
+
+class TestLabelsOnlyForProbes:
+    """The 2-hop labels are built only when some probe will read them."""
+
+    @staticmethod
+    def fresh_pair():
+        from repro.datasets.patterns import sample_pattern_from_data
+        from repro.datasets.synthetic import generate_graph
+
+        data = generate_graph(120, alpha=1.15, num_labels=5, seed=41)
+        pattern = sample_pattern_from_data(data, 3, seed=43)
+        assert pattern is not None
+        return pattern, data
+
+    def test_unit_bounds_and_regexes_without_wildcard_build_none(self):
+        pattern, data = self.fresh_pair()
+        kwargs = {
+            "bounds": {edge: 1 for edge in pattern.edges()},
+            "constraints": {edge: ".?" for edge in pattern.edges()},
+        }
+        observed = canonical_path_observation(
+            pattern, data, "kernel", **kwargs
+        )
+        assert get_index(data).stats.reach_builds == 0
+        assert observed == canonical_path_observation(
+            pattern, data, "python", **kwargs
+        )
+
+    def test_wildcard_query_builds_the_labels_once(self):
+        from repro.core.regular import RegularPattern, regular_strong_match
+
+        pattern, data = self.fresh_pair()
+        edge = sorted(pattern.edges(), key=repr)[0]
+        rpattern = RegularPattern(pattern, {edge: ".*"})
+        for _ in range(2):
+            observed = canonical_result(
+                regular_strong_match(rpattern, data, engine="kernel")
+            )
+        assert get_index(data).stats.reach_builds == 1
+        assert observed == canonical_result(
+            regular_strong_match(rpattern, data, engine="python")
+        )
 
 
 # ----------------------------------------------------------------------

@@ -140,25 +140,6 @@ class TestBackendEquivalence:
             for cluster in clusters.values():
                 cluster.close()
 
-    @needs_processes
-    def test_engine_override_per_query(self, small_synthetic):
-        pattern = sample_pattern_from_data(small_synthetic, 3, seed=5)
-        assert pattern is not None
-        assignment = hash_partition(small_synthetic, 2)
-        with Cluster(
-            small_synthetic, assignment, 2, engine="python",
-            backend="processes",
-        ) as cluster:
-            default_run = cluster_observation(cluster.run(pattern))
-            override_run = cluster_observation(
-                cluster.run(pattern, engine="kernel")
-            )
-        assert override_run["result"] == default_run["result"]
-        assert (
-            override_run["per_site_subgraphs"]
-            == default_run["per_site_subgraphs"]
-        )
-
 
 # ----------------------------------------------------------------------
 # Randomized backend equivalence (hypothesis shrinks over seeds)

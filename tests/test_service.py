@@ -682,23 +682,6 @@ class TestWorkloadHelpers:
 # Engine-independent cache keys: the auto-resolution flip stays warm
 # ----------------------------------------------------------------------
 class TestEngineIndependentKeys:
-    def test_auto_flip_replays_instead_of_refragmenting(self, q1, g1):
-        # On a tiny graph with no cached index, "auto" resolves to the
-        # reference engine; once an index exists it resolves to a
-        # compiled one.  The cache key carries no engine slot, so the
-        # same stream stays warm across the flip.
-        from repro.core.kernel import TINY_AUTO_THRESHOLD, get_index
-
-        assert g1.size < TINY_AUTO_THRESHOLD
-        with MatchService(max_workers=1) as service:
-            first = service.query(q1, g1, "match", engine="auto")
-            assert service.stats.computed == 1
-            get_index(g1)  # flips what "auto" resolves to
-            second = service.query(q1, g1, "match", engine="auto")
-            assert service.stats.computed == 1
-            assert service.stats.replayed == 1
-            assert canonical_result(first) == canonical_result(second)
-
     def test_explicit_engines_share_one_entry(self, q1, g1):
         with MatchService(max_workers=1) as service:
             first = service.query(q1, g1, "match", engine="python")

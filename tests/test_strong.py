@@ -1,6 +1,8 @@
 """Unit + property tests for strong simulation (algorithm Match)."""
 
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ball import extract_ball
 from repro.core.digraph import DiGraph
@@ -14,6 +16,7 @@ from repro.core.strong import (
 )
 from repro.core.traversal import is_connected_undirected, undirected_distances
 from tests.conftest import graph_and_pattern, graph_with_sampled_pattern
+from tests.engines import ENGINES
 
 
 def mutual_pair():
@@ -146,4 +149,21 @@ class TestStrongSimulationProperties:
         result = match(pattern, data)
         assert result.matched_data_nodes() <= global_dual.data_nodes() or (
             global_dual.is_empty() and not result
+        )
+
+
+class TestDecision:
+    """``Q ≺_LD G`` is the paper's "Θ is not empty" on every engine."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @given(pair=st.one_of(graph_and_pattern(), graph_with_sampled_pattern()))
+    @settings(max_examples=40, deadline=None)
+    def test_decision_is_theta_not_empty(self, engine, pair):
+        # graph_and_pattern mostly draws patterns that match nothing;
+        # graph_with_sampled_pattern draws ones that match.
+        data, pattern = pair
+        expected = len(match(pattern, data, engine="python")) > 0
+        assert (
+            matches_via_strong_simulation(pattern, data, engine=engine)
+            is expected
         )

@@ -45,7 +45,6 @@ from repro.core.dualsim import dual_simulation
 from repro.core.incremental import IncrementalDualSimulation, IncrementalMatcher
 from repro.core.kernel import (
     NUMPY_AUTO_THRESHOLD,
-    TINY_AUTO_THRESHOLD,
     get_index,
     index_maintenance,
     resolve_engine,
@@ -392,10 +391,9 @@ class TestBatchLevelIndexSync:
 
 
 class TestAutoEngineHeuristic:
-    def test_tiny_unindexed_graph_resolves_to_python(self):
+    def test_tiny_unindexed_graph_resolves_to_kernel(self):
         data = DiGraph.from_parts({1: "A", 2: "B"}, [(1, 2)])
-        assert data.size < TINY_AUTO_THRESHOLD
-        assert resolve_engine("auto", data) == "python"
+        assert resolve_engine("auto", data) == "kernel"
 
     def test_tiny_graph_with_cached_index_resolves_to_kernel(self):
         data = DiGraph.from_parts({1: "A", 2: "B"}, [(1, 2)])
@@ -404,7 +402,7 @@ class TestAutoEngineHeuristic:
 
     def test_midsize_graph_resolves_to_kernel(self):
         data = generate_graph(400, alpha=1.1, num_labels=5, seed=3)
-        assert TINY_AUTO_THRESHOLD <= data.size < NUMPY_AUTO_THRESHOLD
+        assert data.size < NUMPY_AUTO_THRESHOLD
         assert resolve_engine("auto", data) == "kernel"
 
     def test_large_graph_resolves_to_numpy(self):
