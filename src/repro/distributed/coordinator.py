@@ -30,9 +30,9 @@ The protocol is generic over partitioning and returns *exactly* the
 centralized ``Match`` output (asserted by the integration tests).
 
 The protocol is also generic over the *execution engine*: ``Cluster``
-accepts ``engine="auto"|"kernel"|"numpy"|"python"`` and hands it to
-every :class:`~repro.distributed.worker.SiteWorker`, which resolves it
-once; every query on the cluster runs on that engine.  With a compiled
+accepts ``engine="auto"|"kernel"|"numpy"|"python"``, resolves it once
+and builds every :class:`~repro.distributed.worker.SiteWorker` on the
+result; every query on the cluster runs on that engine.  With a compiled
 engine each site compiles its fragment once into a per-site CSR index
 (:mod:`repro.distributed.sitekernel`) and extends it incrementally as
 remote records arrive over the bus; the result set, the per-site partial
@@ -209,8 +209,9 @@ class Cluster:
         engine: str = "auto",
         backend: Optional[str] = None,
     ) -> None:
-        resolve_engine(engine)  # validate before building any worker
-        self.engine = engine
+        #: The resolved engine every site runs each query on (validated
+        #: here, before any worker is built).
+        self.engine = resolve_engine(engine)
         self.backend = resolve_backend(backend)
         self.bus = MessageBus()
         self.assignment: Assignment = dict(assignment)
@@ -218,7 +219,9 @@ class Cluster:
             graph, assignment, num_sites
         )
         self.workers: Dict[int, SiteWorker] = {
-            fragment.site_id: SiteWorker(fragment, self.bus, engine=engine)
+            fragment.site_id: SiteWorker(
+                fragment, self.bus, engine=self.engine
+            )
             for fragment in self.fragments
         }
         for worker in self.workers.values():
@@ -240,7 +243,8 @@ class Cluster:
         self._listeners = DeltaListeners()
         self.result_store = ResultCache()
         self._transport = make_transport(
-            self.backend, self.workers, self.assignment, self.bus, engine
+            self.backend, self.workers, self.assignment, self.bus,
+            self.engine,
         )
         _ALL_CLUSTERS.add(self)
 

@@ -63,7 +63,7 @@ from repro.obs.metrics import (
 from repro.obs.trace import Span, span_from_dict, span_to_dict
 
 #: Bump when any wire form changes shape; both ends must agree exactly.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 _MAGIC = "repro-wire"
 

@@ -379,7 +379,7 @@ class TestMergedTrace:
         return data, pattern, bfs_partition(data, 3)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("engine", ["python", "kernel", "numpy"])
+    @pytest.mark.parametrize("engine", ["python", "kernel", "numpy", "auto"])
     def test_one_merged_trace_with_byte_identical_bus_log(
         self, workload, engine, backend
     ):
@@ -411,6 +411,8 @@ class TestMergedTrace:
         assert root.attrs["bus.messages"] == len(traced_report.query_log)
         for site_span in site_spans:
             assert site_span.attrs["engine"] in ("python", "kernel", "numpy")
+            # The root names the engine the sites ran, not "auto".
+            assert site_span.attrs["engine"] == root.attrs["engine"]
             assert site_span.attrs["fetch.records"] >= 0
         report = QueryReport.from_span(root)
         assert report.bus_log == traced_report.query_log
