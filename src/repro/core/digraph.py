@@ -636,7 +636,3 @@ class DiGraph:
             deg = self.degree(node)
             hist[deg] = hist.get(deg, 0) + 1
         return hist
-
-    def to_edge_list(self) -> List[Edge]:
-        """Materialize the edge set as a sorted-insertion list."""
-        return list(self.edges())

@@ -20,12 +20,11 @@ The paper's algorithms run on three execution engines.  Every row of
     the maximum dual / graph simulation relation —
     ``(pattern, data) -> MatchRelation``;
 
-plus ``compiled``, read by :class:`~repro.core.incremental.IncrementalMatcher`
-and the distributed site workers.  Those keep exactly two
-implementations — the reference dicts and the compiled kernel index —
-and ``compiled`` picks one.
-:class:`~repro.core.incremental.IncrementalDualSimulation` calls the
-``dual`` cell instead.
+plus ``compiled``, read only by the distributed site workers.  They
+keep exactly two implementations — the reference dicts and the compiled
+kernel index — and ``compiled`` picks one.  The incremental classes of
+:mod:`repro.core.incremental` keep one substrate and call the ``dual``
+cell instead.
 
 The rows:
 

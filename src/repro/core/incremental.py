@@ -16,29 +16,40 @@ implements both observations:
   new edge, so they recompute it with the fixpoint.
 
 * :class:`IncrementalMatcher` maintains the full strong-simulation result
-  Θ.  The locality of strong simulation makes this precise: an edge
-  change can only affect balls whose center lies within ``d_Q`` hops of
-  either endpoint (any ball further away contains neither endpoint, and
-  a shortest path of length ≤ d_Q through the edge would put an endpoint
-  within d_Q).  Only those balls are re-evaluated.
+  Θ as incremental ``Match+`` (Sec. 4.2), composed of the class above and
+  ``Match+``'s per-ball step.  It holds an
+  :class:`IncrementalDualSimulation` for the global relation ``S_G`` and
+  caches one perfect subgraph per ball center.  After an update it
+  refines only the affected balls whose center lies inside ``S_G``,
+  exactly as :func:`~repro.core.matchplus.match_plus` does: the ball
+  keeps only ``S_G``'s nodes (:func:`~repro.core.ball.extract_ball_restricted`)
+  and is refined from ``S_G`` by projection, connectivity pruning and
+  border-seeded deletion (``matchplus._refine_ball``).  Two facts make
+  this exact:
+
+  - *Locality.*  An update can only change the balls whose center lies
+    within ``d_Q`` undirected hops of an endpoint, measured in the graph
+    where the edge is present: any ball further away contains neither
+    endpoint, and a shortest path of length ≤ d_Q through the edge would
+    put an endpoint within d_Q.
+  - *The filter is sound.*  A ball's maximum dual relation is a dual
+    simulation of G, so it lies inside ``S_G``.  A center outside
+    ``S_G`` therefore yields no perfect subgraph, and restricting a ball
+    to ``S_G``'s nodes changes no result (``match_plus`` and
+    ``Cluster.run``'s site filter rely on the same fact).  When an
+    update moves ``S_G`` far from the edge, the balls there are
+    unchanged, and so are their results.
 
 Both classes take an ``engine`` argument (``"auto"`` | ``"kernel"`` |
 ``"numpy"`` | ``"python"``), resolved once at construction by
-:func:`~repro.core.kernel.resolve_engine`, and read the engine's row of
-:data:`repro.core.engines.ENGINE_TABLE`:
-
-* :class:`IncrementalDualSimulation` keeps one substrate, the reference
-  ``sim`` dicts.  Its deletion cascade revalidates pairs with set scans
-  over ``DiGraph`` adjacency on every engine; construction and
-  insertions run the row's ``dual`` cell, which on ``kernel`` and
-  ``numpy`` is the counter fixpoint over the graph's incrementally
-  maintained :class:`~repro.core.kernel.GraphIndex` (no recompiles
-  under insertions).
-* :class:`IncrementalMatcher` keeps two substrates, and the row's
-  ``compiled`` flag picks one.  The reference substrate rebuilds balls
-  as per-ball ``DiGraph`` objects; the compiled one (``kernel`` and
-  ``numpy``) finds the affected region and re-evaluates its balls with
-  kernel ball extraction over the maintained index.
+:func:`~repro.core.kernel.resolve_engine`, and keep one substrate, the
+reference dicts.  The engine picks only the row's ``dual`` cell of
+:data:`repro.core.engines.ENGINE_TABLE`, which computes ``S_G`` at
+construction and after insertions — on ``kernel`` and ``numpy`` the
+counter fixpoint over the graph's incrementally maintained
+:class:`~repro.core.kernel.GraphIndex` (no recompiles under insertions).
+Deletions are repaired by the reference cascade, and balls refined by
+the reference per-ball step, on every engine.
 
 Output-identical to a from-scratch computation after every update.
 """
@@ -47,21 +58,14 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Set, Tuple
 
-from repro.core.ball import extract_ball
+from repro.core.ball import extract_ball_restricted
 from repro.core.digraph import DiGraph, Node
-from repro.core.dualsim import dual_simulation
 from repro.core.engines import ENGINE_TABLE
-from repro.core.kernel import (
-    _ball_bfs,
-    _CompiledPattern,
-    _match_ball,
-    get_index,
-    resolve_engine,
-)
+from repro.core.kernel import resolve_engine
+from repro.core.matchplus import _refine_ball
 from repro.core.matchrel import MatchRelation
 from repro.core.pattern import Pattern
 from repro.core.result import MatchResult, PerfectSubgraph
-from repro.core.strong import extract_max_perfect_subgraph
 from repro.core.traversal import undirected_distances
 from repro.exceptions import MatchingError
 
@@ -210,22 +214,15 @@ class IncrementalDualSimulation:
 
 
 class IncrementalMatcher:
-    """Maintains the strong-simulation result Θ under edge updates.
+    """Maintains the strong-simulation result Θ under graph updates.
 
-    Per-ball results are cached by center; an update invalidates exactly
-    the balls whose center lies within ``d_Q`` undirected hops of either
-    endpoint of the changed edge (measured in the graph where the edge is
-    present — before a deletion, after an insertion).  Everything else is
-    provably untouched by the update (locality).  Only centers whose
-    label occurs in the pattern are ever evaluated: any other center
-    matches no pattern node, so ``ExtractMaxPG`` returns nothing for its
-    ball (line 1; see :func:`repro.core.strong.candidate_centers`).
-
-    On the compiled substrate (``kernel`` and ``numpy``), affected-region
-    discovery and ball re-evaluation both run over the incrementally
-    maintained :class:`~repro.core.kernel.GraphIndex` — epoch-stamped CSR
-    ball BFS plus the counter fixpoint — so an update costs O(affected
-    balls) with no index recompilation.
+    Incremental ``Match+`` (see the module docstring): an
+    :class:`IncrementalDualSimulation` keeps the global relation
+    ``S_G``, one perfect subgraph is cached per ball center, and an
+    update re-runs ``Match+``'s per-ball step only for the centers within
+    ``d_Q`` undirected hops of an endpoint (before a deletion, after an
+    insertion) that lie inside ``S_G``.  ``balls_recomputed`` counts the
+    balls refined.
     """
 
     def __init__(
@@ -233,92 +230,70 @@ class IncrementalMatcher:
     ) -> None:
         self.pattern = pattern
         self.data = data
-        self.engine = resolve_engine(engine, data)
-        self._compiled = ENGINE_TABLE[self.engine].compiled
+        self._dualsim = IncrementalDualSimulation(pattern, data, engine)
+        self.engine = self._dualsim.engine
         self.radius = pattern.diameter
-        self._labels = pattern.label_set()
-        self._cp = _CompiledPattern(pattern) if self._compiled else None
-        #: Candidate center -> its ball's perfect subgraph (or ``None``).
-        self._cache: Dict[Node, Optional[PerfectSubgraph]] = {}
-        self.balls_recomputed = 0
-        self._evaluate_all()
+        #: Center -> its ball's perfect subgraph (centers with one only).
+        self._cache: Dict[Node, PerfectSubgraph] = {}
+        self.balls_recomputed = 0  # balls refined (observability)
+        self._update(self.data.nodes())
 
-    def _evaluate_ball(self, center: Node) -> Optional[PerfectSubgraph]:
+    def _update(self, centers: Iterable[Node]) -> None:
+        """Refine the balls of ``centers`` that lie inside ``S_G``."""
+        relation = self._dualsim.relation
+        matched = relation.data_nodes()
+        for center in centers:
+            self._cache.pop(center, None)
+            if center in matched:
+                subgraph = self._refine(center, relation, matched)
+                if subgraph is not None:
+                    self._cache[center] = subgraph
+
+    def _refine(
+        self, center: Node, relation: MatchRelation, matched: Set[Node]
+    ) -> Optional[PerfectSubgraph]:
+        """``Match+``'s per-ball step: the ball keeps only ``S_G``'s nodes
+        and is refined from ``S_G`` by border-seeded deletion."""
         self.balls_recomputed += 1
-        if self._compiled:
-            gi = get_index(self.data)
-            return _match_ball(
-                self._cp, gi, gi.index_of[center], self.radius
-            )
-        ball = extract_ball(self.data, center, self.radius)
-        relation = dual_simulation(self.pattern, ball.graph)
-        if relation.is_empty():
-            return None
-        return extract_max_perfect_subgraph(self.pattern, ball, relation)
+        ball = extract_ball_restricted(self.data, center, self.radius, matched)
+        return _refine_ball(self.pattern, relation, ball, use_pruning=True)
 
-    def _evaluate_all(self) -> None:
-        label_of = self.data.labels_raw()
-        for center in self.data.nodes():
-            if label_of[center] in self._labels:
-                self._cache[center] = self._evaluate_ball(center)
+    def _around(self, *endpoints: Node) -> Set[Node]:
+        """Nodes within ``d_Q`` undirected hops of any present endpoint."""
+        nearby: Set[Node] = set()
+        for endpoint in endpoints:
+            if endpoint in self.data:
+                nearby.update(
+                    undirected_distances(self.data, endpoint, self.radius)
+                )
+        return nearby
 
     # ------------------------------------------------------------------
     def result(self) -> MatchResult:
         """The current deduplicated Θ (assembled from the ball cache)."""
         result = MatchResult(self.pattern)
         for subgraph in self._cache.values():
-            if subgraph is not None:
-                result.add(subgraph)
+            result.add(subgraph)
         return result
 
-    def _affected_centers(self, source: Node, target: Node) -> Set[Node]:
-        """Candidate centers within d_Q of either endpoint (edge
-        currently present)."""
-        affected: Set[Node] = set()
-        endpoints = (source,) if source == target else (source, target)
-        if self._compiled:
-            gi = get_index(self.data)
-            for endpoint in endpoints:
-                endpoint_id = gi.index_of.get(endpoint)
-                if endpoint_id is not None:
-                    order, _, _, _ = _ball_bfs(gi, endpoint_id, self.radius)
-                    nodes = gi.nodes
-                    affected.update(nodes[v] for v in order)
-        else:
-            for endpoint in endpoints:
-                if endpoint in self.data:
-                    affected |= set(
-                        undirected_distances(self.data, endpoint, self.radius)
-                    )
-        label_of = self.data.labels_raw()
-        return {v for v in affected if label_of[v] in self._labels}
-
     def add_edge(self, source: Node, target: Node) -> None:
-        """Insert an edge; re-evaluate only the affected balls."""
-        self.data.add_edge(source, target)
-        for center in self._affected_centers(source, target):
-            self._cache[center] = self._evaluate_ball(center)
+        """Insert an edge; refine only the affected balls."""
+        self._dualsim.add_edge(source, target)
+        self._update(self._around(source, target))
 
     def remove_edge(self, source: Node, target: Node) -> None:
-        """Delete an edge; re-evaluate only the affected balls."""
-        affected = self._affected_centers(source, target)
-        self.data.remove_edge(source, target)
-        for center in affected:
-            self._cache[center] = self._evaluate_ball(center)
+        """Delete an edge; refine only the affected balls."""
+        affected = self._around(source, target)
+        self._dualsim.remove_edge(source, target)
+        self._update(affected)
 
     def add_node(self, node: Node, label) -> None:
         """Insert an isolated node (its own new ball; others untouched)."""
-        self.data.add_node(node, label)
-        if label in self._labels:
-            self._cache[node] = self._evaluate_ball(node)
+        self._dualsim.add_node(node, label)
+        self._update((node,))
 
     def remove_node(self, node: Node) -> None:
-        """Delete a node with its edges; re-evaluate the affected balls."""
-        if node not in self.data:
-            raise MatchingError(f"node {node!r} is not in the data graph")
-        affected = self._affected_centers(node, node)
-        affected.discard(node)
-        self.data.remove_node(node)
-        self._cache.pop(node, None)
-        for center in affected:
-            self._cache[center] = self._evaluate_ball(center)
+        """Delete a node with its edges; refine the affected balls."""
+        affected = self._around(node)
+        self._dualsim.remove_node(node)
+        self._update(affected)

@@ -135,16 +135,5 @@ class MatchResult:
             ) + 1
         return bins
 
-    def union_graph(self) -> DiGraph:
-        """Union of all perfect subgraphs as one DiGraph (for display)."""
-        union = DiGraph()
-        for subgraph in self._subgraphs:
-            for node in subgraph.graph.nodes():
-                if node not in union:
-                    union.add_node(node, subgraph.graph.label(node))
-            for source, target in subgraph.graph.edges():
-                union.add_edge(source, target)
-        return union
-
     def __repr__(self) -> str:
         return f"MatchResult({len(self._subgraphs)} perfect subgraphs)"

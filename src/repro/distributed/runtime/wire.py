@@ -344,7 +344,6 @@ def encode_metrics(snapshot: Dict[str, object]) -> tuple:
         body = (
             snapshot.get("schema_version", METRICS_SCHEMA_VERSION),
             tuple(sorted(snapshot.get("counters", {}).items())),
-            tuple(sorted(snapshot.get("gauges", {}).items())),
             tuple(
                 sorted(
                     (key, tuple(data["counts"]), data["sum"], data["count"])
@@ -360,9 +359,9 @@ def encode_metrics(snapshot: Dict[str, object]) -> tuple:
 def decode_metrics(wire: object) -> Dict[str, object]:
     """Rebuild a snapshot dict (mergeable via ``merge_snapshots``)."""
     body = _unstamp(KIND_METRICS, wire)
-    if len(body) != 4:
+    if len(body) != 3:
         raise WireFormatError("malformed metrics body")
-    version, counters, gauges, histograms = body
+    version, counters, histograms = body
     if version != METRICS_SCHEMA_VERSION:
         raise WireFormatError(
             f"metrics schema {version!r} is not the supported "
@@ -372,7 +371,6 @@ def decode_metrics(wire: object) -> Dict[str, object]:
         return {
             "schema_version": version,
             "counters": dict(counters),
-            "gauges": dict(gauges),
             "histograms": {
                 key: {"counts": list(counts), "sum": total, "count": count}
                 for key, counts, total, count in histograms

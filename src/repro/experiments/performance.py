@@ -5,9 +5,9 @@ simulation), ``Match+`` (all optimizations) and — on small inputs only —
 ``VF2``, along the four axes the paper sweeps: pattern size ``|Vq|``,
 pattern density ``αq``, data size ``|V|`` and data density ``α``.
 
-Beyond the paper's static sweeps, :func:`time_update_workload` times the
-Section 6 scenario — a stream of updates with a requery after each — and
-reports *amortized per-update latency* per execution strategy
+Beyond the paper's static sweeps, :func:`time_update_workload` times a
+stream of updates with a ``Match+`` requery after each and reports
+*amortized per-update latency* per index-maintenance strategy
 (incremental-kernel / recompile-kernel / reference), registered as the
 ``incremental-updates`` experiment.
 

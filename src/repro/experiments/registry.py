@@ -121,7 +121,15 @@ def fig8_time_v(scale: int) -> str:
 
 
 def incremental_updates(scale: int) -> str:
-    """Section 6 scenario: amortized per-update latency under requeries."""
+    """Index maintenance under requeries: amortized per-update latency.
+
+    Times edge insertions each followed by a ``Match+`` requery, per
+    index-maintenance strategy (incremental kernel index, recompile per
+    query, reference engine).  It builds no
+    :class:`~repro.core.incremental.IncrementalMatcher`; Section 6's
+    incremental strong simulation is timed by
+    ``benchmarks/bench_incremental.py``.
+    """
     from repro.experiments.performance import (
         UPDATE_STRATEGIES,
         random_insertion_stream,

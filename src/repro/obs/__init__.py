@@ -5,8 +5,8 @@ The introspection substrate for every layer of the reproduction:
 * :mod:`repro.obs.trace` — context-manager spans with monotonic
   timings, parent/child nesting and typed attributes, compiled to a
   zero-allocation no-op while tracing is disabled (the default).
-* :mod:`repro.obs.metrics` — the process-wide registry (counters,
-  gauges, log-bucket histograms) that absorbs the existing ad-hoc stats
+* :mod:`repro.obs.metrics` — the process-wide registry (counters and
+  log-bucket histograms) that absorbs the existing ad-hoc stats
   objects behind one dotted namespace and renders Prometheus-style
   text expositions.
 * :mod:`repro.obs.report` — per-query :class:`QueryReport` phase
@@ -21,7 +21,6 @@ coordinator broadcasts).
 
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     HISTOGRAM_BUCKETS,
     Histogram,
     MetricsRegistry,
@@ -47,7 +46,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "Counter",
-    "Gauge",
     "HISTOGRAM_BUCKETS",
     "Histogram",
     "MetricsRegistry",

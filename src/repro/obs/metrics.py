@@ -1,4 +1,4 @@
-"""The process-wide metrics registry: counters, gauges, histograms.
+"""The process-wide metrics registry: counters and histograms.
 
 One dotted namespace unifies every layer's counters — the names the
 rest of the system publishes under (see ROADMAP "Observability"):
@@ -17,15 +17,13 @@ rest of the system publishes under (see ROADMAP "Observability"):
                   ``service.queue_wait_seconds``)
 ``bus.*``         distributed bus traffic (``messages``,
                   ``units{kind=..}``, ``units{link=..}``)
-``site.*``        per-site worker counters (``index_builds``,
-                  ``queries_served``)
 ``wire.*``        runtime wire frames (``frames{kind=..,op=..}``)
 ================  =====================================================
 
 Two publication styles coexist deliberately:
 
 * **Live instruments** (:meth:`MetricsRegistry.counter` /
-  :meth:`gauge` / :meth:`histogram`) for low-frequency events — one
+  :meth:`histogram`) for low-frequency events — one
   lock-guarded update per service query or wire frame.
 * **Collectors** (:meth:`MetricsRegistry.register_collector`) for the
   hot paths: the existing ad-hoc stats objects (``IndexStats``,
@@ -55,7 +53,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "HISTOGRAM_BUCKETS",
     "MetricsRegistry",
@@ -65,7 +62,7 @@ __all__ = [
 ]
 
 #: Version stamp carried inside every snapshot (and over the wire).
-METRICS_SCHEMA_VERSION = 1
+METRICS_SCHEMA_VERSION = 2
 
 #: Fixed log-scale histogram bucket upper bounds, in seconds: powers of
 #: two from 1µs to 2^26µs (~67s).  Observations above the last bound
@@ -90,24 +87,6 @@ class Counter:
 
     @property
     def value(self) -> int:
-        return self._value
-
-
-class Gauge:
-    """A settable point-in-time value (thread-safe)."""
-
-    __slots__ = ("_value", "_lock")
-
-    def __init__(self) -> None:
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
-
-    @property
-    def value(self) -> float:
         return self._value
 
 
@@ -152,7 +131,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[Tuple[str, tuple], Counter] = {}
-        self._gauges: Dict[Tuple[str, tuple], Gauge] = {}
         self._histograms: Dict[Tuple[str, tuple], Histogram] = {}
         #: Weakly held collector *owners* mapped to their sample
         #: callbacks: a callback yields ``(name, labels_dict, value)``
@@ -172,15 +150,6 @@ class MetricsRegistry:
             if instrument is None:
                 instrument = Counter()
                 self._counters[key] = instrument
-            return instrument
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        key = (name, _label_items(labels))
-        with self._lock:
-            instrument = self._gauges.get(key)
-            if instrument is None:
-                instrument = Gauge()
-                self._gauges[key] = instrument
             return instrument
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
@@ -212,8 +181,8 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Any]:
         """One consistent, picklable view of every metric.
 
-        ``{"schema_version", "counters": {key: int}, "gauges":
-        {key: float}, "histograms": {key: {"counts", "sum", "count"}}}``
+        ``{"schema_version", "counters": {key: int}, "histograms":
+        {key: {"counts", "sum", "count"}}}``
         with collector samples folded into ``counters`` (summed when a
         collector key collides with a live counter or another
         collector's sample).
@@ -222,10 +191,6 @@ class MetricsRegistry:
             counters = {
                 _render_key(*key): instrument.value
                 for key, instrument in self._counters.items()
-            }
-            gauges = {
-                _render_key(*key): instrument.value
-                for key, instrument in self._gauges.items()
             }
             histograms = {}
             for key, instrument in self._histograms.items():
@@ -243,7 +208,6 @@ class MetricsRegistry:
         return {
             "schema_version": METRICS_SCHEMA_VERSION,
             "counters": counters,
-            "gauges": gauges,
             "histograms": histograms,
         }
 
@@ -256,22 +220,19 @@ class MetricsRegistry:
         """
         with self._lock:
             self._counters.clear()
-            self._gauges.clear()
             self._histograms.clear()
             self._collectors.clear()
 
 
 def merge_snapshots(*snapshots: Dict[str, Any]) -> Dict[str, Any]:
-    """Sum snapshots (counters and histogram buckets add; gauges keep
-    the last seen value) — how the coordinator folds the per-site
-    snapshots the process-backend workers ship back into one view."""
+    """Sum snapshots (counters and histogram buckets add) — how the
+    coordinator folds the per-site snapshots the process-backend
+    workers ship back into one view."""
     counters: Dict[str, float] = {}
-    gauges: Dict[str, float] = {}
     histograms: Dict[str, Dict[str, Any]] = {}
     for snap in snapshots:
         for key, value in snap.get("counters", {}).items():
             counters[key] = counters.get(key, 0) + value
-        gauges.update(snap.get("gauges", {}))
         for key, data in snap.get("histograms", {}).items():
             merged = histograms.get(key)
             if merged is None:
@@ -289,7 +250,6 @@ def merge_snapshots(*snapshots: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "schema_version": METRICS_SCHEMA_VERSION,
         "counters": counters,
-        "gauges": gauges,
         "histograms": histograms,
     }
 
@@ -332,8 +292,6 @@ def render_prometheus(snapshot: Optional[Dict[str, Any]] = None) -> str:
 
     for key in sorted(snapshot.get("counters", {})):
         lines.extend(emit("counter", key, snapshot["counters"][key]))
-    for key in sorted(snapshot.get("gauges", {})):
-        lines.extend(emit("gauge", key, snapshot["gauges"][key]))
     for key in sorted(snapshot.get("histograms", {})):
         data = snapshot["histograms"][key]
         name, label_block = _prometheus_name(key)

@@ -89,10 +89,6 @@ class CanonicalPattern:
     def num_nodes(self) -> int:
         return self.key[0]
 
-    def position_of(self, node: Node) -> int:
-        """Canonical position of a pattern node."""
-        return self.order[node]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CanonicalPattern):
             return NotImplemented

@@ -124,7 +124,8 @@ class TestRouting:
 
 
 # ----------------------------------------------------------------------
-# Stateful substrates: the compiled flag picks reference vs kernel
+# Stateful substrates follow the table: the compiled flag for the site
+# workers, the dual cell for the incremental classes
 # ----------------------------------------------------------------------
 class TestSubstrates:
     @pytest.mark.parametrize("engine", ENGINES)
@@ -136,25 +137,11 @@ class TestSubstrates:
         data = data_g2()
         assert _INDEX_CACHE.get(data) is None  # nothing compiled
         cls(pattern_q2(), data, engine=engine)
-        # The compiled substrate runs over the graph's cached GraphIndex;
-        # the reference substrate leaves the graph uncompiled.
+        # Both classes keep the reference dicts and call the row's
+        # `dual` cell: the compiled rows' cell runs over the graph's
+        # cached GraphIndex, the reference cell leaves it uncompiled.
         compiled = _INDEX_CACHE.get(data) is not None
         assert compiled == ENGINE_TABLE[engine].compiled
-
-    def test_incremental_substrate_reads_the_flag_from_the_table(
-        self, monkeypatch
-    ):
-        monkeypatch.setitem(
-            ENGINE_TABLE, "kernel",
-            replace(ENGINE_TABLE["kernel"], compiled=False),
-        )
-        data = data_g2()
-        matcher = IncrementalMatcher(pattern_q2(), data, engine="kernel")
-        assert _INDEX_CACHE.get(data) is None
-        assert canonical_result(matcher.result()) == canonical_result(
-            IncrementalMatcher(pattern_q2(), data_g2(), engine="python")
-            .result()
-        )
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_site_worker_substrate_follows_compiled_flag(

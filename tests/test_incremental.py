@@ -13,6 +13,7 @@ from repro.core.pattern import Pattern
 from repro.core.strong import match
 from repro.exceptions import MatchingError
 from tests.conftest import random_connected_pattern, random_digraph
+from tests.engines import canonical_result
 
 
 def fresh_pair():
@@ -161,6 +162,19 @@ class TestIncrementalMatcher:
             "a1" in sg.graph.nodes() for sg in matcher.result()
         )
 
+    @staticmethod
+    def spy_on_refinement(monkeypatch):
+        """Record the center of every ball the matcher refines."""
+        refined = []
+        original = IncrementalMatcher._refine
+
+        def spy(self, center, *args):
+            refined.append(center)
+            return original(self, center, *args)
+
+        monkeypatch.setattr(IncrementalMatcher, "_refine", spy)
+        return refined
+
     @pytest.mark.parametrize("engine", ["python", "kernel"])
     def test_centers_outside_the_pattern_labels_are_never_evaluated(
         self, monkeypatch, engine
@@ -171,14 +185,7 @@ class TestIncrementalMatcher:
         data.add_node("m0", "M")
         data.add_edge("b1", "m0")
         data.add_edge("m0", "a2")
-        evaluated = []
-        original = IncrementalMatcher._evaluate_ball
-
-        def spy(self, center):
-            evaluated.append(self.data.label(center))
-            return original(self, center)
-
-        monkeypatch.setattr(IncrementalMatcher, "_evaluate_ball", spy)
+        refined = self.spy_on_refinement(monkeypatch)
         matcher = IncrementalMatcher(pattern, data, engine=engine)
         assert matcher.balls_recomputed == 4  # a1, a2, b1, b2
         matcher.add_edge("m0", "b2")
@@ -186,9 +193,29 @@ class TestIncrementalMatcher:
         matcher.add_edge("m1", "a1")
         matcher.remove_edge("b1", "m0")
         matcher.remove_node("b2")
-        assert evaluated and set(evaluated) <= {"A", "B"}
+        assert refined and not {"m0", "m1"} & set(refined)
         batch = {sg.signature() for sg in match(pattern, data, engine=engine)}
         assert {sg.signature() for sg in matcher.result()} == batch
+
+    @pytest.mark.parametrize("engine", ["python", "kernel"])
+    def test_centers_outside_the_dual_relation_are_never_refined(
+        self, monkeypatch, engine
+    ):
+        # a3 carries a pattern label but has no B child, so it is outside
+        # the global dual relation: its ball holds no perfect subgraph
+        # and the matcher must never refine it, even when an update
+        # lands next to it.
+        pattern, data = fresh_pair()
+        data.add_node("a3", "A")
+        refined = self.spy_on_refinement(monkeypatch)
+        matcher = IncrementalMatcher(pattern, data, engine=engine)
+        assert matcher.balls_recomputed == 4  # a1, a2, b1, b2
+        matcher.add_edge("b1", "a3")  # a parent, still no B child
+        matcher.remove_edge("b1", "a3")
+        assert refined and "a3" not in refined
+        assert canonical_result(matcher.result()) == canonical_result(
+            match(pattern, data, engine="python")
+        )
 
     def test_node_operations(self):
         pattern, data = fresh_pair()

@@ -11,6 +11,12 @@ counter fixpoint), which must themselves agree.  The *maintainer* itself
 is parametrized over the same engines: it repairs deletions with the
 reference cascade on both, and runs construction and insertions on the
 engine's ``dual`` cell.
+
+:class:`~repro.core.incremental.IncrementalMatcher` composes that
+maintainer with ``Match+``'s per-ball step, so it is held to the full
+result: after every edge or node insertion or deletion, each subgraph
+and its relation equal a from-scratch reference ``Match`` on every
+engine.
 """
 
 from __future__ import annotations
@@ -22,8 +28,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dualsim import dual_simulation
-from repro.core.incremental import IncrementalDualSimulation
+from repro.core.incremental import IncrementalDualSimulation, IncrementalMatcher
 from repro.core.kernel import dual_simulation_kernel
+from repro.core.strong import match
 
 from tests.conftest import (
     graph_seeds,
@@ -31,6 +38,7 @@ from tests.conftest import (
     random_connected_pattern,
     random_digraph,
 )
+from tests.engines import ENGINES, canonical_result
 
 
 def assert_matches_scratch(inc) -> None:
@@ -40,6 +48,13 @@ def assert_matches_scratch(inc) -> None:
     assert maintained == dual_simulation_kernel(
         inc.pattern, inc.data
     ).pair_set()
+
+
+def assert_tracks_match(matcher) -> None:
+    """Every subgraph and relation equals a fresh reference ``Match``."""
+    assert canonical_result(matcher.result()) == canonical_result(
+        match(matcher.pattern, matcher.data, engine="python")
+    )
 
 
 @pytest.mark.parametrize("engine", ["python", "kernel"])
@@ -105,3 +120,38 @@ class TestIncrementalDualSimulationProperties:
         inc.add_edge(source, target)
         assert inc.relation.pair_set() == before
         assert_matches_scratch(inc)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+class TestIncrementalMatcherProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=graph_seeds,
+        pattern_seed=pattern_seeds,
+        op_seed=st.integers(min_value=0, max_value=10_000),
+        num_ops=st.integers(min_value=1, max_value=10),
+    )
+    def test_random_update_sequences(
+        self, engine, seed, pattern_seed, op_seed, num_ops
+    ):
+        data = random_digraph(seed, max_nodes=10, edge_prob=0.3)
+        pattern = random_connected_pattern(pattern_seed, max_nodes=4)
+        matcher = IncrementalMatcher(pattern, data, engine=engine)
+        assert_tracks_match(matcher)
+        labels = sorted(pattern.label_set())
+        rng = random.Random(op_seed)
+        fresh = 1000
+        for _ in range(num_ops):
+            nodes = list(data.nodes())
+            edges = list(data.edges())
+            choice = rng.random()
+            if choice < 0.35 and nodes:
+                matcher.add_edge(rng.choice(nodes), rng.choice(nodes))
+            elif choice < 0.65 and edges:
+                matcher.remove_edge(*rng.choice(edges))
+            elif choice < 0.8:
+                matcher.add_node(fresh, rng.choice(labels))
+                fresh += 1
+            elif nodes:
+                matcher.remove_node(rng.choice(nodes))
+            assert_tracks_match(matcher)

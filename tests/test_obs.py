@@ -182,18 +182,16 @@ class TestTrace:
 # Metrics registry
 # ----------------------------------------------------------------------
 class TestMetrics:
-    def test_counter_gauge_histogram(self):
+    def test_counter_and_histogram(self):
         registry = MetricsRegistry()
         registry.counter("c").inc()
         registry.counter("c").inc(2)
         registry.counter("c", kind="x").inc()
-        registry.gauge("g").set(4.5)
         for value in (1e-6, 1e-3, 1.0):
             registry.histogram("h").observe(value)
         snap = registry.snapshot()
         assert snap["counters"]["c"] == 3
         assert snap["counters"]["c{kind=x}"] == 1
-        assert snap["gauges"]["g"] == 4.5
         hist = snap["histograms"]["h"]
         assert hist["count"] == 3
         assert hist["sum"] == pytest.approx(1.001001)
@@ -344,7 +342,6 @@ class TestWire:
 
         registry = MetricsRegistry()
         registry.counter("c", kind="x").inc(3)
-        registry.gauge("g").set(1.5)
         registry.histogram("h").observe(0.02)
         snap = registry.snapshot()
         clone = decode_metrics(encode_metrics(snap))
