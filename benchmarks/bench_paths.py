@@ -1,9 +1,10 @@
-"""Path matching: reach-index kernel vs reference + equivalence gate.
+"""Path matching: CSR kernel vs reference + equivalence gate.
 
 The PR-8 workload: bounded simulation and regular (regex-constrained)
-matching answered through the :class:`~repro.core.reach.ReachIndex`
-2-hop distance labeling versus the reference per-query BFS / NFA walks.
-Three sections:
+matching answered by the kernel — one multi-source BFS per fixpoint pop
+over the compiled CSR rows for every bound other than 1 and every
+global ``.*`` edge, memoized lazy-DFA walks for general regexes —
+versus the reference per-candidate BFS / NFA walks.  Three sections:
 
 * **bounded** — ``bounded_simulation`` over Figure-8(g)-shaped synthetic
   graphs at |V|=2500 (smoke: 600) with mixed per-edge bounds
@@ -12,10 +13,11 @@ Three sections:
   full ``large`` profile targets >= 5x — record, don't gate, since CI
   only runs small);
 * **insertion stream** — a warm index carried through single-edge
-  insertions with a kernel requery after each: the labeling must be
-  patched in place, never rebuilt (``reach_builds == 1`` and
-  ``reach_drops == 0`` asserted after priming), with the final relation
-  checked against a cold reference run;
+  insertions with a kernel requery after each: the CSR rows are
+  patched in place and no path query builds the 2-hop labels
+  (``reach_builds == 0`` after priming and across the stream,
+  ``full_compiles`` unchanged), with the final relation checked
+  against a cold reference run;
 * **regular** — ``regular_dual_simulation`` and ``regular_strong_match``
   with wildcard + regex edge constraints, python vs kernel.
 
@@ -36,7 +38,6 @@ from typing import Dict, List
 from benchmarks.conftest import best_of, emit, emit_result
 from repro.core.bounded import BoundedPattern, bounded_simulation
 from repro.core.kernel import get_index
-from repro.core.reach import get_reach_index
 from repro.core.regular import (
     RegularPattern,
     hop_bounded_pattern,
@@ -115,10 +116,7 @@ def test_paths_kernel_vs_reference(scale):
         if times["kernel"]
         else None
     )
-    ri = get_reach_index(data)
-    label_entries = sum(len(d) for d in ri.out_labels) + sum(
-        len(d) for d in ri.in_labels
-    )
+    reach_builds = get_index(data).stats.reach_builds
     bounded_section = {
         "workload": (
             f"bounded_simulation, synthetic |V|={bounded_n}, alpha=1.2, "
@@ -130,7 +128,7 @@ def test_paths_kernel_vs_reference(scale):
         "python_s": round(times["python"], 6),
         "kernel_s": round(times["kernel"], 6),
         "speedup": bounded_speedup,
-        "reach_label_entries": label_entries,
+        "reach_builds": reach_builds,
         "large_scale_target": (
             f">= {BOUNDED_LARGE_SCALE_TARGET}x (recorded, gated only at "
             f"small scale: >= {BOUNDED_SMALL_SCALE_BAR}x)"
@@ -138,7 +136,7 @@ def test_paths_kernel_vs_reference(scale):
     }
 
     # ------------------------------------------------------------------
-    # Insertion stream: the labeling must be patched, never rebuilt.
+    # Insertion stream: rows patched in place, no labels ever built.
     # ------------------------------------------------------------------
     stream_updates = STREAM_UPDATES_SMOKE if smoke else STREAM_UPDATES
     stream_n = 300 if smoke else 1000
@@ -148,14 +146,14 @@ def test_paths_kernel_vs_reference(scale):
     stream_pattern = sample_pattern_from_data(stream_data, 4, seed=821)
     assert stream_pattern is not None
     stream_bp = BoundedPattern(stream_pattern, _mixed_bounds(stream_pattern))
-    # Prime: compile the graph index and build the labeling once.
+    # Prime: compile the graph index once.
     bounded_simulation(stream_bp, stream_data, engine="kernel")
     stats = get_index(stream_data).stats
-    builds_after_priming = stats.reach_builds
-    assert builds_after_priming == 1, (
-        f"expected exactly one reach build after priming, saw "
-        f"{builds_after_priming}"
+    assert stats.reach_builds == 0, (
+        f"priming built the 2-hop labels {stats.reach_builds} time(s); "
+        "no path query may build them"
     )
+    compiles_after_priming = stats.full_compiles
     stream = random_insertion_stream(stream_data, stream_updates, seed=5)
 
     def run_stream():
@@ -169,15 +167,15 @@ def test_paths_kernel_vs_reference(scale):
     run_stream()
     stream_s = _time.perf_counter() - start
     stats = get_index(stream_data).stats
-    assert stats.reach_builds == 1, (
-        f"pure-insertion stream triggered {stats.reach_builds - 1} full "
-        "reach rebuild(s); insertions must patch the labeling in place"
+    assert stats.reach_builds == 0, (
+        f"pure-insertion stream built the 2-hop labels "
+        f"{stats.reach_builds} time(s); no path query may build them"
     )
-    assert stats.reach_drops == 0, (
-        f"pure-insertion stream dropped the labeling {stats.reach_drops} "
-        "time(s)"
+    assert stats.full_compiles == compiles_after_priming, (
+        f"pure-insertion stream recompiled the index "
+        f"{stats.full_compiles - compiles_after_priming} time(s); "
+        "insertions must patch the CSR rows in place"
     )
-    assert stats.reach_patches >= stream_updates
     # Final-state equivalence against a cold reference run.
     warm = bounded_simulation(stream_bp, stream_data, engine="kernel")
     cold = bounded_simulation(stream_bp, stream_data, engine="python")
@@ -195,8 +193,7 @@ def test_paths_kernel_vs_reference(scale):
         "seconds": round(stream_s, 6),
         "amortized_update_ms": round(stream_s / stream_updates * 1e3, 4),
         "reach_builds": stats.reach_builds,
-        "reach_drops": stats.reach_drops,
-        "reach_patches": stats.reach_patches,
+        "full_compiles": stats.full_compiles,
     }
 
     # ------------------------------------------------------------------
@@ -258,7 +255,7 @@ def test_paths_kernel_vs_reference(scale):
 
     payload = {
         "benchmark": "bench_paths",
-        "workload": "bounded + regular path matching over the reach index",
+        "workload": "bounded + regular path matching on the CSR kernel",
         "scale": os.environ.get("REPRO_BENCH_SCALE", "small"),
         "smoke": smoke,
         "timing": f"best of {TIMING_REPS}, summed over sampled patterns",
@@ -277,17 +274,17 @@ def test_paths_kernel_vs_reference(scale):
     emit_result("BENCH_paths", payload)
 
     lines = [
-        "Path matching: reach-index kernel vs reference (seconds, lower "
-        "is better)",
+        "Path matching: CSR kernel vs reference (seconds, lower is "
+        "better)",
         f"bounded (|V|={bounded_n}, {patterns_used} patterns, mixed "
         f"bounds): python={times['python']:.4f}s "
         f"kernel={times['kernel']:.4f}s -> {bounded_speedup:.2f}x "
-        f"({label_entries} label entries)",
+        f"(reach builds={reach_builds})",
         f"insertion stream ({stream_updates} inserts + requery, "
         f"|V|={stream_n}): {stream_s:.4f}s total, "
         f"{stream_section['amortized_update_ms']:.2f} ms/update, "
-        f"builds={stats.reach_builds} drops={stats.reach_drops} "
-        f"patches={stats.reach_patches}",
+        f"reach builds={stats.reach_builds} "
+        f"full compiles={stats.full_compiles}",
     ]
     for row in regular_rows:
         for algo in ("dual", "strong"):

@@ -147,8 +147,8 @@ def _cmd_match_paths(args: argparse.Namespace, data: DiGraph,
     from repro.exceptions import PatternError
 
     if args.engine == "numpy":
-        print("path algorithms run on the reach-index kernel, not the "
-              "numpy array engine; use --engine auto, python, or kernel")
+        print("path algorithms run on the CSR kernel, not the numpy "
+              "array engine; use --engine auto, python, or kernel")
         return 2
     try:
         bounds, constraints, radius = _paths_spec(pattern, args.paths_spec)

@@ -8,8 +8,10 @@ knowing the module layout:
   :func:`match` (strong simulation), :func:`match_plus`;
 * optimizations — :func:`minimize_pattern`, :func:`dual_filter`;
 * extensions — :class:`BoundedPattern`, :func:`bounded_simulation`,
-  :class:`RegularPattern`, :func:`regular_strong_match`, backed by the
-  :class:`ReachIndex` distance labeling for the ``kernel`` engine.
+  :class:`RegularPattern`, :func:`regular_strong_match`, answered on
+  the ``kernel`` engine by multi-source BFS over the CSR rows;
+  :class:`ReachIndex` is an exact 2-hop distance oracle no matcher
+  reads.
 """
 
 from repro.core.ball import Ball, extract_ball, extract_ball_restricted, iter_balls

@@ -16,20 +16,17 @@ Two-path architecture
 reference path below answers every witness test with a memoized BFS per
 ``(node, bound)`` — simple, allocation-heavy, and kept verbatim as
 ground truth.  The ``kernel`` path
-(:func:`repro.core.reach.bounded_simulation_kernel`) routes the same
-fixpoint through the :class:`~repro.core.reach.ReachIndex` distance
-labeling compiled into the graph's :class:`~repro.core.kernel.GraphIndex`:
-witness tests become hub-label probes, so each fixpoint round costs
-adjacency-row scans instead of BFS traversals.  The index is built once
-per graph (lazily, on the first path query with a bound other than 1)
-and patched in place across edge insertions — it amortizes as soon as
-a graph is queried more than once, or once under repeated fixpoint
-rounds on graphs whose BFS frontiers are large (anything past a few
-hundred nodes); for one-shot queries on tiny graphs the reference path
-wins, yet ``engine="auto"`` picks the kernel on every graph (routing by
-measured work is a ROADMAP open item).  Both paths compute the unique
-maximum bounded-simulation relation, so their outputs are identical —
-enforced by the differential suite (``tests/test_paths_equivalence.py``).
+(:func:`repro.core.reach.bounded_simulation_kernel`) runs the same
+fixpoint over the CSR rows of the graph's
+:class:`~repro.core.kernel.GraphIndex`: bound-1 edges are row tests,
+and every other bound reads one multi-source BFS backwards from the
+popped node's whole candidate set, run once per pop and bound, so a
+witness test is a set membership instead of a BFS per candidate.  It
+needs nothing beyond the CSR rows, which insertions patch in place.
+``engine="auto"`` picks the kernel on every graph.  Both paths compute
+the unique maximum bounded-simulation relation, so their outputs are
+identical — enforced by the differential suite
+(``tests/test_paths_equivalence.py``).
 """
 
 from __future__ import annotations

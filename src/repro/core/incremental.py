@@ -193,9 +193,13 @@ class IncrementalDualSimulation:
         thus made concrete: deletions are O(affected), insertions a full
         fixpoint — on the compiled engines a counter fixpoint over the
         incrementally maintained CSR arrays, with zero index
-        recompilation.
+        recompilation.  Re-adding an existing edge changes nothing (the
+        graph version does not move), so it runs no fixpoint.
         """
+        version = self.data.version
         self.data.add_edge(source, target)
+        if self.data.version == version:
+            return
         self.recomputations += 1
         self._sim = self._dual(self.pattern, self.data).to_sim_dict()
 
@@ -277,9 +281,12 @@ class IncrementalMatcher:
         return result
 
     def add_edge(self, source: Node, target: Node) -> None:
-        """Insert an edge; refine only the affected balls."""
+        """Insert an edge; refine only the affected balls (none when the
+        edge was already present)."""
+        version = self.data.version
         self._dualsim.add_edge(source, target)
-        self._update(self._around(source, target))
+        if self.data.version != version:
+            self._update(self._around(source, target))
 
     def remove_edge(self, source: Node, target: Node) -> None:
         """Delete an edge; refine only the affected balls."""

@@ -315,20 +315,21 @@ class IndexStats:
         one move (zero when it returns to its initial label) — so this
         can be far below the number of ``relabel`` deltas applied.
     reach_builds:
-        From-scratch compilations of the lazy :class:`ReachIndex`
-        component (see :mod:`repro.core.reach`).  A pure-insertion
-        workload holds this at 1 after the first path probe.
+        From-scratch compilations of the :class:`ReachIndex` 2-hop
+        labels (see :mod:`repro.core.reach`).  Only
+        ``get_reach_index`` / ``reach_index_for`` build them; no path
+        matcher does, so a path workload holds this at 0.
     reach_patches:
-        Edge insertions absorbed by the reach labels in place (resumed
-        pruned BFS sweeps) instead of a rebuild.
+        Always 0: the labels are no longer patched in place (every
+        mutation drops them).  Kept because ``perfbench/layers.py``
+        reads each ``reach_*`` field by name.
     reach_drops:
-        Times the reach index was discarded for a lazy rebuild —
-        deletions make stale distance labels over-approximate, so any
-        deletion drops it (the rebuild is only paid if another path
-        probe arrives).
+        Times built labels were discarded on a mutation.  Any graph
+        mutation drops them; a rebuild is paid only when
+        ``get_reach_index`` is called again.
     reach_probes:
-        Distance/reachability questions answered from the labels
-        (witness tests, pairwise queries).
+        Pairwise distance questions answered from the labels
+        (:meth:`ReachIndex.dist`).
     """
 
     full_compiles: int = 0
@@ -442,8 +443,8 @@ class GraphIndex(GrowableCSRIndex):
         # repro.core.npkernel); every mutation drops it, so a stale view
         # can never be served.  None also when numpy is not installed.
         self._np_view = None
-        # Lazily built reachability/distance labeling (repro.core.reach);
-        # cached like _np_view and maintained off the delta stream.
+        # Lazily built 2-hop distance labels (repro.core.reach); cached
+        # like _np_view and dropped by every mutation.
         self._reach = None
         _ALL_INDEXES.add(self)
         self._compile(graph)
@@ -651,7 +652,7 @@ class GraphIndex(GrowableCSRIndex):
             self._np_view = None
 
     def _drop_reach(self) -> None:
-        """Discard the reach labeling for a lazy rebuild on next probe."""
+        """Discard the reach labels for a lazy rebuild on next request."""
         if self._reach is not None:
             self._reach = None
             self.stats.reach_drops += 1
@@ -659,32 +660,27 @@ class GraphIndex(GrowableCSRIndex):
     def _apply_delta(self, delta: GraphDelta) -> None:
         kind = delta.kind
         if kind != RELABEL:
-            # Every row or slot change drops the array view; relabels
-            # drop it in _move_label_groups when a label actually moves.
+            # Every row or slot change drops the array view and the
+            # reach labels; relabels move no distance, and drop the view
+            # in _move_label_groups when a label actually moves.
             self._np_view = None
+            self._drop_reach()
         if kind == ADD_EDGE:
-            a = self.index_of[delta.source]
-            b = self.index_of[delta.target]
-            self._csr_add_edge(a, b)
+            self._csr_add_edge(
+                self.index_of[delta.source], self.index_of[delta.target]
+            )
             self.num_edges += 1
-            if self._reach is not None:
-                # Sound in place: inserted edges only shorten distances,
-                # and the resumed label sweeps restore the cover property.
-                self._reach.apply_add_edge(a, b)
         elif kind == REMOVE_EDGE:
             self._csr_remove_edge(
                 self.index_of[delta.source], self.index_of[delta.target]
             )
             self.num_edges -= 1
             self._removed_weight += 1
-            self._drop_reach()
         elif kind == ADD_NODE:
             i = self._new_slot(delta.node)
             self.labels[i] = delta.label
             self.label_groups.setdefault(delta.label, set()).add(i)
             self.n += 1
-            if self._reach is not None:
-                self._reach.add_slot()
         elif kind == REMOVE_NODE:
             # Incident-edge deltas always precede (same batch), so the
             # slot's rows are already empty; tombstone it.
@@ -696,7 +692,6 @@ class GraphIndex(GrowableCSRIndex):
             self.labels[i] = _DEAD
             self.nodes[i] = None
             self._removed_weight += 1
-            self._drop_reach()
         elif kind == RELABEL:
             # Normally coalesced by _apply_delta_group; kept for callers
             # applying single deltas.

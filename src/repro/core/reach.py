@@ -1,59 +1,48 @@
-"""Reachability/distance index over the CSR substrate — 2-hop labeling.
+"""Path witnesses over the CSR substrate, plus the 2-hop distance labels.
 
 The bounded and regular matchers (:mod:`repro.core.bounded`,
 :mod:`repro.core.regular`) spend almost all of their time answering two
 kinds of question about the *data* graph:
 
 * ``dist(v, T) <= k`` — is some member of a target set within ``k``
-  directed hops of ``v``? (the bounded-edge witness test), and
+  directed hops of ``v``? (the bounded-edge witness test, and the
+  global ``.*`` edges of regular matching in either direction), and
 * regex-constrained successor sets (the ``[18]``-style path semantics).
 
 The reference implementations answer both with a fresh BFS per
-``(node, edge)`` pair.  This module compiles the answers into an index:
+``(node, edge)`` pair.  The kernel path answers them over the integer
+rows of a :class:`~repro.core.kernel.GraphIndex`:
+
+``_within``
+    One multi-source BFS from a whole target (source) set along the
+    reverse (forward) rows returns every slot with a path of
+    ``1..bound`` hops into (out of) the set.  A fixpoint pop runs it
+    once per distinct bound, and every pattern edge of that pop reads
+    the one result, so a witness test is a set membership.  Bound-1
+    and empty-regex edges stay CSR row tests; general regexes and
+    in-ball walks stay memoized lazy-DFA product walks.
 
 ``ReachIndex``
     A pruned landmark-ordered 2-hop labeling (Akiba-style pruned
-    landmark labeling adapted to digraphs) over the CSR forward/reverse
-    rows of a :class:`~repro.core.kernel.GraphIndex`.  Every live slot
-    ``v`` carries two small hub dictionaries, ``out_labels[v]`` (hub ->
-    ``dist(v, hub)``) and ``in_labels[v]`` (hub -> ``dist(hub, v)``);
-    the cover property of pruned labeling makes
-
-        ``dist(u, w) = min over common hubs h of out[u][h] + in[w][h]``
-
-    *exact*.  Hubs are processed in descending total-degree order, which
-    keeps the labels near-minimal on the scale-free synthetic graphs.
-
-    A DFS spanning forest over the forward rows is kept alongside the
-    labels: each live slot has a pre/post interval, so "some target is
-    a forest descendant of ``u``" (a *sufficient* reachability
-    certificate) is one bisect — the fast path of unbounded
-    :class:`TargetProbe` witnesses, consulted before any hub
-    intersection.
-
-``TargetProbe`` / ``SourceProbe``
-    One-pass set probes built per fixpoint round: they collapse a whole
-    target (source) set into a single hub->min-distance map so the
-    witness test for every candidate ``v`` is one scan of ``v``'s
-    adjacency row plus one scan of each neighbor's label dictionary —
-    no BFS, no per-pair set materialization.  The one-hop shift through
-    the adjacency row makes the "path of length >= 1" semantics (cycles
-    back into the target set included) fall out without special cases.
-
-Lifecycle: the index is compiled lazily on first use and cached on the
-owning ``GraphIndex`` (the ``_np_view`` pattern), then maintained off
-the ``GraphDelta`` stream — edge insertions are patched in place by
-resuming the pruned label BFSs through the new edge (sound: entries are
-always true path lengths; the resumed sweeps restore the cover
-property), while any deletion drops the index for a versioned lazy
-rebuild on the next probe (distances can only grow under deletion, and
-stale-small labels would over-approximate).  ``IndexStats`` counts
-builds, in-place patches, drops and probes.
+    landmark labeling adapted to digraphs): every live slot ``v``
+    carries ``out_labels[v]`` (hub -> ``dist(v, hub)``) and
+    ``in_labels[v]`` (hub -> ``dist(hub, v)``), and
+    ``dist(u, w) = min over common hubs h of out[u][h] + in[w][h]`` is
+    exact.  No matcher reads it: warm probes lost to the multi-source
+    BFS at every bound measured (hop bound 2 at |V|=1000, bounds 1/2/3
+    and unbounded at |V|=600 and 2500), and patching it cost more per
+    write than the queries it served.  It stays as an exact pairwise
+    distance oracle (:meth:`ReachIndex.dist`) because ``perfbench``
+    builds it at paths-mixed set-up and ``perfbench/sizing.py`` times
+    its build.  Built only by
+    :func:`get_reach_index` / :func:`reach_index_for` and cached on the
+    owning ``GraphIndex``; every mutation drops it for a lazy rebuild
+    on the next request.  ``IndexStats`` counts builds, drops and
+    pairwise probes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -75,7 +64,7 @@ _INF = float("inf")
 
 #: Engines understood by the path-matching entry points.  There is no
 #: vectorized path kernel, so ``auto`` collapses the numpy tier onto the
-#: index-backed kernel; explicit ``engine="numpy"`` is a caller error.
+#: CSR kernel; explicit ``engine="numpy"`` is a caller error.
 PATH_ENGINES = ("auto", "python", "kernel")
 
 
@@ -84,10 +73,9 @@ def resolve_path_engine(engine: str, data: Optional[DiGraph] = None) -> str:
 
     Same contract as :func:`repro.core.kernel.resolve_engine` restricted
     to the engines that exist for path workloads: ``"python"``, and the
-    index-backed ``"kernel"``, which ``"auto"`` picks on every graph
-    (there is no numpy tier — probe batching is future work, see
-    ROADMAP).  ``data`` keeps the call shape of ``resolve_engine``; the
-    answer does not depend on it.
+    CSR ``"kernel"``, which ``"auto"`` picks on every graph (there is no
+    numpy tier).  ``data`` keeps the call shape of ``resolve_engine``;
+    the answer does not depend on it.
     """
     if engine not in PATH_ENGINES:
         raise ValueError(
@@ -115,24 +103,15 @@ def _label_dist(out_d: Dict[int, int], in_d: Dict[int, int]) -> float:
 
 
 class ReachIndex:
-    """Pruned 2-hop distance labels + spanning-forest intervals.
+    """Pruned 2-hop distance labels over a :class:`GraphIndex`'s slots.
 
     Built from (and indexed by) the integer slots of a
-    :class:`~repro.core.kernel.GraphIndex`; all public methods take slot
-    ids.  Construction, patching and probing must happen under the
-    owner's read guard (the kernel entry points arrange this).
+    :class:`~repro.core.kernel.GraphIndex`; :meth:`dist` takes slot ids.
+    Construction and probing must happen under the owner's read guard
+    (:func:`get_reach_index` arranges this).
     """
 
-    __slots__ = (
-        "gi",
-        "rank",
-        "out_labels",
-        "in_labels",
-        "tree_pre",
-        "tree_post",
-        "_tree_counter",
-        "_next_rank",
-    )
+    __slots__ = ("gi", "out_labels", "in_labels")
 
     def __init__(self, gi: GraphIndex) -> None:
         self.gi = gi
@@ -142,8 +121,6 @@ class ReachIndex:
                 _sp.set(nodes=gi.num_live, edges=gi.num_edges)
         gi.stats.reach_builds += 1
 
-    # ------------------------------------------------------------------
-    # construction
     def _build(self) -> None:
         gi = self.gi
         fwd, rev, labels = gi.fwd_rows, gi.rev_rows, gi.labels
@@ -151,11 +128,6 @@ class ReachIndex:
         live = [v for v in range(n) if labels[v] is not _DEAD]
         # Landmark order: descending total degree, slot id as tie-break.
         order = sorted(live, key=lambda v: (-(len(fwd[v]) + len(rev[v])), v))
-        rank = [n] * n
-        for r, v in enumerate(order):
-            rank[v] = r
-        self.rank = rank
-        self._next_rank = len(order)
         # Every live node is its own hub at distance 0 (makes queries
         # touching a node well-defined and strengthens pruning).
         self.out_labels = [
@@ -164,39 +136,9 @@ class ReachIndex:
         self.in_labels = [
             {v: 0} if labels[v] is not _DEAD else {} for v in range(n)
         ]
-        self._build_forest(live, fwd, labels)
         for h in order:
             self._root_bfs(h, forward=True)
             self._root_bfs(h, forward=False)
-
-    def _build_forest(self, live: List[int], fwd, labels) -> None:
-        """DFS spanning forest over the forward rows (roots in id order)."""
-        n = len(labels)
-        pre = [-1] * n
-        post = [-1] * n
-        counter = 0
-        for root in live:
-            if pre[root] >= 0:
-                continue
-            pre[root] = counter
-            counter += 1
-            stack: List[Tuple[int, object]] = [(root, iter(fwd[root]))]
-            while stack:
-                v, children = stack[-1]
-                advanced = False
-                for w in children:
-                    if pre[w] < 0 and labels[w] is not _DEAD:
-                        pre[w] = counter
-                        counter += 1
-                        stack.append((w, iter(fwd[w])))
-                        advanced = True
-                        break
-                if not advanced:
-                    post[v] = counter
-                    stack.pop()
-        self.tree_pre = pre
-        self.tree_post = post
-        self._tree_counter = counter
 
     def _root_bfs(self, h: int, forward: bool) -> None:
         """One pruned label BFS from hub ``h`` (forward or backward)."""
@@ -223,69 +165,6 @@ class ReachIndex:
                 assign[w][h] = nd
                 queue.append(w)
 
-    # ------------------------------------------------------------------
-    # maintenance (driven by GraphIndex._apply_delta)
-    def add_slot(self) -> None:
-        """Mirror a freshly appended live slot (ADD_NODE)."""
-        v = len(self.out_labels)
-        self.out_labels.append({v: 0})
-        self.in_labels.append({v: 0})
-        self.rank.append(self._next_rank)
-        self._next_rank += 1
-        pre = self._tree_counter
-        self.tree_pre.append(pre)
-        self.tree_post.append(pre + 1)
-        self._tree_counter = pre + 1
-
-    def apply_add_edge(self, a: int, b: int) -> None:
-        """Patch the labels in place for a new edge ``a -> b``.
-
-        Resumes the pruned BFS of every hub that reaches ``a`` through
-        the new edge (and symmetrically every hub reachable from ``b``,
-        backwards through ``a``).  Entries only ever shrink toward the
-        true distance, and the exactness argument of pruned labeling
-        carries over: for any pair whose distance drops, the certificate
-        hub of its old prefix is resumed with an exact seed.  The forest
-        is untouched — tree edges persist, the new edge is a non-tree
-        edge, so the interval fast path stays sound.
-        """
-        rank = self.rank
-        for h, d in sorted(
-            self.in_labels[a].items(), key=lambda kv: rank[kv[0]]
-        ):
-            self._resume(h, b, d + 1, forward=True)
-        for h, d in sorted(
-            self.out_labels[b].items(), key=lambda kv: rank[kv[0]]
-        ):
-            self._resume(h, a, d + 1, forward=False)
-        self.gi.stats.reach_patches += 1
-
-    def _resume(self, h: int, start: int, d0: int, forward: bool) -> None:
-        out_l, in_l = self.out_labels, self.in_labels
-        if forward:
-            rows, hub_side, assign = self.gi.fwd_rows, out_l[h], in_l
-        else:
-            rows, hub_side, assign = self.gi.rev_rows, in_l[h], out_l
-        queue = deque(((start, d0),))
-        while queue:
-            w, nd = queue.popleft()
-            cur = assign[w].get(h)
-            if cur is not None and cur <= nd:
-                continue
-            if forward:
-                covered = _label_dist(hub_side, in_l[w]) <= nd
-            else:
-                covered = _label_dist(out_l[w], hub_side) <= nd
-            if covered:
-                continue
-            assign[w][h] = nd
-            nd += 1
-            for x in rows[w]:
-                queue.append((x, nd))
-        return None
-
-    # ------------------------------------------------------------------
-    # queries (slot ids)
     def dist(self, u: int, w: int) -> Optional[int]:
         """Exact directed distance ``u -> w`` in hops, or None."""
         self.gi.stats.reach_probes += 1
@@ -295,118 +174,12 @@ class ReachIndex:
         return None if d == _INF else int(d)
 
 
-class TargetProbe:
-    """``dist(v, T) <= k`` witness tests against a fixed target set.
-
-    Collapses ``T`` into one hub -> min-inbound-distance map (and a
-    sorted list of forest pre-numbers for the unbounded interval fast
-    path); :meth:`witness_from` then answers "is there a directed path
-    of length 1..bound from ``v`` into ``T``" by shifting one hop
-    through ``v``'s forward row — which also makes cycles back into the
-    target set come out right with no self-distance special case.
-    """
-
-    __slots__ = ("ri", "targets", "hub_dist", "target_pres")
-
-    def __init__(self, ri: ReachIndex, targets: Set[int]) -> None:
-        self.ri = ri
-        self.targets = targets
-        hub: Dict[int, int] = {}
-        in_labels = ri.in_labels
-        for t in targets:
-            for h, d in in_labels[t].items():
-                cur = hub.get(h)
-                if cur is None or d < cur:
-                    hub[h] = d
-        self.hub_dist = hub
-        tree_pre = ri.tree_pre
-        self.target_pres = sorted(tree_pre[t] for t in targets)
-
-    def witness_from(self, v: int, bound: Bound) -> bool:
-        ri = self.ri
-        ri.gi.stats.reach_probes += 1
-        targets = self.targets
-        residual = None if bound is None else bound - 1
-        hub = self.hub_dist
-        out_labels = ri.out_labels
-        pres = self.target_pres
-        tree_pre, tree_post = ri.tree_pre, ri.tree_post
-        for s in ri.gi.fwd_rows[v]:
-            if s in targets:
-                return True
-            if residual == 0:
-                continue
-            if residual is None:
-                pre_s = tree_pre[s]
-                if pre_s >= 0:
-                    lo = bisect_left(pres, pre_s)
-                    if lo < len(pres) and pres[lo] < tree_post[s]:
-                        return True  # some target in s's forest subtree
-                for h in out_labels[s]:
-                    if h in hub:
-                        return True
-            else:
-                for h, d in out_labels[s].items():
-                    r = hub.get(h)
-                    if r is not None and d + r <= residual:
-                        return True
-        return False
-
-
-class SourceProbe:
-    """``dist(S, v) <= k`` witness tests against a fixed source set.
-
-    The mirror image of :class:`TargetProbe` for the child direction of
-    dual fixpoints: "is there a directed path of length 1..bound from
-    some member of ``S`` into ``v``", answered by shifting one hop back
-    through ``v``'s reverse row.  (No interval fast path here — "is this
-    point covered by any source interval" has no single-bisect answer.)
-    """
-
-    __slots__ = ("ri", "sources", "hub_dist")
-
-    def __init__(self, ri: ReachIndex, sources: Set[int]) -> None:
-        self.ri = ri
-        self.sources = sources
-        hub: Dict[int, int] = {}
-        out_labels = ri.out_labels
-        for s in sources:
-            for h, d in out_labels[s].items():
-                cur = hub.get(h)
-                if cur is None or d < cur:
-                    hub[h] = d
-        self.hub_dist = hub
-
-    def witness_into(self, v: int, bound: Bound) -> bool:
-        ri = self.ri
-        ri.gi.stats.reach_probes += 1
-        sources = self.sources
-        residual = None if bound is None else bound - 1
-        hub = self.hub_dist
-        in_labels = ri.in_labels
-        for p in ri.gi.rev_rows[v]:
-            if p in sources:
-                return True
-            if residual == 0:
-                continue
-            if residual is None:
-                for h in in_labels[p]:
-                    if h in hub:
-                        return True
-            else:
-                for h, d in in_labels[p].items():
-                    r = hub.get(h)
-                    if r is not None and r + d <= residual:
-                        return True
-        return False
-
-
 # ----------------------------------------------------------------------
 # lifecycle
 def reach_index_for(gi: GraphIndex) -> ReachIndex:
     """The cached ReachIndex of ``gi``, building it on first use.
 
-    Must be called under ``gi.reading()``.  Concurrent first probes may
+    Must be called under ``gi.reading()``.  Concurrent first calls may
     race to build; both results are equivalent (built from the same
     guarded rows) and the attribute store is atomic, so the loser's work
     is merely wasted.
@@ -426,6 +199,48 @@ def get_reach_index(data: DiGraph) -> ReachIndex:
 
 
 # ----------------------------------------------------------------------
+# Path witnesses: one multi-source BFS per fixpoint pop
+# ----------------------------------------------------------------------
+def _within(rows: List[List[int]], seeds: Set[int], bound: Bound) -> Set[int]:
+    """Slots reached from ``seeds`` in ``1..bound`` hops along ``rows``.
+
+    Along ``rev_rows`` that is every slot with a directed path of
+    ``1..bound`` hops *into* ``seeds``; along ``fwd_rows``, every slot
+    with one *out of* them (``bound=None``: any length).  Seeds are not
+    pre-marked, so a seed is in the result exactly when a cycle or
+    another seed reaches it within the bound — the successor-shift
+    semantics of the reference oracle.  Layer ``d`` holds the slots
+    whose shortest such path has ``d`` hops, so every slot is expanded
+    at most once after the seeds' own layer.
+    """
+    reached: Set[int] = set()
+    frontier = seeds
+    hops = 0
+    while frontier and (bound is None or hops < bound):
+        hops += 1
+        layer: Set[int] = set()
+        for v in frontier:
+            layer.update(rows[v])
+        layer -= reached
+        reached |= layer
+        frontier = layer
+    return reached
+
+
+def _memo_within(
+    memo: Dict[Bound, Set[int]],
+    rows: List[List[int]],
+    seeds: Set[int],
+    bound: Bound,
+) -> Set[int]:
+    """:func:`_within`, run at most once per bound for one ``memo``."""
+    hit = memo.get(bound)
+    if hit is None:
+        hit = memo[bound] = _within(rows, seeds, bound)
+    return hit
+
+
+# ----------------------------------------------------------------------
 # Kernel engine: bounded simulation
 # ----------------------------------------------------------------------
 def _to_relation(gi: GraphIndex, sim: Dict[Node, Set[int]]) -> MatchRelation:
@@ -436,25 +251,20 @@ def _to_relation(gi: GraphIndex, sim: Dict[Node, Set[int]]) -> MatchRelation:
 
 
 def bounded_simulation_kernel(bounded_pattern, data: DiGraph) -> MatchRelation:
-    """Index-backed bounded simulation, output-identical to the reference.
+    """CSR bounded simulation, output-identical to the reference.
 
     Same fixpoint shape as :func:`repro.core.bounded.bounded_simulation`
     (whose result — the unique maximum bounded-simulation relation — it
-    must and does reproduce), but every bounded-edge witness test is a
-    :class:`TargetProbe` label probe instead of a cached BFS, and
-    bound-1 edges are plain CSR row tests — so a pattern whose bounds
-    are all 1 never builds the labels.
+    must and does reproduce).  Bound-1 edges are plain CSR row tests;
+    every other bound (unbounded included) reads one :func:`_within`
+    BFS per pop and bound from the popped node's candidates, shared by
+    every predecessor edge of that pop.
     """
     pattern = bounded_pattern.pattern
     gi = get_index(data)
     with gi.reading():
-        ri = (
-            reach_index_for(gi)
-            if any(bounded_pattern.bound(e) != 1 for e in pattern.edges())
-            else None
-        )
         groups = gi.label_groups
-        fwd = gi.fwd_rows
+        fwd, rev = gi.fwd_rows, gi.rev_rows
         sim: Dict[Node, Set[int]] = {
             u: set(groups.get(pattern.label(u), ())) for u in pattern.nodes()
         }
@@ -464,7 +274,7 @@ def bounded_simulation_kernel(bounded_pattern, data: DiGraph) -> MatchRelation:
             u_prime = queue.popleft()
             queued.discard(u_prime)
             targets = sim[u_prime]
-            probe = None  # one bound-agnostic probe per pop, built lazily
+            within: Dict[Bound, Set[int]] = {}
             for u in pattern.predecessors(u_prime):
                 bound = bounded_pattern.bound((u, u_prime))
                 if bound == 1:
@@ -472,13 +282,7 @@ def bounded_simulation_kernel(bounded_pattern, data: DiGraph) -> MatchRelation:
                         v for v in sim[u] if targets.isdisjoint(fwd[v])
                     ]
                 else:
-                    if probe is None:
-                        probe = TargetProbe(ri, targets)
-                    stale = [
-                        v
-                        for v in sim[u]
-                        if not probe.witness_from(v, bound)
-                    ]
+                    stale = sim[u] - _memo_within(within, rev, targets, bound)
                 if not stale:
                     continue
                 sim[u].difference_update(stale)
@@ -505,9 +309,9 @@ class _RegularProgram:
     """A :class:`RegularPattern` compiled for the int kernel.
 
     Classifies each pattern edge: empty regex -> direct CSR row test,
-    the wildcard ``.*`` -> distance probes against the ReachIndex (in
-    global scope), anything else -> memoized :class:`LazyDfa` product
-    walks (a reversed machine serves the child direction).
+    the wildcard ``.*`` -> a :func:`_within` BFS (in global scope),
+    anything else -> memoized :class:`LazyDfa` product walks (a reversed
+    machine serves the child direction).
     """
 
     __slots__ = ("pattern", "edges", "kinds", "bounds", "dfas", "rdfas")
@@ -616,14 +420,14 @@ def _dfa_predecessors(
 def _regular_fixpoint(
     prog: _RegularProgram,
     gi: GraphIndex,
-    ri: Optional[ReachIndex],
     members: Optional[Set[int]],
 ):
     """The regular dual-simulation fixpoint over integer candidate sets.
 
-    ``members=None`` runs globally (wildcard edges answered by ``ri``
-    probes); a member set runs ball-restricted (wildcard edges fall back
-    to DFA walks — global distances cannot certify in-ball paths).
+    ``members=None`` runs globally (wildcard edges read one
+    :func:`_within` BFS per pop, direction and bound); a member set runs
+    ball-restricted (wildcard edges fall back to DFA walks, which stay
+    inside the ball).
 
     Returns ``(sim, successors)``: the converged candidate sets (all
     cleared on collapse, like the reference) plus the memoized
@@ -641,7 +445,6 @@ def _regular_fixpoint(
             u: set(groups.get(pattern.label(u), ())) & members
             for u in pattern.nodes()
         }
-    use_probes = members is None and ri is not None
     fwd = gi.fwd_rows
     rev = gi.rev_rows
     succ_cache: Dict[Tuple[Node, Node], Dict[int, Set[int]]] = {
@@ -682,8 +485,8 @@ def _regular_fixpoint(
         w = queue.popleft()
         queued.discard(w)
         w_candidates = sim[w]
-        t_probe = None  # shared per pop: probes are bound-agnostic
-        s_probe = None
+        into: Dict[Bound, Set[int]] = {}  # paths into sim(w), by bound
+        out_of: Dict[Bound, Set[int]] = {}  # paths out of sim(w), by bound
         # Parents u of w: v in sim(u) needs a regex path into sim(w).
         for u in pattern.predecessors(w):
             edge = (u, w)
@@ -692,15 +495,10 @@ def _regular_fixpoint(
                 stale = [
                     v for v in sim[u] if w_candidates.isdisjoint(fwd[v])
                 ]
-            elif kind == _WILDCARD and use_probes:
-                if t_probe is None:
-                    t_probe = TargetProbe(ri, w_candidates)
-                bound = prog.bounds[edge]
-                stale = [
-                    v
-                    for v in sim[u]
-                    if not t_probe.witness_from(v, bound)
-                ]
+            elif kind == _WILDCARD and members is None:
+                stale = sim[u] - _memo_within(
+                    into, rev, w_candidates, prog.bounds[edge]
+                )
             else:
                 stale = [
                     v
@@ -722,15 +520,10 @@ def _regular_fixpoint(
                 stale = [
                     v for v in sim[u] if w_candidates.isdisjoint(rev[v])
                 ]
-            elif kind == _WILDCARD and use_probes:
-                if s_probe is None:
-                    s_probe = SourceProbe(ri, w_candidates)
-                bound = prog.bounds[edge]
-                stale = [
-                    v
-                    for v in sim[u]
-                    if not s_probe.witness_into(v, bound)
-                ]
+            elif kind == _WILDCARD and members is None:
+                stale = sim[u] - _memo_within(
+                    out_of, fwd, w_candidates, prog.bounds[edge]
+                )
             else:
                 stale = [
                     v
@@ -750,23 +543,20 @@ def _regular_fixpoint(
 
 
 def regular_dual_simulation_kernel(rpattern, data: DiGraph) -> MatchRelation:
-    """Index-backed regular dual simulation (reference-identical)."""
+    """CSR regular dual simulation (reference-identical)."""
     gi = get_index(data)
     prog = _RegularProgram(rpattern)
     with gi.reading():
-        # Only global ``.*`` edges probe the labels: build them for those.
-        wildcard = _WILDCARD in prog.kinds.values()
-        ri = reach_index_for(gi) if wildcard else None
-        sim, _ = _regular_fixpoint(prog, gi, ri, None)
+        sim, _ = _regular_fixpoint(prog, gi, None)
         return _to_relation(gi, sim)
 
 
 def regular_strong_match_kernel(
     rpattern, data: DiGraph, radius: Optional[int] = None
 ) -> MatchResult:
-    """Index-backed regular strong matching (reference-identical).
+    """CSR regular strong matching (reference-identical).
 
-    Global regular dual simulation via probes, then the reference's
+    Global regular dual simulation, then the reference's
     per-ball pipeline — ball-restricted fixpoint, path-semantics match
     graph, undirected component of the center — over integer ids,
     materializing object graphs only for successful balls.
@@ -778,9 +568,7 @@ def regular_strong_match_kernel(
     gi = get_index(data)
     prog = _RegularProgram(rpattern)
     with gi.reading():
-        wildcard = _WILDCARD in prog.kinds.values()
-        ri = reach_index_for(gi) if wildcard else None
-        global_sim, _ = _regular_fixpoint(prog, gi, ri, None)
+        global_sim, _ = _regular_fixpoint(prog, gi, None)
         matched: Set[int] = set()
         for candidates in global_sim.values():
             matched |= candidates
@@ -792,7 +580,7 @@ def regular_strong_match_kernel(
         for center in sorted(matched, key=lambda i: repr(nodes[i])):
             order, _, _, _ = _ball_bfs(gi, center, radius)
             members = set(order)
-            sim, successors = _regular_fixpoint(prog, gi, None, members)
+            sim, successors = _regular_fixpoint(prog, gi, members)
             if not any(sim.values()):
                 continue
             if not any(center in candidates for candidates in sim.values()):

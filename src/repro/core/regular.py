@@ -29,15 +29,13 @@ in this module walks the product graph with fresh NFA state-sets per
 query (kept verbatim as ground truth).  The ``kernel`` path
 (:mod:`repro.core.reach`) compiles each regex once into an interned
 lazy DFA, classifies every pattern edge — direct edges become CSR row
-tests, the wildcard ``.*`` becomes distance probes against the
-:class:`~repro.core.reach.ReachIndex` 2-hop labeling, general regexes
-become memoized DFA product walks — and runs the same fixpoint over
-integer candidate sets.  The index is shared with bounded simulation
-and patched in place across edge insertions, so the kernel path
-amortizes under the same conditions (repeat queries, non-tiny graphs,
-update-heavy workloads); outputs are identical by the uniqueness of the
-maximum relation, enforced differentially in
-``tests/test_paths_equivalence.py``.
+tests; a global wildcard ``.*`` reads one multi-source BFS per
+fixpoint pop, direction and bound, the same witness sets bounded
+simulation uses; general regexes and every in-ball walk become
+memoized DFA product walks — and runs the same fixpoint over integer
+candidate sets of the graph's :class:`~repro.core.kernel.GraphIndex`.
+Outputs are identical by the uniqueness of the maximum relation,
+enforced differentially in ``tests/test_paths_equivalence.py``.
 """
 
 from __future__ import annotations

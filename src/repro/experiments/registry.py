@@ -166,12 +166,11 @@ def incremental_updates(scale: int) -> str:
 
 
 def bounded_paths(scale: int) -> str:
-    """Path matching: reference BFS vs reach-index kernel (PR 8)."""
+    """Path matching: reference BFS vs the CSR kernel (PR 8)."""
     import time
 
     from repro.core.bounded import BoundedPattern, bounded_simulation
     from repro.core.kernel import get_index
-    from repro.core.reach import get_reach_index
 
     # 10 labels -> large per-label candidate sets, the regime where the
     # reference path's per-candidate BFS dominates.
@@ -199,10 +198,6 @@ def bounded_paths(scale: int) -> str:
             return "kernel diverged from the reference — bug!"
 
     stats = get_index(data).stats
-    ri = get_reach_index(data)
-    label_entries = sum(len(d) for d in ri.out_labels) + sum(
-        len(d) for d in ri.in_labels
-    )
     rows = {
         "seconds/query": [round(timings[e], 4) for e in ("python", "kernel")],
         "speedup vs python": [
@@ -219,9 +214,8 @@ def bounded_paths(scale: int) -> str:
     )
     return (
         table
-        + f"\nreach index: {label_entries} label entries, "
-        f"{stats.reach_builds} build(s), {stats.reach_patches} patch(es), "
-        f"{stats.reach_probes} probes"
+        + f"\n2-hop label builds: {stats.reach_builds} (witnesses are "
+        "multi-source BFS over the CSR rows)"
     )
 
 

@@ -7,8 +7,8 @@ rest of the system publishes under (see ROADMAP "Observability"):
 ``index.*``       compiled-index maintenance (``full_compiles``,
                   ``incremental_syncs``, ``deltas_applied``,
                   ``label_moves``)
-``reach.*``       reachability-labeling kernel (``builds``, ``patches``,
-                  ``drops``, ``probes``)
+``reach.*``       2-hop distance labels (``builds``, ``patches`` —
+                  always 0, ``drops``, ``probes``)
 ``cache.*``       result cache (``hits``, ``misses``, ``stores``,
                   ``invalidations``, ``retained``, ``evictions``)
 ``service.*``     query service (``queries``, ``computed``,

@@ -718,13 +718,14 @@ def assert_paths_update_workload_identical(
     constraints: Optional[Dict] = None,
     check_every: int = 1,
 ) -> None:
-    """Drive random mutations against a warm reach index, differentially.
+    """Drive random mutations against a warm kernel index, differentially.
 
-    Primes the graph's ``GraphIndex`` *and* its ``ReachIndex``, then
+    Primes the graph's ``GraphIndex`` *and* its ``ReachIndex`` labels
+    (so the first mutation of every kind runs the drop path), then
     mutates the graph in place (seeded by ``op_seed``), asserting after
     every ``check_every``-th applied mutation that the warm kernel —
-    whose labeling was patched in place for insertions and rebuilt only
-    after deletions — observes identically to the reference engine on
+    whose CSR rows were patched in place and whose labels every
+    mutation dropped — observes identically to the reference engine on
     the same graph and to a from-scratch kernel compile of a copy.
     """
     from repro.core.reach import get_reach_index

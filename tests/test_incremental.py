@@ -217,6 +217,23 @@ class TestIncrementalMatcher:
             match(pattern, data, engine="python")
         )
 
+    @pytest.mark.parametrize("engine", ["python", "kernel"])
+    def test_re_adding_an_existing_edge_changes_nothing(self, engine):
+        from repro.datasets.paper_figures import data_g1, pattern_q1
+
+        data = data_g1(cycle_length=4)
+        matcher = IncrementalMatcher(pattern_q1(), data, engine=engine)
+        before = canonical_result(matcher.result())
+        assert before, "the fixture must match"
+        version = data.version
+        balls = matcher.balls_recomputed
+        source, target = next(iter(data.edges()))
+        matcher.add_edge(source, target)
+        assert data.version == version
+        assert matcher._dualsim.recomputations == 0
+        assert matcher.balls_recomputed == balls
+        assert canonical_result(matcher.result()) == before
+
     def test_node_operations(self):
         pattern, data = fresh_pair()
         matcher = IncrementalMatcher(pattern, data)

@@ -1,12 +1,14 @@
 """Differential suite for the path-matching engines (PR 8).
 
-The kernel path answers bounded / regular matching through the
-``ReachIndex`` 2-hop distance labeling; the python path is the reference
-BFS / NFA product walk.  Both compute unique greatest fixpoints, so the
-contract is *output identity* — enforced here over paper fixtures,
-random graphs (hypothesis), regex constraint pools, and interleaved
-mutation streams, plus direct properties of the labeling itself
-(exact distances, in-place insertion patches, drop-on-deletion).
+The kernel path answers bounded / regular matching with one
+multi-source BFS per fixpoint pop over the CSR rows (``_within``); the
+python path is the reference BFS / NFA product walk.  Both compute
+unique greatest fixpoints, so the contract is *output identity* —
+enforced here over paper fixtures, random graphs (hypothesis), regex
+constraint pools, and interleaved mutation streams, plus direct
+properties of the witness sets (against a per-pair BFS) and of the
+``ReachIndex`` 2-hop labels (exact distances, dropped by every
+mutation, built by no path query).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from repro.core.kernel import get_index
 from repro.core.pattern import Pattern
 from repro.core.reach import (
     PATH_ENGINES,
-    TargetProbe,
+    _within,
     get_reach_index,
     resolve_path_engine,
 )
@@ -74,7 +76,7 @@ def _bfs_dist(data: DiGraph, source, target):
 
 def _bfs_dist_positive(data: DiGraph, source, target):
     """Length of the shortest path of >= 1 hop (cycle length for
-    source == target), the witness semantics of the probes."""
+    source == target), the witness semantics of ``_within``."""
     best = None
     for child in data.successors_raw(source):
         step = 0 if child == target else _bfs_dist(data, child, target)
@@ -103,8 +105,8 @@ class TestEngineSeam:
             )
 
     def test_explicit_numpy_rejected(self, small_synthetic):
-        # There is no numpy path engine (probe batching is a ROADMAP
-        # item); only an *auto*-resolved numpy tier maps onto kernel.
+        # There is no numpy path engine; only an *auto*-resolved numpy
+        # tier maps onto kernel.
         with pytest.raises(ValueError):
             resolve_path_engine("numpy", small_synthetic)
 
@@ -152,7 +154,42 @@ class TestCycleBackSemantics:
 
 
 # ----------------------------------------------------------------------
-# The labeling itself: exact distances, probes
+# Path witnesses: the multi-source BFS against a per-pair BFS
+# ----------------------------------------------------------------------
+class TestWithin:
+    @settings(max_examples=40, deadline=None)
+    @given(graph_seeds, st.sampled_from([1, 2, 3, None]))
+    def test_within_matches_bfs_witness(self, seed, bound):
+        data = random_digraph(seed, max_nodes=12, edge_prob=0.3)
+        nodes = list(data.nodes())
+        for node in nodes[::3]:
+            data.add_edge(node, node)
+        seeds = nodes[::2]
+        data.add_edge(nodes[-1], seeds[0])  # a cycle back into the seeds
+        gi = get_index(data)
+        slots = {gi.index_of[v] for v in seeds}
+        into = _within(gi.rev_rows, slots, bound)
+        out_of = _within(gi.fwd_rows, slots, bound)
+
+        def witnessed(pairs):
+            return any(
+                (d := _bfs_dist_positive(data, a, b)) is not None
+                and (bound is None or d <= bound)
+                for a, b in pairs
+            )
+
+        for v in nodes:
+            i = gi.index_of[v]
+            assert (i in into) == witnessed((v, s) for s in seeds), (
+                f"path into the seeds from {v!r} wrong at seed {seed}"
+            )
+            assert (i in out_of) == witnessed((s, v) for s in seeds), (
+                f"path out of the seeds into {v!r} wrong at seed {seed}"
+            )
+
+
+# ----------------------------------------------------------------------
+# The 2-hop labels: exact distances, dropped by every mutation
 # ----------------------------------------------------------------------
 class TestReachIndex:
     @settings(max_examples=40, deadline=None)
@@ -169,49 +206,34 @@ class TestReachIndex:
                     f"dist({u!r}, {w!r}) wrong at seed {seed}"
                 )
 
-    @settings(max_examples=25, deadline=None)
-    @given(graph_seeds, st.sampled_from([1, 2, 3, None]))
-    def test_target_probe_matches_bfs_witness(self, seed, bound):
-        data = random_digraph(seed, max_nodes=12, edge_prob=0.3)
-        ri = get_reach_index(data)
+    @staticmethod
+    def assert_exact(data: DiGraph, ri) -> None:
         gi = ri.gi
-        nodes = list(data.nodes())
-        targets = {gi.index_of[v] for v in nodes[::2]}
-        probe = TargetProbe(ri, targets)
-        for v in nodes:
-            expected = any(
-                (d := _bfs_dist_positive(data, v, t)) is not None
-                and (bound is None or d <= bound)
-                for t in nodes[::2]
-            )
-            assert probe.witness_from(gi.index_of[v], bound) == expected
-
-    def test_insertions_patch_in_place(self):
-        data = random_digraph(3, max_nodes=10, edge_prob=0.25)
-        get_reach_index(data)  # prime
-        stats = get_index(data).stats
-        assert stats.reach_builds == 1
-        nodes = list(data.nodes())
-        inserted = 0
-        for source in nodes:
-            for target in nodes:
-                if not data.has_edge(source, target) and source != target:
-                    data.add_edge(source, target)
-                    inserted += 1
-                    break
-            if inserted >= 4:
-                break
-        ri = get_reach_index(data)  # syncs the deltas
-        stats = get_index(data).stats
-        assert stats.reach_builds == 1, "insertions must not rebuild"
-        assert stats.reach_drops == 0
-        assert stats.reach_patches == inserted
-        gi = ri.gi
-        for u in nodes:
-            for w in nodes:
+        for u in data.nodes():
+            for w in data.nodes():
                 assert ri.dist(
                     gi.index_of[u], gi.index_of[w]
                 ) == _bfs_dist(data, u, w)
+
+    def test_insertions_drop_and_rebuild(self):
+        data = random_digraph(3, max_nodes=10, edge_prob=0.25)
+        get_reach_index(data)  # prime
+        nodes = list(data.nodes())
+        source, target = next(
+            (s, t)
+            for s in nodes
+            for t in nodes
+            if s != t and not data.has_edge(s, t)
+        )
+        data.add_edge(source, target)
+        data.add_node("fresh", "l0")
+        data.add_edge(target, "fresh")
+        ri = get_reach_index(data)
+        stats = get_index(data).stats
+        assert stats.reach_drops == 1, "an insertion must drop the labels"
+        assert stats.reach_builds == 2, "the next request must rebuild"
+        assert stats.reach_patches == 0
+        self.assert_exact(data, ri)
 
     def test_deletion_drops_and_rebuilds(self):
         data = random_digraph(5, max_nodes=10, edge_prob=0.3)
@@ -223,16 +245,11 @@ class TestReachIndex:
         stats = get_index(data).stats
         assert stats.reach_drops == 1, "deletions must drop the labeling"
         assert stats.reach_builds == 2, "next probe must rebuild lazily"
-        gi = ri.gi
-        for u in data.nodes():
-            for w in data.nodes():
-                assert ri.dist(
-                    gi.index_of[u], gi.index_of[w]
-                ) == _bfs_dist(data, u, w)
+        self.assert_exact(data, ri)
 
 
-class TestLabelsOnlyForProbes:
-    """The 2-hop labels are built only when some probe will read them."""
+class TestPathQueriesBuildNoLabels:
+    """No path query builds the 2-hop labels; results equal python's."""
 
     @staticmethod
     def fresh_pair():
@@ -258,18 +275,36 @@ class TestLabelsOnlyForProbes:
             pattern, data, "python", **kwargs
         )
 
-    def test_wildcard_query_builds_the_labels_once(self):
-        from repro.core.regular import RegularPattern, regular_strong_match
+    @pytest.mark.parametrize("bound", [2, 3, None])
+    def test_bounded_queries_build_none(self, bound):
+        pattern, data = self.fresh_pair()
+        bp = BoundedPattern(pattern, {edge: bound for edge in pattern.edges()})
+        observed = bounded_simulation(bp, data, engine="kernel").pair_set()
+        assert get_index(data).stats.reach_builds == 0
+        assert observed == bounded_simulation(
+            bp, data, engine="python"
+        ).pair_set()
+
+    def test_wildcard_queries_build_none(self):
+        from repro.core.regular import (
+            RegularPattern,
+            regular_dual_simulation,
+            regular_strong_match,
+        )
 
         pattern, data = self.fresh_pair()
-        edge = sorted(pattern.edges(), key=repr)[0]
-        rpattern = RegularPattern(pattern, {edge: ".*"})
-        for _ in range(2):
-            observed = canonical_result(
-                regular_strong_match(rpattern, data, engine="kernel")
-            )
-        assert get_index(data).stats.reach_builds == 1
-        assert observed == canonical_result(
+        rpattern = RegularPattern(
+            pattern, {edge: ".*" for edge in pattern.edges()}
+        )
+        dual = regular_dual_simulation(rpattern, data, engine="kernel")
+        strong = canonical_result(
+            regular_strong_match(rpattern, data, engine="kernel")
+        )
+        assert get_index(data).stats.reach_builds == 0
+        assert dual.pair_set() == regular_dual_simulation(
+            rpattern, data, engine="python"
+        ).pair_set()
+        assert strong == canonical_result(
             regular_strong_match(rpattern, data, engine="python")
         )
 
@@ -313,7 +348,7 @@ class TestPathEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Mutation streams: warm patched index vs reference vs fresh compile
+# Mutation streams: warm maintained index vs reference vs fresh compile
 # ----------------------------------------------------------------------
 class TestUpdateWorkloads:
     @settings(max_examples=8, deadline=None)
@@ -356,6 +391,5 @@ class TestUpdateWorkloads:
                 bp, data, engine="python"
             ).pair_set()
         stats = get_index(data).stats
-        assert stats.reach_builds == 1
-        assert stats.reach_drops == 0
-        assert stats.reach_patches == len(stream)
+        assert stats.reach_builds == 0
+        assert stats.full_compiles == 1
