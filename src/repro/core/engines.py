@@ -4,8 +4,12 @@ The paper's algorithms run on three execution engines.  Every row of
 :data:`ENGINE_TABLE` names, per *cell*, the function that computes it:
 
 ``match``
-    algorithm ``Match`` (Fig. 3) —
-    ``(pattern, data, centers=None, radius=None) -> MatchResult``;
+    algorithm ``Match`` (Fig. 3) on the unminimized pattern —
+    ``(pattern, data, radius) -> MatchResult``, the same signature as
+    ``match_plus``.  The reference cell is the readable Fig. 3 and also
+    takes ``centers``; the compiled rows put the kernel's ``Match+``
+    core here, because it returns the same Θ at every radius
+    (:mod:`repro.core.strong` gives the argument);
 ``match_plus``
     the matching core of ``Match+`` (Sec. 4.2) with every optimization
     on, over the already minimized working pattern —
@@ -32,11 +36,14 @@ The rows:
   pseudocode; the ground truth the differential suites compare against.
 * ``kernel`` — :mod:`repro.core.kernel`: the data graph compiled once to
   integer-id CSR rows, balls and counter fixpoints over flat buffers.
+  Its ``match`` and ``match_plus`` cells are both
+  :func:`~repro.core.kernel.kernel_match_plus`.
 * ``numpy`` — the kernel row with one cell replaced: ``match_plus``
   runs the batched ball refinement of :mod:`repro.core.npkernel`, the
   one cell where the batched engine wins a reproducible measurement
-  (perfbench's strong-heavy workload).  Every other cell measured
-  slower on numpy than on the kernel, so the kernel computes it.
+  (perfbench's strong-heavy workload).  Every other cell, ``match``
+  included, measured slower on numpy than on the kernel, so the kernel
+  computes it.
 
 Every row computes the same output on every cell; ``tests/engines.py``
 parametrizes the cross-engine differential harness from this table.
@@ -54,7 +61,6 @@ from repro.core.dualsim import dual_simulation
 from repro.core.kernel import (
     dual_simulation_kernel,
     graph_simulation_kernel,
-    kernel_match,
     kernel_match_plus,
     resolve_engine,
 )
@@ -79,7 +85,7 @@ class Engine:
 CELLS = tuple(f.name for f in fields(Engine) if f.name != "compiled")
 
 _KERNEL = Engine(
-    match=kernel_match,
+    match=kernel_match_plus,
     match_plus=kernel_match_plus,
     dual=dual_simulation_kernel,
     sim=graph_simulation_kernel,

@@ -51,10 +51,10 @@ Graph simulation
 
 Entry points — all *output-identical* to the reference Python path:
 
-* :func:`kernel_match` — strong simulation (algorithm ``Match``);
 * :func:`kernel_match_plus` — the optimized ``Match+`` core (global dual
   simulation + restricted balls + connectivity pruning + deletion-only
-  per-ball refinement);
+  per-ball refinement); the compiled rows answer plain ``match`` with it
+  too (see :mod:`repro.core.strong`);
 * :func:`dual_simulation_kernel` — the maximum dual-simulation relation
   over the full data graph;
 * :func:`graph_simulation_kernel` — the maximum (child-direction-only)
@@ -97,7 +97,7 @@ from repro.core.digraph import (
 from repro.core.matchrel import MatchRelation
 from repro.core.pattern import Pattern
 from repro.core.result import MatchResult, PerfectSubgraph
-from repro.exceptions import GraphError, MatchingError, NodeNotFound
+from repro.exceptions import MatchingError
 from repro.obs.metrics import get_registry as _obs_registry
 from repro.obs.trace import span as _obs_span
 
@@ -1408,33 +1408,8 @@ def _extract_perfect_subgraph(
 
 
 # ======================================================================
-# Per-ball engines
+# Per-ball refinement
 # ======================================================================
-def _match_ball(
-    cp: _CompiledPattern,
-    gi: GraphIndex,
-    center: int,
-    radius: int,
-    seen: Optional[Set[Tuple[FrozenSet[int], FrozenSet[Pair]]]] = None,
-) -> Optional[PerfectSubgraph]:
-    """One iteration of algorithm ``Match``: ball + DualSim + ExtractMaxPG.
-
-    Candidate seeds are the ball-restricted label classes; the eager
-    counter fixpoint then computes the ball's maximum dual simulation.
-    """
-    order, _, stamp, epoch = _ball_bfs(gi, center, radius)
-    groups = gi.label_groups
-    sim: List[Set[int]] = []
-    for u in range(cp.size):
-        group = groups.get(cp.labels[u], ())
-        sim.append({v for v in group if stamp[v] == epoch})
-        if not sim[u]:
-            return None
-    if not _dual_sim_eager(cp, gi, sim):
-        return None
-    return _extract_perfect_subgraph(cp, gi, center, sim, seen)
-
-
 def _refine_ball(
     cp: _CompiledPattern,
     gi: GraphIndex,
@@ -1527,71 +1502,6 @@ def _refine_ball(
 # ======================================================================
 # Public entry points
 # ======================================================================
-def kernel_match(
-    pattern: Pattern,
-    data: DiGraph,
-    centers: Optional[Iterable[Node]] = None,
-    radius: Optional[int] = None,
-) -> MatchResult:
-    """Algorithm ``Match`` on the kernel engine.
-
-    Output-identical to :func:`repro.core.strong.match` with
-    ``engine="python"``: same perfect subgraphs, same relations, same
-    discovery order over the same center sequence.
-    """
-    if radius is None:
-        radius = pattern.diameter
-    with _obs_span("kernel.match") as _sp:
-        gi = get_index(data)
-        cp = _CompiledPattern(pattern)
-        result = MatchResult(pattern)
-        scanned = 0
-        with gi.reading():
-            if centers is None:
-                # All live slots, in id (= insertion) order; tombstoned
-                # slots could only ever yield empty seeds, so skip them
-                # outright.
-                labels = gi.labels
-                center_ids: Iterable[int] = (
-                    i for i in range(gi.n) if labels[i] is not _DEAD
-                )
-                if radius < 0 and gi.num_live:
-                    raise GraphError(
-                        f"ball radius must be non-negative, got {radius}"
-                    )
-            else:
-                center_ids = _resolve_centers(gi, centers, radius)
-            seen: Set[Tuple[FrozenSet[int], FrozenSet[Pair]]] = set()
-            for center in center_ids:
-                scanned += 1
-                subgraph = _match_ball(cp, gi, center, radius, seen=seen)
-                if subgraph is not None:
-                    result.add(subgraph)
-        if _sp.enabled:
-            _sp.set(
-                engine="kernel",
-                pattern=pattern.size,
-                radius=radius,
-                **{"balls.scanned": scanned, "balls.matched": len(result)},
-            )
-        return result
-
-
-def _resolve_centers(
-    gi: GraphIndex, centers: Iterable[Node], radius: int
-) -> Iterable[int]:
-    """Map center objects to ids lazily, preserving the reference path's
-    error behavior (unknown center / bad radius raise at that center)."""
-    index_of = gi.index_of
-    for center in centers:
-        if radius < 0:
-            raise GraphError(f"ball radius must be non-negative, got {radius}")
-        try:
-            yield index_of[center]
-        except KeyError:
-            raise NodeNotFound(center) from None
-
-
 def kernel_match_plus(
     pattern: Pattern, data: DiGraph, radius: int
 ) -> MatchResult:
@@ -1599,7 +1509,9 @@ def kernel_match_plus(
 
     ``pattern`` is the (possibly minimized) working pattern and ``radius``
     the original diameter — minimization happens in the caller
-    (:func:`repro.core.matchplus.match_plus`).  Runs the composition
+    (:func:`repro.core.matchplus.match_plus`).  Plain
+    :func:`repro.core.strong.match` calls it too, with the unminimized
+    pattern and the caller's radius.  Runs the composition
     with every optimization on: the global dual filter, restricted balls
     around its matched nodes, connectivity pruning and border-seeded
     refinement.  Output-identical to the reference path: same perfect

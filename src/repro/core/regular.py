@@ -265,12 +265,14 @@ def regular_strong_match(
     if radius is None:
         radius = rpattern.default_radius()
     result = MatchResult(pattern)
-    global_relation = regular_dual_simulation(rpattern, data)
+    global_relation = regular_dual_simulation(rpattern, data, engine="python")
     if global_relation.is_empty():
         return result
     for center in sorted(global_relation.data_nodes(), key=repr):
         ball = extract_ball(data, center, radius)
-        relation = regular_dual_simulation(rpattern, ball.graph)
+        relation = regular_dual_simulation(
+            rpattern, ball.graph, engine="python"
+        )
         if relation.is_empty():
             continue
         center_matched = any(

@@ -18,8 +18,16 @@ states.  The optimized variant lives in :mod:`repro.core.matchplus`.
 of that engine's row in :data:`repro.core.engines.ENGINE_TABLE`.  The
 ``python`` row is the reference code below (:func:`match_reference`:
 per-ball ``DiGraph`` construction + set-based fixpoints, kept as the
-readable ground truth); ``kernel`` and ``numpy`` both run the compiled
-CSR kernel.  ``"auto"`` (default) picks by graph size
+readable ground truth).  The compiled rows (``kernel``, ``numpy``)
+answer ``match`` with the kernel's ``Match+`` core
+(:func:`repro.core.kernel.kernel_match_plus`) on the unminimized
+pattern, so relation keys stay ``Q``'s own.  That returns Θ at every
+radius ``r >= 0``: a ball's maximum dual relation is a dual simulation
+of ``G``, so it lies inside the global relation; border seeding
+(Proposition 5) holds because every neighbour of an interior node is in
+the ball; and connectivity pruning drops only candidates outside the
+center's component, which ``ExtractMaxPG`` discards anyway.
+``"auto"`` (default) picks by graph size
 (:func:`repro.core.kernel.resolve_engine`).  All engines are
 output-identical.  :func:`matches_via_strong_simulation` decides
 ``Q ≺_LD G`` the way the paper defines it, "Θ is not empty", reading Θ
@@ -38,6 +46,7 @@ from repro.core.matchrel import MatchRelation
 from repro.core.pattern import Pattern
 from repro.core.result import MatchResult, PerfectSubgraph
 from repro.core.traversal import undirected_distances
+from repro.exceptions import GraphError
 
 
 def extract_max_perfect_subgraph(
@@ -68,7 +77,6 @@ def extract_max_perfect_subgraph(
 def match(
     pattern: Pattern,
     data: DiGraph,
-    centers: Optional[Iterable[Node]] = None,
     radius: Optional[int] = None,
     engine: str = "auto",
 ) -> MatchResult:
@@ -80,14 +88,12 @@ def match(
         The connected pattern graph ``Q``.
     data:
         The data graph ``G``.
-    centers:
-        Ball centers to inspect; defaults to every node of ``G`` (the
-        unoptimized algorithm of Fig. 3).  Optimized callers pass a
-        restricted candidate set.
     radius:
         Ball radius; defaults to the pattern diameter ``d_Q``.  Exposed
         because Lemma 3 fixes the radius when comparing pattern
-        equivalence, and tests exercise non-default radii.
+        equivalence, and tests exercise non-default radii.  A negative
+        radius raises :class:`~repro.exceptions.GraphError` on every
+        engine.
     engine:
         ``"auto"`` (default), ``"kernel"``, ``"numpy"`` or ``"python"``
         — see the module docstring.  All engines are output-identical;
@@ -100,20 +106,24 @@ def match(
     """
     from repro.core.engines import engine_for  # the table imports this module
 
-    return engine_for(engine, data).match(
-        pattern, data, centers=centers, radius=radius
-    )
+    if radius is None:
+        radius = pattern.diameter
+    if radius < 0:
+        raise GraphError(f"ball radius must be non-negative, got {radius}")
+    return engine_for(engine, data).match(pattern, data, radius)
 
 
 def match_reference(
     pattern: Pattern,
     data: DiGraph,
+    radius: int,
     centers: Optional[Iterable[Node]] = None,
-    radius: Optional[int] = None,
 ) -> MatchResult:
-    """The ``python`` engine's ``match`` cell: Fig. 3, ball by ball."""
-    if radius is None:
-        radius = pattern.diameter
+    """The ``python`` engine's ``match`` cell: Fig. 3, ball by ball.
+
+    ``centers`` restricts the ball centers (default: every node of
+    ``G``, the unoptimized algorithm); only this cell takes it.
+    """
     if centers is None:
         centers = list(data.nodes())
     result = MatchResult(pattern)

@@ -57,21 +57,20 @@ def time_algorithms(
     include_vf2: bool = False,
     vf2_max_states: int = 2_000_000,
     vf2_max_matches: int = 20_000,
-    engine: str = "auto",
 ) -> TimingRun:
     """Time Sim / Match / Match+ (and optionally VF2) on one pair.
 
-    ``engine`` pins the execution backend for the three simulation-based
-    algorithms (``"auto"`` | ``"kernel"`` | ``"python"``) so sweeps can
-    compare the engines or reproduce the paper's reference-path numbers.
+    Sim, Match and Match+ all run on the ``python`` reference engine:
+    Fig. 8 compares algorithms, and on a compiled engine ``match`` runs
+    the ``Match+`` core, so its two columns would time one algorithm.
     """
     seconds: Dict[str, Optional[float]] = {}
     _, seconds["Sim"] = timed(
-        lambda: graph_simulation(pattern, data, engine=engine)
+        lambda: graph_simulation(pattern, data, engine="python")
     )
-    _, seconds["Match"] = timed(lambda: match(pattern, data, engine=engine))
+    _, seconds["Match"] = timed(lambda: match(pattern, data, engine="python"))
     _, seconds["Match+"] = timed(
-        lambda: match_plus(pattern, data, engine=engine)
+        lambda: match_plus(pattern, data, engine="python")
     )
     if include_vf2:
         _, seconds["VF2"] = timed(

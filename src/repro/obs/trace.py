@@ -1,11 +1,12 @@
 """Structured tracing: context-manager spans with monotonic timings.
 
-A *span* is one timed region of work — ``with span("kernel.match"):`` —
-carrying a name, a start/end pair from :func:`time.perf_counter`, a dict
-of typed attributes and a list of child spans.  Spans nest through a
-per-thread stack: a span entered while another is open on the same
-thread becomes its child; a span that closes with an empty stack is a
-*root* and lands in the process-wide :class:`TraceCollector`.
+A *span* is one timed region of work —
+``with span("kernel.match_plus"):`` — carrying a name, a start/end pair
+from :func:`time.perf_counter`, a dict of typed attributes and a list
+of child spans.  Spans nest through a per-thread stack: a span entered
+while another is open on the same thread becomes its child; a span that
+closes with an empty stack is a *root* and lands in the process-wide
+:class:`TraceCollector`.
 
 The whole API compiles to a no-op when tracing is disabled (the
 default): :func:`span` / :func:`capture` return the one shared

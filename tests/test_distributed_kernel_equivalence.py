@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from repro.core.digraph import DiGraph
 from repro.core.dualsim import dual_simulation
 from repro.core.pattern import Pattern
-from repro.core.strong import match
+from repro.core.strong import match, match_reference
 from repro.distributed import (
     PARTITIONERS,
     Cluster,
@@ -310,7 +310,7 @@ class TestDistributedDualFilter:
                 # An oracle that does not use the filter: centralized
                 # Match from each owned center.
                 assert report.per_site_subgraphs[site] == sum(
-                    len(match(pattern, data, centers=[v], engine="python"))
+                    len(match_reference(pattern, data, pattern.diameter, [v]))
                     for v in owned
                 )
 

@@ -1,7 +1,10 @@
 """Tests for the experiment harnesses (metrics, quality, performance, tables)."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.engines import CELLS, ENGINE_TABLE
 from repro.core.matchrel import MatchRelation
 from repro.core.pattern import Pattern
 from repro.core.strong import match
@@ -156,6 +159,30 @@ class TestPerformanceHarness:
         assert all(
             sec is None or sec >= 0 for sec in run.seconds.values()
         )
+
+    def test_time_algorithms_runs_the_reference_row(self, monkeypatch):
+        """Fig. 8 compares algorithms, so Sim, Match and Match+ each run
+        once on the python row and no other row is touched."""
+        calls = []
+
+        def spy(row, cell, fn):
+            def wrapped(*args, **kwargs):
+                calls.append((row, cell))
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for name, row in ENGINE_TABLE.items():
+            spied = {c: spy(name, c, getattr(row, c)) for c in CELLS}
+            monkeypatch.setitem(ENGINE_TABLE, name, replace(row, **spied))
+        data = generate_graph(60, alpha=1.1, num_labels=5, seed=1)
+        pattern = sample_pattern_from_data(data, 3, seed=0)
+        time_algorithms(pattern, data)
+        assert sorted(calls) == [
+            ("python", "match"),
+            ("python", "match_plus"),
+            ("python", "sim"),
+        ]
 
     def test_vf2_skipped_when_disabled(self):
         data = generate_graph(60, alpha=1.1, num_labels=5, seed=1)

@@ -660,22 +660,29 @@ class TestServiceStatsThreadSafety:
 # Instrumented engines stay observation-identical under tracing
 # ----------------------------------------------------------------------
 class TestTracingDoesNotPerturb:
-    def test_kernel_match_span_counts_every_ball(self, traced):
-        """One ball loop serves both tracing states: the traced run
-        returns the untraced result and its span counts one scanned
-        ball per live center."""
-        from repro.core.kernel import kernel_match
+    def test_kernel_match_span_counts_filtered_balls(self, traced):
+        """Plain ``match`` on the kernel runs the Match+ core: the traced
+        run returns the untraced result under one ``kernel.match_plus``
+        root, which scans one ball per node of the global dual
+        relation."""
+        from repro.core.dualsim import dual_simulation
+        from repro.core.strong import match
 
         data = small_graph(seed=81)
         pattern = pattern_for(data, seed=83)
-        traced_result = [sg.signature() for sg in kernel_match(pattern, data)]
-        root = collector().roots()[-1]
+        traced_result = [
+            sg.signature() for sg in match(pattern, data, engine="kernel")
+        ]
+        roots = collector().roots()
         set_tracing(False)
-        plain_result = [sg.signature() for sg in kernel_match(pattern, data)]
+        plain_result = [
+            sg.signature() for sg in match(pattern, data, engine="kernel")
+        ]
         assert traced_result == plain_result
-        assert root.name == "kernel.match"
-        assert root.attrs["balls.scanned"] == data.num_nodes
-        assert root.attrs["balls.matched"] == len(traced_result)
+        assert [root.name for root in roots] == ["kernel.match_plus"]
+        scanned = len(dual_simulation(pattern, data).data_nodes())
+        assert roots[0].attrs["balls.scanned"] == scanned
+        assert roots[0].attrs["balls.matched"] == len(traced_result)
 
     @pytest.mark.parametrize("engine", ["python", "kernel", "numpy"])
     def test_match_plus_identical_traced(self, engine, traced):

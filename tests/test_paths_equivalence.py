@@ -14,6 +14,7 @@ mutation, built by no path query).
 from __future__ import annotations
 
 from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,22 @@ class TestEngineSeam:
     def test_unknown_engine_rejected(self, small_synthetic):
         with pytest.raises(ValueError):
             resolve_path_engine("fortran", small_synthetic)
+
+    def test_python_regular_strong_match_runs_no_kernel(
+        self, q1, g1, monkeypatch
+    ):
+        """The reference regular strong match computes its global and
+        per-ball relations on the reference path too."""
+        from repro.core import regular
+
+        spy = mock.Mock(wraps=regular.regular_dual_simulation_kernel)
+        monkeypatch.setattr(regular, "regular_dual_simulation_kernel", spy)
+        rpattern = regular.hop_bounded_pattern(
+            q1, {edge: 2 for edge in q1.edges()}
+        )
+        result = regular.regular_strong_match(rpattern, g1, engine="python")
+        assert len(result) > 0
+        assert spy.call_count == 0
 
 
 # ----------------------------------------------------------------------

@@ -12,9 +12,11 @@ from repro.core.strong import (
     candidate_centers,
     extract_max_perfect_subgraph,
     match,
+    match_reference,
     matches_via_strong_simulation,
 )
 from repro.core.traversal import is_connected_undirected, undirected_distances
+from repro.exceptions import GraphError
 from tests.conftest import graph_and_pattern, graph_with_sampled_pattern
 from tests.engines import ENGINES
 
@@ -64,7 +66,7 @@ class TestMatch:
     def test_deduplication_across_centers(self):
         # Both x and y discover the same {x, y} subgraph.
         pattern, data = mutual_pair()
-        result = match(pattern, data, centers=["x", "y"])
+        result = match_reference(pattern, data, pattern.diameter, ["x", "y"])
         assert len(result) == 1
 
     def test_explicit_radius(self):
@@ -73,12 +75,23 @@ class TestMatch:
         result = match(pattern, data, radius=0)
         assert len(result) == 0
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_negative_radius_rejected(self, engine):
+        pattern, data = mutual_pair()
+        with pytest.raises(GraphError, match="non-negative"):
+            match(pattern, data, radius=-1, engine=engine)
+
     def test_centers_restriction_sound(self):
         pattern, data = mutual_pair()
         full = {sg.signature() for sg in match(pattern, data)}
         restricted = {
             sg.signature()
-            for sg in match(pattern, data, centers=candidate_centers(pattern, data))
+            for sg in match_reference(
+                pattern,
+                data,
+                pattern.diameter,
+                candidate_centers(pattern, data),
+            )
         }
         assert full == restricted
 
