@@ -3,20 +3,19 @@
 The ``processes`` backend exists to evaluate sites off-GIL on real
 cores, one OS process per site.  This benchmark times one warm cluster
 per backend (``inproc`` | ``processes``) on the same bfs-partitioned
-graph, for both site substrates (the ``python`` reference and the
-``kernel``; the ``numpy`` engine runs the kernel at the sites, so it
-has no column of its own), asserting first that the full protocol
-observation is **byte-identical** across backends (the runtime
-contract), then timing repeated queries.
+graph, asserting first that the full protocol observation is
+**byte-identical** across backends (the runtime contract), then timing
+repeated queries.  Every site runs the reference per-ball step whatever
+the cluster's engine, so the engine is not a column.
 
 Gate: on a full (non-smoke) small-scale run with at least as many CPUs
 as sites, the process backend must beat the serial ``inproc`` backend
-by ≥ 1.5x wall-clock on both engines at |V|≈2500 / 4 sites.  On a host
-with fewer cores than sites the 4-way multi-core claim is not
-measurable — the sites share the cores and processes add IPC — so the
-ratio is recorded with an explanatory note instead (equivalence is
-still enforced).  ``REPRO_KERNEL_BENCH_SMOKE=1`` shrinks sizes and
-records without gating.
+by ≥ 1.5x wall-clock at |V|≈2500 / 4 sites.  On a host with fewer
+cores than sites the 4-way multi-core claim is not measurable — the
+sites share the cores and processes add IPC — so the ratio is recorded
+with an explanatory note instead (equivalence is still enforced).
+``REPRO_KERNEL_BENCH_SMOKE=1`` shrinks sizes and records without
+gating.
 
 Emits ``benchmarks/results/bench_distributed_proc.txt`` and
 machine-readable ``benchmarks/results/BENCH_proc.json``.
@@ -25,7 +24,6 @@ machine-readable ``benchmarks/results/BENCH_proc.json``.
 from __future__ import annotations
 
 import os
-from typing import Dict, List
 
 import pytest
 
@@ -54,51 +52,26 @@ def test_process_backend_beats_inproc(scale):
     assert pattern is not None
     assignment = bfs_partition(data, SITES)
 
-    lines: List[str] = [
-        f"Distributed runtime backends (|V|={n}, {SITES} sites, "
-        f"{cpus} CPU(s))"
-    ]
-    sections: Dict[str, Dict] = {}
-    speedups: Dict[str, float] = {}
-    for engine in ("python", "kernel"):
-        observations = {}
-        seconds = {}
-        clusters = {
-            backend: Cluster(
-                data, assignment, SITES, engine=engine, backend=backend
-            )
-            for backend in BACKENDS
-        }
-        try:
-            for backend, cluster in clusters.items():
-                # Warm-up run doubles as the observation under test:
-                # worker (process) bootstrap and index compilation land
-                # here, so the timed loop measures steady-state serving.
-                observations[backend] = cluster_observation(
-                    cluster.run(pattern)
-                )
-                seconds[backend] = best_of(
-                    lambda c=cluster: c.run(pattern), reps
-                )
-        finally:
-            for cluster in clusters.values():
-                cluster.close()
-        assert observations["processes"] == observations["inproc"], (
-            f"backend 'processes' observation diverged on {engine!r}"
-        )
-        speedup = round(
-            seconds["inproc"] / max(seconds["processes"], 1e-9), 3
-        )
-        speedups[engine] = speedup
-        sections[engine] = {
-            "inproc_s": round(seconds["inproc"], 6),
-            "processes_s": round(seconds["processes"], 6),
-            "proc_over_inproc_speedup": speedup,
-        }
-        lines.append(
-            f"{engine}: inproc {seconds['inproc']:.4f}s, processes "
-            f"{seconds['processes']:.4f}s -> {speedup:.2f}x proc/inproc"
-        )
+    observations = {}
+    seconds = {}
+    clusters = {
+        backend: Cluster(data, assignment, SITES, backend=backend)
+        for backend in BACKENDS
+    }
+    try:
+        for backend, cluster in clusters.items():
+            # Warm-up run doubles as the observation under test: worker
+            # (process) bootstrap lands here, so the timed loop measures
+            # steady-state serving.
+            observations[backend] = cluster_observation(cluster.run(pattern))
+            seconds[backend] = best_of(lambda c=cluster: c.run(pattern), reps)
+    finally:
+        for cluster in clusters.values():
+            cluster.close()
+    assert observations["processes"] == observations["inproc"], (
+        "backend 'processes' observation diverged from 'inproc'"
+    )
+    speedup = round(seconds["inproc"] / max(seconds["processes"], 1e-9), 3)
 
     gated = not smoke and cpus >= SITES
     payload = {
@@ -112,15 +85,15 @@ def test_process_backend_beats_inproc(scale):
         "n": n,
         "sites": SITES,
         "cpu_count": cpus,
-        "engines": sections,
+        "inproc_s": round(seconds["inproc"], 6),
+        "processes_s": round(seconds["processes"], 6),
+        "proc_over_inproc_speedup": speedup,
         "equivalence": (
             "full protocol observation (results, per-site partials, bus "
-            "accounting) asserted byte-identical across inproc/processes "
-            "on both engines"
+            "accounting) asserted byte-identical across inproc/processes"
         ),
         "gate": (
-            f">= {PROC_OVER_INPROC_SMALL_SCALE_BAR}x processes-over-"
-            "inproc on both engines"
+            f">= {PROC_OVER_INPROC_SMALL_SCALE_BAR}x processes-over-inproc"
             if gated
             else (
                 "recorded, not gated: "
@@ -135,12 +108,17 @@ def test_process_backend_beats_inproc(scale):
         ),
     }
     emit_result("BENCH_proc", payload)
-    emit("bench_distributed_proc", "\n".join(lines))
+    emit(
+        "bench_distributed_proc",
+        f"Distributed runtime backends (|V|={n}, {SITES} sites, "
+        f"{cpus} CPU(s))\n"
+        f"inproc {seconds['inproc']:.4f}s, processes "
+        f"{seconds['processes']:.4f}s -> {speedup:.2f}x proc/inproc",
+    )
 
     if gated and payload["scale"] == "small":
-        for engine, speedup in speedups.items():
-            assert speedup >= PROC_OVER_INPROC_SMALL_SCALE_BAR, (
-                f"process backend speedup {speedup}x on {engine!r} fell "
-                f"below {PROC_OVER_INPROC_SMALL_SCALE_BAR}x over inproc "
-                f"at |V|={n} / {SITES} sites on {cpus} CPUs"
-            )
+        assert speedup >= PROC_OVER_INPROC_SMALL_SCALE_BAR, (
+            f"process backend speedup {speedup}x fell below "
+            f"{PROC_OVER_INPROC_SMALL_SCALE_BAR}x over inproc at "
+            f"|V|={n} / {SITES} sites on {cpus} CPUs"
+        )

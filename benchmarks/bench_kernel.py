@@ -1,9 +1,9 @@
 """Kernel vs reference engine: wall-clock comparison + equivalence gate.
 
-Runs ``match_plus``, ``dual_simulation`` and the distributed
-``Cluster.run`` protocol on the execution engines over the Figure-8(g)
-synthetic shapes (``generate_graph`` with ``alpha=1.2`` and patterns
-sampled from the data), at the scale selected by ``REPRO_BENCH_SCALE``
+Runs ``match_plus`` and ``dual_simulation`` on the execution engines
+over the Figure-8(g) synthetic shapes (``generate_graph`` with
+``alpha=1.2`` and patterns sampled from the data), at the scale
+selected by ``REPRO_BENCH_SCALE``
 (``small`` default / ``large``), plus an **incremental** section — an
 update+requery workload comparing the delta-maintained warm index
 (incremental-kernel) against recompile-per-query (recompile-kernel) and
@@ -26,6 +26,10 @@ Plain ``match`` has no row: on the compiled engines it runs the
 algorithms, not two engines.  Its cross-engine identity is checked by
 the tier-1 differential suites and the scenario digests.
 
+The distributed protocol has no row either: every site runs the
+reference per-ball step on every engine, so there is no second site
+substrate to time.  ``bench_distributed_proc.py`` times its backends.
+
 Set ``REPRO_KERNEL_BENCH_SMOKE=1`` to shrink the sweep to one small size
 (CI smoke mode; no speedup assertion, equivalence still enforced).
 """
@@ -45,7 +49,6 @@ from repro.experiments.performance import (
 )
 from repro.datasets import generate_graph
 from repro.datasets.patterns import sample_pattern_from_data
-from repro.distributed import Cluster, bfs_partition
 from benchmarks.conftest import best_of, emit, emit_result
 
 PATTERN_SIZE = 10
@@ -55,9 +58,6 @@ MATCH_PLUS_SMALL_SCALE_BAR = 2.0
 NUMPY_MATCH_PLUS_SMALL_SCALE_BAR = 1.5
 NUMPY_BENCH_PATTERN_SIZE = 6
 NUMPY_BENCH_LABELS = 4
-DISTRIBUTED_SMALL_SCALE_BAR = 1.5
-DISTRIBUTED_SITES = 4
-DISTRIBUTED_PATTERN_SIZE = 6
 INCREMENTAL_SMALL_SCALE_BAR = 2.0
 INCREMENTAL_PATTERN_SIZE = 6
 #: Disabled-path tracing overhead budget: the no-op spans left on the
@@ -155,74 +155,6 @@ def test_kernel_vs_python_engines(scale):
             row[key] = _timing_entry(times[key])
         rows.append(row)
     total_entries = {key: _timing_entry(totals[key]) for key in totals}
-
-    # ------------------------------------------------------------------
-    # Distributed protocol: python vs kernel cluster on one small
-    # synthetic workload (the per-site CSR substrate of PR 2).  The
-    # equivalence gate covers the full protocol observation: result set,
-    # per-site partial counts and bus accounting.
-    # ------------------------------------------------------------------
-    dist_n = 300 if smoke else 600
-    dist_data = generate_graph(
-        dist_n, alpha=1.15, num_labels=scale["labels"], seed=37
-    )
-    dist_pattern = sample_pattern_from_data(
-        dist_data, DISTRIBUTED_PATTERN_SIZE, seed=501
-    )
-    assert dist_pattern is not None
-    assignment = bfs_partition(dist_data, DISTRIBUTED_SITES)
-    clusters = {
-        engine: Cluster(dist_data, assignment, DISTRIBUTED_SITES, engine=engine)
-        for engine in ("python", "kernel")
-    }
-    reports = {
-        engine: cluster.run(dist_pattern)
-        for engine, cluster in clusters.items()
-    }
-    assert _canonical(reports["kernel"].result) == _canonical(
-        reports["python"].result
-    ), "distributed results diverged between engines"
-    assert (
-        reports["kernel"].per_site_subgraphs
-        == reports["python"].per_site_subgraphs
-    )
-    assert (
-        reports["kernel"].bus.units_by_kind()
-        == reports["python"].bus.units_by_kind()
-    )
-    # data_shipment_units reads the report's own query_log, so the
-    # timing runs below, which keep charging the cluster's bus, leave
-    # this query's accounting unchanged.
-    dist_data_units = reports["kernel"].data_shipment_units
-    dist_per_site = dict(reports["kernel"].per_site_subgraphs)
-    dist_times = {
-        engine: best_of(
-            lambda engine=engine: clusters[engine].run(dist_pattern),
-            TIMING_REPS,
-        )
-        for engine in ("python", "kernel")
-    }
-    dist_speedup = (
-        round(dist_times["python"] / dist_times["kernel"], 3)
-        if dist_times["kernel"]
-        else None
-    )
-    distributed_section = {
-        "workload": (
-            f"bfs-partitioned synthetic graph, |V|={dist_n}, "
-            f"{DISTRIBUTED_SITES} sites, |Vq|={DISTRIBUTED_PATTERN_SIZE}"
-        ),
-        "n": dist_n,
-        "sites": DISTRIBUTED_SITES,
-        "pattern_size": DISTRIBUTED_PATTERN_SIZE,
-        "python_s": round(dist_times["python"], 6),
-        "kernel_s": round(dist_times["kernel"], 6),
-        "speedup": dist_speedup,
-        "data_units": dist_data_units,
-        "per_site_subgraphs": {
-            str(site): count for site, count in sorted(dist_per_site.items())
-        },
-    }
 
     # ------------------------------------------------------------------
     # Incremental index maintenance: update + requery workload.  One
@@ -343,7 +275,6 @@ def test_kernel_vs_python_engines(scale):
         "timing": f"best of {TIMING_REPS}, summed over sampled patterns",
         "rows": rows,
         "totals": total_entries,
-        "distributed": distributed_section,
         "incremental": incremental_section,
         "numpy_vs_kernel": numpy_section,
         "equivalence": "all result sets identical across engines",
@@ -376,13 +307,6 @@ def test_kernel_vs_python_engines(scale):
                 f"{numpy_cell(totals[key].get('numpy'))} "
                 f"{total_entries[key]['speedup']:>8.2f}"
             )
-    if dist_speedup is not None:
-        lines.append(
-            f"{dist_n:>8} {'distributed':>11} "
-            f"{dist_times['python']:>10.4f} "
-            f"{dist_times['kernel']:>10.4f} "
-            f"{dist_speedup:>8.2f}"
-        )
     lines.append(
         f"incremental ({inc_updates} updates + requery, |V|={inc_n}): "
         f"warm={inc_s:.4f}s recompile={rec_s:.4f}s reference={ref_s:.4f}s "
@@ -401,10 +325,6 @@ def test_kernel_vs_python_engines(scale):
         assert match_plus_speedup >= MATCH_PLUS_SMALL_SCALE_BAR, (
             f"kernel match_plus speedup {match_plus_speedup} fell below "
             f"{MATCH_PLUS_SMALL_SCALE_BAR}x on the small synthetic workload"
-        )
-        assert dist_speedup >= DISTRIBUTED_SMALL_SCALE_BAR, (
-            f"kernel distributed speedup {dist_speedup} fell below "
-            f"{DISTRIBUTED_SMALL_SCALE_BAR}x on the small synthetic workload"
         )
         assert inc_speedup >= INCREMENTAL_SMALL_SCALE_BAR, (
             f"incremental index maintenance speedup {inc_speedup} fell "

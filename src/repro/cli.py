@@ -243,9 +243,7 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
         return 2
     repeat = max(1, args.repeat)
     cache_line = None
-    with Cluster(
-        data, assignment, args.sites, engine=args.engine, backend=backend,
-    ) as cluster:
+    with Cluster(data, assignment, args.sites, backend=backend) as cluster:
         if repeat == 1:
             report = cluster.run(pattern)
         else:
@@ -268,8 +266,7 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
             args._metrics_snapshot = cluster.metrics_snapshot()
 
     print(f"{len(report.result)} perfect subgraph(s) across "
-          f"{cluster.num_sites} site(s) [engine={args.engine}, "
-          f"backend={backend}]")
+          f"{cluster.num_sites} site(s) [backend={backend}]")
     for site in sorted(report.per_site_subgraphs):
         count = report.per_site_subgraphs[site]
         fragment = cluster.workers[site].fragment
@@ -526,14 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument(
         "--partitioner", choices=tuple(PARTITIONERS), default="bfs",
         help="node-to-site assignment strategy (default: bfs)",
-    )
-    p_dist.add_argument(
-        "--engine", choices=ENGINES, default="auto",
-        help="per-site execution engine: 'kernel' (and 'numpy', which "
-             "runs the kernel at the sites) compiles each fragment to a "
-             "CSR index extended with fetched remote records, 'python' "
-             "forces the reference per-ball path; traffic accounting is "
-             "identical in all cases (default: auto)",
     )
     p_dist.add_argument(
         "--show-bound", action="store_true",

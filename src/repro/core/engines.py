@@ -22,13 +22,12 @@ The paper's algorithms run on three execution engines.  Every row of
     this cell too: ``Θ`` is not empty;
 ``dual`` / ``sim``
     the maximum dual / graph simulation relation —
-    ``(pattern, data) -> MatchRelation``;
+    ``(pattern, data) -> MatchRelation``.
 
-plus ``compiled``, read only by the distributed site workers.  They
-keep exactly two implementations — the reference dicts and the compiled
-kernel index — and ``compiled`` picks one.  The incremental classes of
-:mod:`repro.core.incremental` keep one substrate and call the ``dual``
-cell instead.
+The stateful substrates keep one implementation each.  The incremental
+classes of :mod:`repro.core.incremental` keep the reference dicts and
+call the ``dual`` cell.  The distributed site workers run the reference
+per-ball step on every engine, so they read no cell.
 
 The rows:
 
@@ -78,18 +77,16 @@ class Engine:
     match_plus: Callable
     dual: Callable
     sim: Callable
-    compiled: bool
 
 
 #: The matching cells every row fills, in table order.
-CELLS = tuple(f.name for f in fields(Engine) if f.name != "compiled")
+CELLS = tuple(f.name for f in fields(Engine))
 
 _KERNEL = Engine(
     match=kernel_match_plus,
     match_plus=kernel_match_plus,
     dual=dual_simulation_kernel,
     sim=graph_simulation_kernel,
-    compiled=True,
 )
 
 #: Concrete engine name -> row; the reference row first.
@@ -99,7 +96,6 @@ ENGINE_TABLE: Dict[str, Engine] = {
         match_plus=match_plus_reference,
         dual=dual_simulation,
         sim=simulation_fixpoint,
-        compiled=False,
     ),
     "kernel": _KERNEL,
     "numpy": replace(_KERNEL, match_plus=np_match_plus),

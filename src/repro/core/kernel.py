@@ -60,11 +60,6 @@ Entry points — all *output-identical* to the reference Python path:
 * :func:`graph_simulation_kernel` — the maximum (child-direction-only)
   graph-simulation relation over the full data graph.
 
-The distributed runtime (:mod:`repro.distributed.sitekernel`) reuses the
-compiled-pattern and fixpoint internals over its own incrementally
-extended per-site index, which mirrors the :class:`GraphIndex` row
-layout.
-
 Callers normally do not import this module directly: ``match`` and
 ``match_plus`` take an ``engine`` argument (``"auto"`` | ``"kernel"`` |
 ``"numpy"`` | ``"python"``) and route through the engine table of
@@ -200,9 +195,9 @@ class GrowableCSRIndex:
     integer lists — and the epoch-stamped visited buffer.  Rows are
     *growable*: new node slots append in O(1) and edges patch the
     affected rows in O(degree), with ids stable across every extension,
-    which is what lets both the centralized :class:`GraphIndex` (delta
-    maintenance) and the distributed ``SiteGraphIndex`` (remote-stub
-    materialization) stay warm instead of recompiling.
+    which is what lets :class:`GraphIndex` stay warm under delta
+    maintenance instead of recompiling.  The distributed
+    ``SiteGraphIndex`` builds on it too; no site uses that index.
 
     Visited marking for ball BFS lives in per-thread :class:`_VisitState`
     buffers (:meth:`visit_state`): bumping an epoch invalidates a whole

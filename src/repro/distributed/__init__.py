@@ -1,13 +1,9 @@
 """Distributed strong simulation (Section 4.3) over a simulated cluster.
 
-The protocol runs on either execution engine
-(``engine="auto"|"kernel"|"python"`` on :class:`Cluster` and
-:func:`distributed_match`): the kernel engine compiles each fragment once
-per site into an incrementally extended CSR index
-(:mod:`repro.distributed.sitekernel`) and is several times faster; the
-python engine is the readable reference path — the right choice when
-debugging result or traffic differences against the paper's pseudocode.
-Result sets, per-site counts and bus accounting are engine-identical.
+Every site evaluates the balls around its surviving centers on the
+readable reference per-ball step (:class:`SiteWorker`), on both runtime
+backends; the ``engine`` a :class:`Cluster` is given is validated and
+selects nothing.
 """
 
 from repro.distributed.coordinator import (
@@ -30,7 +26,6 @@ from repro.distributed.runtime import (
     process_backend_available,
     resolve_backend,
 )
-from repro.distributed.sitekernel import SiteGraphIndex
 from repro.distributed.worker import SiteWorker
 
 __all__ = [
@@ -41,7 +36,6 @@ __all__ = [
     "Message",
     "MessageBus",
     "PARTITIONERS",
-    "SiteGraphIndex",
     "SiteWorker",
     "bfs_partition",
     "crossing_ball_bound",

@@ -29,21 +29,16 @@ only ``fetch`` traffic shrinks, and ``filter`` traffic is added.
 The protocol is generic over partitioning and returns *exactly* the
 centralized ``Match`` output (asserted by the integration tests).
 
-The protocol is also generic over the *execution engine*: ``Cluster``
-accepts ``engine="auto"|"kernel"|"numpy"|"python"``, resolves it once
-and builds every :class:`~repro.distributed.worker.SiteWorker` on the
-result; every query on the cluster runs on that engine.  With a compiled
-engine each site compiles its fragment once into a per-site CSR index
-(:mod:`repro.distributed.sitekernel`) and extends it incrementally as
-remote records arrive over the bus; the result set, the per-site partial
-counts and the full traffic accounting are engine-independent, so the
-Section 4.3 bound holds unchanged (enforced by
-``tests/test_distributed_kernel_equivalence.py``).
+Every site runs step 3 on the reference per-ball step of
+:class:`~repro.distributed.worker.SiteWorker` (``build_ball``, then
+``dual_simulation``, then ``extract_max_perfect_subgraph``), whatever
+``engine`` the cluster is given; ``Cluster`` validates ``engine``,
+which selects nothing.
 
-Orthogonally to the engine, ``Cluster`` accepts a runtime ``backend``
-(``"inproc"`` | ``"processes"``, see :mod:`repro.distributed.runtime`)
-choosing *where* the site workers live; the protocol observation is
-byte-identical across backends (enforced by ``tests/test_runtime.py``).
+``Cluster`` accepts a runtime ``backend`` (``"inproc"`` |
+``"processes"``, see :mod:`repro.distributed.runtime`) choosing *where*
+the site workers live; the protocol observation is byte-identical
+across backends (enforced by ``tests/test_runtime.py``).
 """
 
 from __future__ import annotations
@@ -79,6 +74,7 @@ from repro.exceptions import (
     DistributedError,
     DuplicateNode,
     EdgeNotFound,
+    GraphError,
     NodeNotFound,
 )
 from repro.obs.metrics import (
@@ -209,9 +205,12 @@ class Cluster:
         engine: str = "auto",
         backend: Optional[str] = None,
     ) -> None:
-        #: The resolved engine every site runs each query on (validated
-        #: here, before any worker is built).
-        self.engine = resolve_engine(engine)
+        # ``engine`` selects nothing: every site runs the reference
+        # per-ball step.  The parameter stays because the frozen
+        # benchmark (perfbench) builds clusters with "auto" and "kernel";
+        # it is still validated, so an unknown name, or "numpy" without
+        # numpy, fails before any worker starts.
+        resolve_engine(engine)
         self.backend = resolve_backend(backend)
         self.bus = MessageBus()
         self.assignment: Assignment = dict(assignment)
@@ -219,9 +218,7 @@ class Cluster:
             graph, assignment, num_sites
         )
         self.workers: Dict[int, SiteWorker] = {
-            fragment.site_id: SiteWorker(
-                fragment, self.bus, engine=self.engine
-            )
+            fragment.site_id: SiteWorker(fragment, self.bus)
             for fragment in self.fragments
         }
         for worker in self.workers.values():
@@ -243,8 +240,7 @@ class Cluster:
         self._listeners = DeltaListeners()
         self.result_store = ResultCache()
         self._transport = make_transport(
-            self.backend, self.workers, self.assignment, self.bus,
-            self.engine,
+            self.backend, self.workers, self.assignment, self.bus
         )
         _ALL_CLUSTERS.add(self)
 
@@ -287,11 +283,9 @@ class Cluster:
 
         The distributed half of the mutation pipeline: the delta stream a
         master :class:`~repro.core.digraph.DiGraph` emits can be fed here
-        verbatim and the owning fragments (plus their warm per-site
-        indexes) stay in sync without re-partitioning or recompiling.
-        Each affected site is charged one ``update`` unit on the bus —
-        identically for every engine, so protocol observations remain
-        engine-independent ("update" traffic is not ``fetch`` traffic and
+        verbatim and the owning fragments stay in sync without
+        re-partitioning.  Each affected site is charged one ``update``
+        unit on the bus ("update" traffic is not ``fetch`` traffic and
         does not count against the Section 4.3 data-shipment bound).
 
         ``site`` places an ``add_node`` explicitly; by default the least
@@ -406,17 +400,22 @@ class Cluster:
     ) -> DistributedRunReport:
         """Run the Section 4.3 protocol for one pattern.
 
-        The sites evaluate on the engine the cluster was built with; the
-        result, per-site counts and traffic accounting are identical
-        for every engine choice.  Partials are unioned in site order on
-        every backend, keeping the dedup order deterministic; the
+        ``radius`` defaults to the pattern's diameter d_Q; a negative one
+        raises :class:`~repro.exceptions.GraphError` before the query is
+        broadcast, as ``match`` does.  Every site evaluates its balls on
+        the reference per-ball step.  Partials are unioned in site order
+        on every backend, keeping the dedup order deterministic; the
         ``processes`` backend replays its sites' fetch charges onto the
         bus in site order, so the full observation is byte-identical to
         the serial ``inproc`` run.
         """
+        if radius is None:
+            radius = pattern.diameter
+        if radius < 0:
+            raise GraphError(
+                f"ball radius must be non-negative, got {radius}"
+            )
         with self._protocol_lock, _obs_span("distributed.run") as _sp:
-            if radius is None:
-                radius = pattern.diameter
             # The protocol lock serializes runs against updates, so the
             # bus messages appended from here to the end of the run are
             # exactly this query's charges (the report's ``query_log``).
@@ -468,7 +467,8 @@ class Cluster:
                 _sp.set(
                     backend=self.backend,
                     sites=self.num_sites,
-                    engine=self.engine,
+                    # The code the sites ran (see ``site.evaluate``).
+                    engine="python",
                     pattern=pattern.size,
                     radius=radius,
                     result=len(result),
@@ -532,9 +532,7 @@ class Cluster:
 
         On the in-process backend this reads the workers directly; on
         the process backend each worker process reports its own counters
-        — in particular ``index_builds``, which a warm worker holds at 1
-        across queries and updates (the "fragments compile once per
-        site" guarantee, now per OS process).
+        (``index_builds`` always reads 0: no site compiles an index).
         """
         with self._protocol_lock:
             return self._transport.worker_stats()
@@ -574,7 +572,6 @@ def distributed_match(
     assignment: Assignment,
     num_sites: int,
     radius: Optional[int] = None,
-    engine: str = "auto",
     backend: Optional[str] = None,
 ) -> DistributedRunReport:
     """Convenience wrapper: build a cluster and evaluate one pattern.
@@ -583,8 +580,7 @@ def distributed_match(
     ``"processes"``); the observation is identical across backends, so
     one-shot callers only choose for wall-clock reasons.
     """
-    with Cluster(graph, assignment, num_sites, engine=engine,
-                 backend=backend) as cluster:
+    with Cluster(graph, assignment, num_sites, backend=backend) as cluster:
         return cluster.run(pattern, radius)
 
 

@@ -5,11 +5,9 @@ rebuilds the site's :class:`~repro.distributed.fragment.Fragment` from
 its wire form, hosts a :class:`_PipeSiteWorker` — a
 :class:`~repro.distributed.worker.SiteWorker` whose cross-site fetches
 go through the coordinator pipe instead of in-process peers — and then
-serves commands until shut down.  The worker's compiled
-``SiteGraphIndex`` lives in this process for its whole lifetime: it is
-built on the first kernel query and stays warm across queries *and*
-across ``apply_update`` deltas, exactly like an in-process site
-(observable via the ``stats`` command's ``index_builds`` counter).
+serves commands until shut down.  The fragment lives in this process
+for its whole lifetime and is patched in place by ``update`` frames,
+exactly like an in-process site's.
 
 Protocol (one duplex pipe per site; the coordinator end lives in
 :class:`~repro.distributed.runtime.transport.ProcessTransport`):
@@ -22,7 +20,7 @@ coordinator -> worker             worker -> coordinator
 ``("filter", inbox)``             ``("filter", outbox, survivors)``:
                                   one later round
 ``("evaluate", trace)``           ``("fetch_many", nodes)`` * per BFS
-                                  layer with unmaterialized remotes,
+                                  layer with uncached remote nodes,
                                   then ``("done", partials, bus_log,
                                   span, metrics)``
 ``("update", deltas, owner)``     ``("ok",)``
@@ -31,8 +29,6 @@ coordinator -> worker             worker -> coordinator
 ``("shutdown",)``                 *(exits)*
 ===============================  =====================================
 
-The engine is not part of any frame: it is an argument of
-:func:`worker_main`, which the worker resolves once at start-up.
 A query is one ``query`` frame (the only one carrying the pattern),
 one ``filter`` frame per later round in which the site has mail (every
 site gets round 1), and one ``evaluate`` frame once no site sends
@@ -78,16 +74,16 @@ class _PipeSiteWorker(SiteWorker):
     Only :meth:`_fetch_missing` differs from the in-process worker:
     instead of reading a peer's fragment directly, it round-trips one
     ``fetch_many`` request per batch over the coordinator pipe and logs
-    the per-record charges locally.  Ball construction, the per-site
-    engines, the warm index and the update path are all inherited
-    unchanged — which is what keeps the backends observation-identical
-    by construction rather than by reimplementation.
+    the per-record charges locally.  The dual filter, ball construction,
+    the per-ball step and the update path are all inherited unchanged —
+    which is what keeps the backends observation-identical by
+    construction rather than by reimplementation.
     """
 
-    def __init__(self, fragment, engine: str, conn) -> None:
+    def __init__(self, fragment, conn) -> None:
         # The inherited bus is a local stand-in: per-query charges are
         # logged in fetch_log and replayed coordinator-side instead.
-        super().__init__(fragment, MessageBus(), engine=engine)
+        super().__init__(fragment, MessageBus())
         self._conn = conn
         self.fetch_log: List[Tuple[int, int, str, int]] = []
 
@@ -110,7 +106,7 @@ class _PipeSiteWorker(SiteWorker):
             self._remote_cache[node] = record
 
 
-def worker_main(conn, wire_fragment, engine: str) -> None:
+def worker_main(conn, wire_fragment) -> None:
     """Run one site's worker process until shutdown or pipe loss."""
     # A forked worker inherits the coordinator's instruments and
     # collectors (with the indexes, services and clusters they sample);
@@ -119,7 +115,7 @@ def worker_main(conn, wire_fragment, engine: str) -> None:
     _obs_registry().reset()
     try:
         fragment = decode_fragment(wire_fragment)
-        worker = _PipeSiteWorker(fragment, engine, conn)
+        worker = _PipeSiteWorker(fragment, conn)
         while True:
             try:
                 message = conn.recv()

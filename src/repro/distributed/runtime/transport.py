@@ -32,8 +32,7 @@ transport only carries them.
   mirror fragments (the same records the owning peer would serve — both
   are maintained by the same delta stream); per-site fetch charges ship
   back with the partials and are replayed onto the bus in site order.
-  Site evaluation runs off-GIL on real cores; each worker process keeps
-  its warm ``SiteGraphIndex`` across queries and updates.
+  Site evaluation runs off-GIL on real cores.
 
 Both transports yield byte-identical protocol observations — result
 set, per-site partial counts, message count, units per kind and per
@@ -117,8 +116,7 @@ class Transport:
 
     def begin(self, pattern: Pattern, radius: int) -> Dict[int, FilterReply]:
         """Broadcast one query: every site's round-0 filter reply, in
-        site order (see :meth:`SiteWorker.begin_query`).  Each site runs
-        it on the engine its worker was built with."""
+        site order (see :meth:`SiteWorker.begin_query`)."""
         raise NotImplementedError
 
     def filter_round(
@@ -238,9 +236,6 @@ class ProcessTransport(Transport):
         ``Cluster.apply_update``), consulted per fetch for ownership.
     bus:
         The cluster bus that per-site fetch logs are replayed onto.
-    engine:
-        The engine every worker process resolves once at start-up and
-        runs each query on.
     """
 
     def __init__(
@@ -248,7 +243,6 @@ class ProcessTransport(Transport):
         workers: Dict[int, SiteWorker],
         assignment: Dict[Node, int],
         bus: MessageBus,
-        engine: str = "auto",
     ) -> None:
         self._workers = workers
         self._assignment = assignment
@@ -270,7 +264,7 @@ class ProcessTransport(Transport):
                 parent_end, child_end = context.Pipe()
                 process = context.Process(
                     target=worker_main,
-                    args=(child_end, encode_fragment(worker.fragment), engine),
+                    args=(child_end, encode_fragment(worker.fragment)),
                     name=f"repro-site-{site}",
                     daemon=True,
                 )
@@ -491,9 +485,8 @@ def make_transport(
     workers: Dict[int, SiteWorker],
     assignment: Dict[Node, int],
     bus: MessageBus,
-    engine: str,
 ) -> Transport:
     """Build the transport for a resolved backend name."""
     if backend == "processes":
-        return ProcessTransport(workers, assignment, bus, engine=engine)
+        return ProcessTransport(workers, assignment, bus)
     return InProcTransport(workers)

@@ -117,7 +117,7 @@ def encode_fragment(fragment: Fragment) -> tuple:
 
     The node table lists owned nodes first, *in fragment insertion
     order* (which is data-graph node order restricted to the site — the
-    center iteration order both engines share), then the remote stubs of
+    order the site evaluates its centers in), then the remote stubs of
     ``remote_owner``.  Adjacency rows are index tuples into that table,
     so arbitrary node ids are interned once each.
     """

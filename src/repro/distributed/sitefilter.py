@@ -34,9 +34,8 @@ centralized ``dual_simulation(Q, G)``.
 
 A payload is a tuple of ``(node, pattern nodes)`` entries and costs one
 ``filter`` unit per (data node, pattern node) pair.  The filter reads
-only the fragment dicts that both site substrates share (``labels``,
-``succ``, ``pred``, ``remote_owner``), so its traffic is
-engine-identical by construction, and it keeps nothing between queries.
+only the fragment dicts (``labels``, ``succ``, ``pred``,
+``remote_owner``), and it keeps nothing between queries.
 """
 
 from __future__ import annotations

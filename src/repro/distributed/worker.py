@@ -14,34 +14,17 @@ per-worker cache ensures each remote record is shipped at most once per
 query, so the total shipment is bounded by the union of the
 boundary-crossing balls, which is the Section 4.3 bound.
 
-Like the centralized entry points, a worker takes an execution engine
-(``engine="auto"|"kernel"|"numpy"|"python"``), resolved once when the
-worker is built; every query it serves runs on that engine.  It keeps
-two substrates, and the ``compiled`` flag of the engine's row in
-:data:`repro.core.engines.ENGINE_TABLE` picks one:
-
-* reference (``"python"``) — every ball rebuilds a hash-set ``DiGraph``
-  and runs the set-based dual-simulation fixpoint.  Readable, mirrors
-  the paper's pseudocode; the right choice when debugging result or
-  traffic differences.
-* compiled (``"kernel"``, ``"numpy"`` and the ``"auto"`` default) — the
-  fragment is compiled once per site into a
-  :class:`~repro.distributed.sitekernel.SiteGraphIndex` (integer ids +
-  CSR rows) that is *extended incrementally* as remote node records
-  arrive over the bus; balls and fixpoints then run over flat integer
-  arrays exactly as in :mod:`repro.core.kernel`.
-
-The dual filter runs once, over the fragment dicts both substrates
-share, and both substrates evaluate the same survivors in fragment
-order.  All engines fetch exactly the records of the remote ball
-members, so the message sequence, the per-link unit totals and the
-Section 4.3 data-shipment bound are engine-independent (enforced by
-``tests/test_distributed_kernel_equivalence.py``).
+Every ball runs the reference per-ball step on every engine:
+:meth:`SiteWorker.build_ball` (fetch-accounted), then the set-based
+:func:`~repro.core.dualsim.dual_simulation` fixpoint, then
+:func:`~repro.core.strong.extract_max_perfect_subgraph`.  The dual
+filter leaves each site a few balls per query, and a compiled per-site
+index measured no faster on them, so the sites keep this one substrate.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.ball import Ball
 from repro.core.digraph import (
@@ -52,11 +35,10 @@ from repro.core.digraph import (
     RELABEL,
     DiGraph,
     GraphDelta,
+    Label,
     Node,
 )
 from repro.core.dualsim import dual_simulation
-from repro.core.engines import ENGINE_TABLE
-from repro.core.kernel import _CompiledPattern, resolve_engine
 from repro.core.pattern import Pattern
 from repro.core.result import PerfectSubgraph
 from repro.core.strong import extract_max_perfect_subgraph
@@ -67,13 +49,11 @@ from repro.distributed.sitefilter import (
     FilterOutbox,
     SiteFilter,
 )
-from repro.distributed.sitekernel import (
-    NodeRecord,
-    SiteGraphIndex,
-    site_match_ball,
-)
 from repro.exceptions import DistributedError
 from repro.obs.trace import capture as _obs_capture
+
+#: ``label, successors, predecessors`` — the record served for one node.
+NodeRecord = Tuple[Label, Set[Node], Set[Node]]
 
 #: A site's answer to one dual-filter round: its sends, by receiving
 #: site, and how many of its owned nodes still survive.
@@ -83,27 +63,12 @@ FilterReply = Tuple[FilterOutbox, int]
 class SiteWorker:
     """One site of the simulated cluster."""
 
-    def __init__(
-        self,
-        fragment: Fragment,
-        bus: MessageBus,
-        engine: str = "auto",
-    ) -> None:
+    def __init__(self, fragment: Fragment, bus: MessageBus) -> None:
         self.fragment = fragment
         self.bus = bus
-        #: The resolved engine every query of this worker runs on
-        #: (validated here, before any query runs).
-        self.engine = resolve_engine(engine)
-        self._compiled = ENGINE_TABLE[self.engine].compiled
         self._peers: Dict[int, "SiteWorker"] = {}
         self._remote_cache: Dict[Node, NodeRecord] = {}
-        self._site_index: Optional[SiteGraphIndex] = None
-        #: How many times this worker compiled a fresh ``SiteGraphIndex``.
-        #: A warm worker holds this at 1 across queries and updates — the
-        #: observable "fragments compile once per site" guarantee, which
-        #: the process runtime re-asserts per worker process.
-        self.index_builds = 0
-        #: Queries this worker evaluated (any engine).
+        #: Queries this worker evaluated.
         self.queries_served = 0
         #: Per-query fetch telemetry (reset with the remote cache):
         #: batched fetch calls, records shipped, bus units charged.
@@ -195,12 +160,6 @@ class SiteWorker:
         if missing:
             self._fetch_missing(missing)
 
-    def _records_for_many(self, nodes: List[Node]) -> List[NodeRecord]:
-        """The records of ``nodes``, fetched in one batch where remote."""
-        self._ensure_records(nodes)
-        record_for = self._record_for
-        return [record_for(node) for node in nodes]
-
     def _locate_owner(self, node: Node) -> int:
         """Find the owner of a node not adjacent to this fragment."""
         for site, peer in self._peers.items():
@@ -209,20 +168,11 @@ class SiteWorker:
         raise DistributedError(f"no site owns node {node!r}")
 
     def clear_cache(self) -> None:
-        """Drop fetched remote records (coordinator calls between queries).
-
-        Also reverts the compiled site index's remote extension to stubs,
-        so the next kernel-engine query re-fetches — and the bus
-        re-charges — remote records exactly like the reference path.
-        The owned part of the index survives: fragments compile once per
-        site.
-        """
+        """Drop fetched remote records (coordinator calls between queries)."""
         self._remote_cache.clear()
         self.fetch_round_trips = 0
         self.fetch_records = 0
         self.fetch_units = 0
-        if self._site_index is not None:
-            self._site_index.reset_remote()
 
     # ------------------------------------------------------------------
     # Mutation pipeline: owned-fragment delta application
@@ -231,11 +181,9 @@ class SiteWorker:
         """Apply one owned-fragment delta to this site's state.
 
         The per-site half of ``Cluster.apply_update``: patches the
-        fragment dictionaries (the source of truth both engines read) and
-        — when a site index has been compiled — the index's *owned* CSR
-        rows in place, keeping it warm instead of recompiling per query.
-        ``owner_of`` maps any node to its owning site, for refreshing the
-        ``remote_owner`` routing table when an edge reaches off-site.
+        fragment dictionaries in place.  ``owner_of`` maps any node to
+        its owning site, for refreshing the ``remote_owner`` routing
+        table when an edge reaches off-site.
 
         Remote records cached from the previous query are dropped first
         (they may describe pre-update adjacency); the next query
@@ -243,9 +191,6 @@ class SiteWorker:
         have anyway after the coordinator's per-query cache clear.
         """
         self._remote_cache.clear()
-        index = self._site_index
-        if index is not None:
-            index.reset_remote()
         fragment = self.fragment
         kind = delta.kind
         if kind == ADD_EDGE or kind == REMOVE_EDGE:
@@ -266,45 +211,24 @@ class SiteWorker:
                     fragment.pred[target].add(source)
                     if not owns_source:
                         fragment.remote_owner[source] = owner_of[source]
-                if index is not None:
-                    index.add_owned_edge(
-                        source, target, owns_source, owns_target
-                    )
             else:
                 if owns_source:
                     fragment.succ[source].discard(target)
                 if owns_target:
                     fragment.pred[target].discard(source)
-                # Does the opposite edge target -> source survive?  An
-                # owned endpoint knows: it sees all its incident edges.
-                reverse_exists = (
-                    (owns_target and source in fragment.succ[target])
-                    or (owns_source and target in fragment.pred[source])
-                )
-                if index is not None:
-                    index.remove_owned_edge(
-                        source, target, owns_source, owns_target,
-                        reverse_exists,
-                    )
         elif kind == ADD_NODE:
             fragment.labels[delta.node] = delta.label
             fragment.succ[delta.node] = set()
             fragment.pred[delta.node] = set()
             fragment.remote_owner.pop(delta.node, None)
-            if index is not None:
-                index.add_owned_node(delta.node, delta.label)
         elif kind == REMOVE_NODE:
             # Incident-edge deltas were applied first (the pipeline
             # decomposes node removals), so the node is isolated here.
             del fragment.labels[delta.node]
             del fragment.succ[delta.node]
             del fragment.pred[delta.node]
-            if index is not None:
-                index.remove_owned_node(delta.node)
         elif kind == RELABEL:
             fragment.labels[delta.node] = delta.label
-            if index is not None:
-                index.relabel_owned_node(delta.node, delta.label)
         else:  # pragma: no cover - the kinds above are exhaustive
             raise DistributedError(f"unknown graph delta kind {kind!r}")
 
@@ -316,15 +240,6 @@ class SiteWorker:
     # ------------------------------------------------------------------
     # Distributed ball construction + matching
     # ------------------------------------------------------------------
-    def site_index(self) -> SiteGraphIndex:
-        """The site's compiled index, built on first (kernel) use."""
-        index = self._site_index
-        if index is None:
-            index = SiteGraphIndex(self.fragment)
-            self._site_index = index
-            self.index_builds += 1
-        return index
-
     def runtime_stats(self) -> Dict[str, object]:
         """Observability counters for this worker.
 
@@ -334,7 +249,10 @@ class SiteWorker:
         """
         return {
             "site": self.fragment.site_id,
-            "index_builds": self.index_builds,
+            # No site compiles an index; the key stays, always 0, because
+            # the frozen benchmark (perfbench's ``worker.index_builds``)
+            # reads it by name.
+            "index_builds": 0,
             "queries_served": self.queries_served,
             "owned_nodes": self.fragment.num_nodes,
         }
@@ -411,14 +329,13 @@ class SiteWorker:
         centers = [node for node in self.fragment.labels if node in survivors]
         self.queries_served += 1
         with _obs_capture("site.evaluate") as _sp:
-            if self._compiled:
-                partial = self._match_local_kernel(pattern, radius, centers)
-            else:
-                partial = self._match_local_python(pattern, radius, centers)
+            partial = self._match_balls(pattern, radius, centers)
             if _sp.enabled:
                 _sp.set(
                     site=self.fragment.site_id,
-                    engine=self.engine,
+                    # The code that ran: every site runs the reference
+                    # per-ball step, whatever engine the cluster named.
+                    engine="python",
                     balls=len(centers),
                     partial=len(partial),
                     **{
@@ -437,10 +354,16 @@ class SiteWorker:
             )
         return self._filter
 
-    def _match_local_python(
+    def _match_balls(
         self, pattern: Pattern, radius: int, centers: List[Node]
     ) -> List[PerfectSubgraph]:
-        """Reference path: per-ball ``DiGraph`` + set-based fixpoint."""
+        """The per-ball step around each of ``centers``, in order.
+
+        Per ball: a fetch-accounted ``DiGraph`` ball, the set-based dual
+        simulation fixpoint, then the maximum perfect subgraph.  No
+        per-site dedup is applied; the coordinator dedups, and the
+        per-site partial counts are part of the protocol observation.
+        """
         partial: List[PerfectSubgraph] = []
         for center in centers:
             ball = self.build_ball(center, radius)
@@ -448,30 +371,6 @@ class SiteWorker:
             if relation.is_empty():
                 continue
             subgraph = extract_max_perfect_subgraph(pattern, ball, relation)
-            if subgraph is not None:
-                partial.append(subgraph)
-        return partial
-
-    def _match_local_kernel(
-        self, pattern: Pattern, radius: int, centers: List[Node]
-    ) -> List[PerfectSubgraph]:
-        """Kernel path: ball BFS + counter fixpoint over the site index.
-
-        ``centers`` arrive in the same fragment order as on the reference
-        path, and no per-site dedup is applied, so the partial list — and
-        with it the per-site counts and the ``result`` traffic — is
-        engine-identical.  The index is compiled on the first query even
-        when no center survives, so a warm worker stays warm.
-        """
-        index = self.site_index()
-        cp = _CompiledPattern(pattern)
-        fetch_many = self._records_for_many
-        index_of = index.index_of
-        partial: List[PerfectSubgraph] = []
-        for center in centers:
-            subgraph = site_match_ball(
-                cp, index, fetch_many, index_of[center], radius
-            )
             if subgraph is not None:
                 partial.append(subgraph)
         return partial

@@ -242,7 +242,7 @@ def distributed_backends(scale: int) -> str:
     reference = None
     for backend in backends:
         with Cluster(data, assignment, sites, backend=backend) as cluster:
-            cluster.run(pattern)  # warm-up: worker bootstrap + compile
+            cluster.run(pattern)  # warm-up: worker bootstrap
             start = time.perf_counter()
             report = cluster.run(pattern)
             rows["seconds"].append(round(time.perf_counter() - start, 4))

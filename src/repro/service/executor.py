@@ -405,7 +405,8 @@ class MatchService:
 
         The future resolves to a
         :class:`~repro.distributed.coordinator.DistributedRunReport`.
-        The sites run on the engine the cluster was built with.
+        Every site evaluates its balls on the reference per-ball step,
+        whatever engine the cluster was built with.
         Runs on one cluster serialize on the cluster's protocol lock
         (the bus accounting and per-query worker state demand it), but
         with a ``backend="processes"`` cluster the site evaluation

@@ -3,10 +3,11 @@
 Every matching entry point in the repo runs on the execution engines of
 :data:`repro.core.engines.ENGINE_TABLE` — ``"python"`` (the reference
 path, transcribed from the paper's pseudocode), ``"kernel"`` (the
-compiled CSR path of :mod:`repro.core.kernel` /
-:mod:`repro.distributed.sitekernel`), and ``"numpy"`` (the kernel with
-the batched ball refinement of :mod:`repro.core.npkernel` in its
-``match_plus`` cell).  The engines' contract is
+compiled CSR path of :mod:`repro.core.kernel`), and ``"numpy"`` (the
+kernel with the batched ball refinement of :mod:`repro.core.npkernel`
+in its ``match_plus`` cell).  ``Cluster.run`` takes an engine too, which
+selects nothing: every site runs the reference per-ball step, so its
+rows pin that.  The engines' contract is
 *output identity*, and this module is the one place that knows how to
 observe each entry point in an engine-independent, comparable form:
 
@@ -25,7 +26,7 @@ observe each entry point in an engine-independent, comparable form:
   mutations and queries (:func:`random_mutation`,
   :func:`assert_update_workload_identical`): after every mutation the
   warm incremental kernel (one cached, delta-maintained ``GraphIndex``;
-  warm per-site indexes on the distributed path) must observe
+  delta-patched fragments on the distributed path) must observe
   identically to the from-scratch reference engine *and* to a
   from-scratch kernel compile of a graph copy.
 
@@ -387,7 +388,7 @@ def assert_centralized_update_step_identical(
     kernel compile on a structural copy of ``graph``.
     """
     copy = graph.copy()  # fresh object: fresh, from-scratch compiles
-    compiled_engines = [e for e in ENGINES if ENGINE_TABLE[e].compiled]
+    compiled_engines = [e for e in ENGINES if e != "python"]
     for name in CENTRALIZED_ENTRY_POINTS:
         reference = run_entry_point(name, "python", pattern, graph)
         for engine in compiled_engines:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.strong import match
+from repro.core.strong import match, match_reference
 from repro.distributed import (
     Cluster,
     bfs_partition,
@@ -16,11 +16,12 @@ from repro.distributed import (
     hash_partition,
 )
 from repro.distributed.network import MessageBus
-from repro.exceptions import DistributedError
+from repro.exceptions import DistributedError, GraphError
 from repro.datasets.paper_figures import data_g1, pattern_q1
 from repro.datasets.synthetic import generate_graph
 from repro.datasets.patterns import sample_pattern_from_data
 from tests.conftest import graph_seeds, random_digraph, random_connected_pattern
+from tests.engines import available_backends, canonical_result
 
 
 class TestPartitioners:
@@ -178,6 +179,31 @@ class TestCluster:
         report = cluster.run(pattern)
         assert set(report.per_site_subgraphs) == {0, 1}
         assert sum(report.per_site_subgraphs.values()) >= len(report.result)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize(
+        "radius", [-1, 0, 1, "d_Q+1"], ids=lambda r: f"r={r}"
+    )
+    def test_radius(self, radius, backend):
+        """A negative radius is rejected before the broadcast, as
+        ``match`` rejects it; any other radius returns centralized
+        ``Match`` at that radius."""
+        pattern, data = pattern_q1(), data_g1()
+        if radius == "d_Q+1":
+            radius = pattern.diameter + 1
+        with Cluster(
+            data, bfs_partition(data, 2), 2, backend=backend
+        ) as cluster:
+            if radius < 0:
+                before = cluster.bus.total_messages
+                with pytest.raises(GraphError, match="non-negative"):
+                    cluster.run(pattern, radius=radius)
+                assert cluster.bus.total_messages == before
+                return
+            report = cluster.run(pattern, radius=radius)
+        assert canonical_result(report.result) == canonical_result(
+            match_reference(pattern, data, radius)
+        )
 
     def test_cluster_reusable_across_queries(self):
         data = data_g1()

@@ -9,6 +9,9 @@ per-site partial-subgraph counts, and the complete message-bus
 accounting (message count, units per kind, units per directed link —
 hence also the Section 4.3 data-shipment volume).
 
+A cluster's engine selects nothing (every site runs the reference
+per-ball step), so its rows here also pin that.
+
 The distributed dual filter gets its own checks below: each site's
 surviving centers are its nodes of the centralized dual-simulation
 relation, each site's partial count is what centralized ``Match``
@@ -140,10 +143,10 @@ class TestClusterEquivalence:
             assert report.data_shipment_units <= bound
 
     def test_multi_query_cluster_stays_in_lockstep(self, small_synthetic):
-        """Across several queries on one long-lived cluster, both engines
-        re-fetch after the per-query cache clear, so the *cumulative*
-        accounting stays identical (the per-site index reuse must not
-        leak paid-for records into the next query)."""
+        """Across several queries on one long-lived cluster, every
+        engine re-fetches after the per-query cache clear, so the
+        *cumulative* accounting stays identical (no record one query
+        paid for may leak into the next)."""
         patterns = [
             sample_pattern_from_data(small_synthetic, size, seed=seed)
             for size, seed in ((3, 1), (4, 2), (3, 1))
@@ -238,21 +241,13 @@ class TestRandomizedClusterEquivalence:
 def recorded_centers():
     """The centers each in-process site evaluates, by site."""
     seen: Dict[int, List] = {}
+    original = SiteWorker._match_balls
 
-    def spying(original):
-        def spy(self, pattern, radius, centers):
-            seen[self.fragment.site_id] = list(centers)
-            return original(self, pattern, radius, centers)
+    def spy(self, pattern, radius, centers):
+        seen[self.fragment.site_id] = list(centers)
+        return original(self, pattern, radius, centers)
 
-        return spy
-
-    with mock.patch.object(
-        SiteWorker, "_match_local_python",
-        spying(SiteWorker._match_local_python),
-    ), mock.patch.object(
-        SiteWorker, "_match_local_kernel",
-        spying(SiteWorker._match_local_kernel),
-    ):
+    with mock.patch.object(SiteWorker, "_match_balls", spy):
         yield seen
 
 

@@ -4,8 +4,10 @@
 computes each algorithm on each engine.  These tests check that every
 public entry point and every stateful substrate takes its
 implementation from the table rather than from a name comparison of its
-own: a spy swapped into one cell must be the code that runs, and the
-``compiled`` flag alone must pick the substrate.  Output identity across
+own: a spy swapped into one cell must be the code that runs.  The
+stateful substrates keep one implementation each: the incremental
+classes call the row's ``dual`` cell, and every site worker runs the
+reference per-ball step whatever the engine.  Output identity across
 the rows is the differential harness's job (``tests/engines.py``).
 """
 
@@ -27,7 +29,7 @@ from repro.core.matchplus import match_plus
 from repro.core.simulation import graph_simulation
 from repro.core.strong import match, matches_via_strong_simulation
 from repro.datasets.paper_figures import data_g2, pattern_q2
-from repro.distributed import Cluster
+from repro.distributed import Cluster, sitekernel
 from repro.distributed.worker import SiteWorker
 from repro.io.jsonio import pattern_to_dict, write_graph_json
 from repro.service import MatchService
@@ -124,8 +126,8 @@ class TestRouting:
 
 
 # ----------------------------------------------------------------------
-# Stateful substrates follow the table: the compiled flag for the site
-# workers, the dual cell for the incremental classes
+# Stateful substrates: the incremental classes call the dual cell, and
+# the site workers run one substrate on every engine
 # ----------------------------------------------------------------------
 class TestSubstrates:
     @pytest.mark.parametrize("engine", ENGINES)
@@ -133,7 +135,7 @@ class TestSubstrates:
         "cls", [IncrementalDualSimulation, IncrementalMatcher],
         ids=lambda cls: cls.__name__,
     )
-    def test_incremental_substrate_follows_compiled_flag(self, cls, engine):
+    def test_incremental_substrate_calls_the_dual_cell(self, cls, engine):
         data = data_g2()
         assert _INDEX_CACHE.get(data) is None  # nothing compiled
         cls(pattern_q2(), data, engine=engine)
@@ -141,21 +143,30 @@ class TestSubstrates:
         # `dual` cell: the compiled rows' cell runs over the graph's
         # cached GraphIndex, the reference cell leaves it uncompiled.
         compiled = _INDEX_CACHE.get(data) is not None
-        assert compiled == ENGINE_TABLE[engine].compiled
+        assert compiled == (engine != "python")
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_site_worker_substrate_follows_compiled_flag(
+    def test_site_worker_runs_one_substrate_on_every_engine(
         self, monkeypatch, engine
     ):
         ran = []
-        for name in ("_match_local_kernel", "_match_local_python"):
-            original = getattr(SiteWorker, name)
+        original = SiteWorker._match_balls
 
-            def spy(self, *args, _original=original, _name=name, **kwargs):
-                ran.append(_name)
-                return _original(self, *args, **kwargs)
+        def spy(self, *args, **kwargs):
+            ran.append(self.fragment.site_id)
+            return original(self, *args, **kwargs)
 
-            monkeypatch.setattr(SiteWorker, name, spy)
+        monkeypatch.setattr(SiteWorker, "_match_balls", spy)
+        built = []
+        index_init = sitekernel.SiteGraphIndex.__init__
+
+        def counting_init(self, fragment):
+            built.append(fragment.site_id)
+            index_init(self, fragment)
+
+        monkeypatch.setattr(
+            sitekernel.SiteGraphIndex, "__init__", counting_init
+        )
         data = data_g2()
         nodes = sorted(data.nodes(), key=repr)
         assignment = {node: i % 2 for i, node in enumerate(nodes)}
@@ -165,11 +176,8 @@ class TestSubstrates:
             report = cluster.run(pattern_q2())
         finally:
             cluster.close()
-        expected = (
-            "_match_local_kernel" if ENGINE_TABLE[engine].compiled
-            else "_match_local_python"
-        )
-        assert ran and set(ran) == {expected}
+        assert ran == [0, 1]
+        assert built == []
         assert canonical_result(report.result) == canonical_result(
             match(pattern_q2(), data_g2(), engine="python")
         )

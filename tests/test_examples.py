@@ -29,8 +29,9 @@ LIGHT_EXAMPLES = {
     "multiprocess_matching.py": [
         "result identical to centralized: True",
         "observation identical to in-process backend: True",
-        "site indexes compiled once per worker process: True",
-        "still compiled once after live updates: True",
+        "second query identical to the first: True",
+        "after live updates, identical to a fresh in-process cluster: True",
+        "the same worker processes served every query: True",
     ],
     "scenario_run.py": [
         "digest matches the committed pin: True",
