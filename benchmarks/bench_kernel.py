@@ -1,8 +1,9 @@
 """Kernel vs reference engine: wall-clock comparison + equivalence gate.
 
-Runs ``match_plus`` and ``dual_simulation`` on the execution engines
-over the Figure-8(g) synthetic shapes (``generate_graph`` with
-``alpha=1.2`` and patterns sampled from the data), at the scale
+Runs ``match_plus``, ``dual_simulation`` and ``graph_simulation`` on
+the execution engines over the Figure-8(g) synthetic shapes
+(``generate_graph`` with ``alpha=1.2`` and patterns sampled from the
+data), at the scale
 selected by ``REPRO_BENCH_SCALE``
 (``small`` default / ``large``), plus an **incremental** section — an
 update+requery workload comparing the delta-maintained warm index
@@ -19,7 +20,9 @@ Every timed pair is also an equivalence check: the kernel result set must
 be byte-identical (canonical node/edge/relation form) to the reference
 result set, and the run fails otherwise.  At small scale the aggregate
 ``match_plus`` speedup is asserted to stay above 2x — the bar the kernel
-was built to clear.
+was built to clear.  The ``dual`` and ``sim`` rows run one witness-check
+fixpoint that differs only in the checks it compiles; they have no
+speedup gate.
 
 Plain ``match`` has no row: on the compiled engines it runs the
 ``Match+`` core, so a kernel-vs-python ``match`` column would compare two
@@ -41,8 +44,13 @@ from typing import Dict, List
 
 from repro.core.matchplus import match_plus
 from repro.core.dualsim import dual_simulation
-from repro.core.kernel import dual_simulation_kernel, get_index
+from repro.core.kernel import (
+    dual_simulation_kernel,
+    get_index,
+    graph_simulation_kernel,
+)
 from repro.core.npkernel import get_array_view
+from repro.core.simulation import graph_simulation
 from repro.experiments.performance import (
     random_insertion_stream,
     time_update_workload,
@@ -64,11 +72,13 @@ INCREMENTAL_PATTERN_SIZE = 6
 #: hot paths may cost at most this fraction of a match_plus query.
 OBS_DISABLED_OVERHEAD_BAR = 0.02
 OBS_NOOP_TIMING_CALLS = 200_000
-#: The engines timed per algorithm.  The numpy engine's ``dual`` cell is
-#: the kernel's (repro.core.engines), so it has no column of its own.
+#: The engines timed per algorithm.  The numpy engine's ``dual`` and
+#: ``sim`` cells are the kernel's (repro.core.engines), so they have no
+#: column of their own.
 TIMED_ENGINES = {
     "match_plus": ("python", "kernel", "numpy"),
     "dual": ("python", "kernel"),
+    "sim": ("python", "kernel"),
 }
 
 
@@ -148,6 +158,21 @@ def test_kernel_vs_python_engines(scale):
                     lambda engine=engine: dual_fns[engine](pattern, data),
                     TIMING_REPS,
                 )
+
+            sim_reference = _relation_canonical(
+                graph_simulation(pattern, data, engine="python")
+            )
+            assert _relation_canonical(
+                graph_simulation_kernel(pattern, data)
+            ) == sim_reference
+            sim_fns = {
+                "python": lambda: graph_simulation(
+                    pattern, data, engine="python"
+                ),
+                "kernel": lambda: graph_simulation_kernel(pattern, data),
+            }
+            for engine in TIMED_ENGINES["sim"]:
+                times["sim"][engine] += best_of(sim_fns[engine], TIMING_REPS)
 
         for key in totals:
             for engine in totals[key]:

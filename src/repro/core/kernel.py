@@ -30,24 +30,25 @@ Ball extraction
     ball membership implicitly from the seeding step onward, so the
     fixpoint, pruning and extraction all run over global CSR rows.
 
-Dual simulation
-    A counter-based deletion-propagation fixpoint in the style of
-    Henzinger, Henzinger & Kopke (1995): for every (pattern edge, data
-    node) pair the kernel maintains the number of surviving witnesses and
+Witness checks
+    A pattern compiles to *witness checks* ``(x, y, forward)``: every
+    candidate of ``x`` needs a witness in ``sim(y)`` along its forward
+    (child) row, or along its reverse (parent) row when ``forward`` is
+    false.  Graph simulation has one child check ``(a, b, True)`` per
+    pattern edge ``(a, b)``; dual simulation (Sec. 2.2) adds the parent
+    check ``(b, a, False)`` of the same edge.  Nothing else differs
+    between the two relations: one fixpoint refines both.
+
+The fixpoint
+    A counter-based deletion-propagation cascade in the style of
+    Henzinger, Henzinger & Kopke (1995): for every (check, candidate)
+    pair the kernel maintains the number of surviving witnesses and
     cascades a removal only when a count reaches zero, replacing the
     repeated ``any(v2 in targets ...)`` scans of the reference fixpoints.
     Counters live in sparse dicts; on the ``dualFilter`` path they are
     computed *lazily* on first touch, so a ball whose projection needs few
     deletions pays only for the border pairs it actually inspects
     (Proposition 5), never for a full re-initialization.
-
-Graph simulation
-    The same counter machinery restricted to the *child* direction only:
-    plain graph simulation (Milner-style, no duality) maintains one
-    witness count per (pattern edge, parent candidate) and cascades
-    removals when a candidate's last child witness disappears.  This is
-    the counter fixpoint the ROADMAP asked to reuse for
-    ``graph_simulation``.
 
 Entry points — all *output-identical* to the reference Python path:
 
@@ -57,8 +58,8 @@ Entry points — all *output-identical* to the reference Python path:
   too (see :mod:`repro.core.strong`);
 * :func:`dual_simulation_kernel` — the maximum dual-simulation relation
   over the full data graph;
-* :func:`graph_simulation_kernel` — the maximum (child-direction-only)
-  graph-simulation relation over the full data graph.
+* :func:`graph_simulation_kernel` — the maximum graph-simulation
+  relation over the full data graph (child checks only).
 
 Callers normally do not import this module directly: ``match`` and
 ``match_plus`` take an ``engine`` argument (``"auto"`` | ``"kernel"`` |
@@ -76,7 +77,17 @@ import weakref
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.core.digraph import (
     ADD_EDGE,
@@ -112,6 +123,9 @@ NUMPY_AUTO_THRESHOLD = 2048
 
 #: A pending removal: (pattern node id, data node id).
 Pair = Tuple[int, int]
+
+#: A witness check ``(x, y, forward)`` (see :class:`_CompiledPattern`).
+Check = Tuple[int, int, bool]
 
 #: Sentinel stored in ``labels[i]`` for tombstoned (removed) node slots.
 #: A fresh object, so it can never collide with a user label (including
@@ -653,13 +667,15 @@ class GraphIndex(GrowableCSRIndex):
             self.stats.reach_drops += 1
 
     def _apply_delta(self, delta: GraphDelta) -> None:
+        """Patch the rows or slots for one edge or node-lifecycle delta.
+
+        Every such change drops the array view and the reach labels.
+        Relabels never arrive here: :meth:`_apply_delta_group` coalesces
+        them into :meth:`_move_label_groups`.
+        """
         kind = delta.kind
-        if kind != RELABEL:
-            # Every row or slot change drops the array view and the
-            # reach labels; relabels move no distance, and drop the view
-            # in _move_label_groups when a label actually moves.
-            self._np_view = None
-            self._drop_reach()
+        self._np_view = None
+        self._drop_reach()
         if kind == ADD_EDGE:
             self._csr_add_edge(
                 self.index_of[delta.source], self.index_of[delta.target]
@@ -687,12 +703,7 @@ class GraphIndex(GrowableCSRIndex):
             self.labels[i] = _DEAD
             self.nodes[i] = None
             self._removed_weight += 1
-        elif kind == RELABEL:
-            # Normally coalesced by _apply_delta_group; kept for callers
-            # applying single deltas.
-            i = self.index_of[delta.node]
-            self._move_label_groups({i: (delta.old_label, delta.label)})
-        else:  # pragma: no cover - the kinds above are exhaustive
+        else:
             raise MatchingError(f"unknown graph delta kind {kind!r}")
 
     def ensure_current(self) -> None:
@@ -875,19 +886,23 @@ def get_index(graph: DiGraph) -> GraphIndex:
 
 
 class _CompiledPattern:
-    """Pattern compiled to dense integer ids (patterns are tiny; per-call)."""
+    """A pattern compiled to dense integer ids and witness checks.
 
-    __slots__ = (
-        "size",
-        "nodes",
-        "labels",
-        "edges",
-        "out_edges",
-        "in_edges",
-        "by_label",
-    )
+    Patterns are tiny, so this is built per call.  ``checks`` holds one
+    ``(x, y, forward)`` triple per witness requirement: every candidate
+    of ``x`` needs a witness in ``sim(y)`` on its forward row (the child
+    check of pattern edge ``(x, y)``) or, when ``forward`` is false, on
+    its reverse row (the parent check of pattern edge ``(y, x)``).
+    ``dual`` picks the relation, and each entry point fixes it: graph
+    simulation compiles the child check of every pattern edge, dual
+    simulation also its parent check.  ``watch[y]`` lists the checks
+    that draw witnesses from ``sim(y)``, the ones a removal from
+    ``sim(y)`` can break.
+    """
 
-    def __init__(self, pattern: Pattern) -> None:
+    __slots__ = ("size", "nodes", "labels", "edges", "checks", "watch")
+
+    def __init__(self, pattern: Pattern, dual: bool) -> None:
         nodes: List[Node] = list(pattern.nodes())
         self.nodes = nodes
         index = {u: i for i, u in enumerate(nodes)}
@@ -897,28 +912,26 @@ class _CompiledPattern:
             (index[a], index[b]) for a, b in pattern.edges()
         ]
         self.edges = edges
-        out_edges: List[List[int]] = [[] for _ in nodes]
-        in_edges: List[List[int]] = [[] for _ in nodes]
-        for e, (a, b) in enumerate(edges):
-            out_edges[a].append(e)
-            in_edges[b].append(e)
-        self.out_edges = out_edges
-        self.in_edges = in_edges
-        by_label: Dict[Label, List[int]] = {}
-        for i, lab in enumerate(self.labels):
-            by_label.setdefault(lab, []).append(i)
-        self.by_label = by_label
+        checks: List[Check] = []
+        for a, b in edges:
+            checks.append((a, b, True))
+            if dual:
+                checks.append((b, a, False))
+        self.checks = checks
+        watch: List[List[int]] = [[] for _ in nodes]
+        for c, (_, y, _) in enumerate(checks):
+            watch[y].append(c)
+        self.watch = watch
 
 
 # ======================================================================
-# Counter-based dual-simulation fixpoint
+# Counter-based witness-check fixpoint
 # ======================================================================
 def _run_fixpoint(
     cp: _CompiledPattern,
     gi: GraphIndex,
     sim: List[Set[int]],
-    cnt_down: List[Dict[int, int]],
-    cnt_up: List[Dict[int, int]],
+    counts: List[Dict[int, int]],
     pending: Deque[Pair],
 ) -> bool:
     """Drain the deletion worklist; the HHK-style cascade.
@@ -926,13 +939,13 @@ def _run_fixpoint(
     ``sim[u]`` holds the surviving candidates of pattern node ``u`` as
     global node ids; ball restriction (when any) is implicit — the seeds
     were intersected with the ball, and every witness must itself be a
-    candidate, so ``w in sim[b]`` subsumes the ball-membership test.
+    candidate, so ``w in sim[y]`` subsumes the ball-membership test.
 
-    ``cnt_down[e][v]`` / ``cnt_up[e][w]`` are the surviving witness counts
-    of pattern edge ``e = (a, b)``; entries are created lazily: the first
-    time a removal touches a pair, its count is computed by one adjacency
-    scan (already reflecting the removal), after which every later removal
-    is a O(1) decrement.  A count hitting zero enqueues the pair — no pair
+    ``counts[c][v]`` is the surviving witness count of candidate ``v``
+    under check ``c``.  Entries are created lazily: the first time a
+    removal touches a pair, its count is computed by one row scan
+    (already reflecting the removal), after which every later removal is
+    a O(1) decrement.  A count hitting zero enqueues the pair — no pair
     is ever re-scanned.
 
     Returns ``False`` when some ``sim(u)`` empties (the caller must treat
@@ -940,9 +953,8 @@ def _run_fixpoint(
     """
     fwd = gi.fwd_rows
     rev = gi.rev_rows
-    edges = cp.edges
-    in_edges = cp.in_edges
-    out_edges = cp.out_edges
+    checks = cp.checks
+    watch = cp.watch
     push = pending.append
     while pending:
         u, v = pending.popleft()
@@ -952,43 +964,28 @@ def _run_fixpoint(
         sim_u.discard(v)
         if not sim_u:
             return False
-        # Pattern edges (a, u): predecessors of v lose a child witness.
-        for e in in_edges[u]:
-            a = edges[e][0]
-            sim_a = sim[a]
-            cd = cnt_down[e]
-            for p in rev[v]:
-                if p in sim_a:
-                    c = cd.get(p)
-                    if c is None:
+        # Every check drawing witnesses from sim(u) loses witness v; the
+        # candidates that counted it are v's neighbors against the
+        # check's direction.
+        for c in watch[u]:
+            x, _, forward = checks[c]
+            rows, back = (fwd, rev) if forward else (rev, fwd)
+            sim_x = sim[x]
+            cnt = counts[c]
+            for p in back[v]:
+                if p in sim_x:
+                    k = cnt.get(p)
+                    if k is None:
                         # Lazy init: count the survivors (v already gone).
-                        c = 0
-                        for w in fwd[p]:
+                        k = 0
+                        for w in rows[p]:
                             if w in sim_u:
-                                c += 1
+                                k += 1
                     else:
-                        c -= 1
-                    cd[p] = c
-                    if not c:
-                        push((a, p))
-        # Pattern edges (u, b): successors of v lose a parent witness.
-        for e in out_edges[u]:
-            b = edges[e][1]
-            sim_b = sim[b]
-            cu = cnt_up[e]
-            for s in fwd[v]:
-                if s in sim_b:
-                    c = cu.get(s)
-                    if c is None:
-                        c = 0
-                        for v2 in rev[s]:
-                            if v2 in sim_u:
-                                c += 1
-                    else:
-                        c -= 1
-                    cu[s] = c
-                    if not c:
-                        push((b, s))
+                        k -= 1
+                    cnt[p] = k
+                    if not k:
+                        push((x, p))
     return True
 
 
@@ -1001,103 +998,83 @@ def _batch_prefilter(
     rounds (most label-compatible nodes have no structural support at
     all).  Driving those removals through the one-at-a-time counter
     cascade is slower than batch refinement, so this runs simultaneous
-    rounds first — the witness test is ``set.isdisjoint`` over a CSR row,
-    which short-circuits in C — and stops as soon as a round's removals
-    become a small fraction of the survivors, handing the tail to the
-    exact counter fixpoint.  Simultaneous refinement deletes only invalid
-    pairs, so the greatest fixpoint (Lemma 1) is unchanged.
+    rounds over the checks first — the witness test is ``set.isdisjoint``
+    over a CSR row, which short-circuits in C — and stops as soon as a
+    round's removals become a small fraction of the survivors, handing
+    the tail to the exact counter fixpoint.  Simultaneous refinement
+    deletes only invalid pairs, so the greatest fixpoint (Lemma 1) is
+    unchanged.
 
     Returns ``False`` on collapse (some candidate set emptied).
     """
     fwd = gi.fwd_rows
     rev = gi.rev_rows
-    edges = cp.edges
+    checks = cp.checks
     while True:
         removed = 0
         remaining = 0
-        for a, b in edges:
-            sim_a = sim[a]
-            sim_b = sim[b]
-            stale = [v for v in sim_a if sim_b.isdisjoint(fwd[v])]
+        for x, y, forward in checks:
+            rows = fwd if forward else rev
+            sim_x = sim[x]
+            sim_y = sim[y]
+            stale = [v for v in sim_x if sim_y.isdisjoint(rows[v])]
             if stale:
-                if len(stale) == len(sim_a):
+                if len(stale) == len(sim_x):
                     return False
-                sim_a.difference_update(stale)
+                sim_x.difference_update(stale)
                 removed += len(stale)
-            stale = [w for w in sim_b if sim_a.isdisjoint(rev[w])]
-            if stale:
-                if len(stale) == len(sim_b):
-                    return False
-                sim_b.difference_update(stale)
-                removed += len(stale)
-            remaining += len(sim_a) + len(sim_b)
+            remaining += len(sim_x)
         if removed <= max(8, remaining >> 4):
             return True
 
 
-def _dual_sim_eager(
+def _count_witnesses(
+    cp: _CompiledPattern,
+    gi: GraphIndex,
+    sim: List[Set[int]],
+    seeds: List[Set[int]],
+    counts: List[Dict[int, int]],
+    push: Callable[[Pair], None],
+) -> None:
+    """Count the witnesses of every ``v`` in ``seeds[x]`` per check on ``x``.
+
+    Each count is stored, so the cascade later decrements it instead of
+    recounting; every seeded pair left without a witness is enqueued
+    through ``push``.
+    """
+    fwd = gi.fwd_rows
+    rev = gi.rev_rows
+    for c, (x, y, forward) in enumerate(cp.checks):
+        rows = fwd if forward else rev
+        sim_y = sim[y]
+        cnt = counts[c]
+        for v in seeds[x]:
+            k = 0
+            for w in rows[v]:
+                if w in sim_y:
+                    k += 1
+            cnt[v] = k
+            if not k:
+                push((x, v))
+
+
+def _simulate(
     cp: _CompiledPattern, gi: GraphIndex, sim: List[Set[int]]
 ) -> bool:
-    """Full counter fixpoint from arbitrary seeds (not known to be valid).
+    """Greatest fixpoint of ``cp``'s checks below seeds not known valid.
 
-    First bulk-prunes hopeless candidates (:func:`_batch_prefilter`), then
-    initializes every surviving witness count with one adjacency scan per
-    candidate per incident pattern edge, and cascades the remaining
-    deletions with O(1) decrements.  Used for the global dual simulation
-    and for per-ball ``DualSim`` from label seeds.  Refines ``sim`` in
+    First bulk-prunes hopeless candidates (:func:`_batch_prefilter`),
+    then counts every survivor's witnesses under every check and
+    cascades the remaining deletions with O(1) decrements.  Used for the
+    global graph and dual simulation relations.  Refines ``sim`` in
     place; ``False`` on collapse.
     """
     if not _batch_prefilter(cp, gi, sim):
         return False
-    fwd = gi.fwd_rows
-    rev = gi.rev_rows
-    edges = cp.edges
-    num_edges = len(edges)
-    cnt_down: List[Dict[int, int]] = [{} for _ in range(num_edges)]
-    cnt_up: List[Dict[int, int]] = [{} for _ in range(num_edges)]
+    counts: List[Dict[int, int]] = [{} for _ in cp.checks]
     pending: Deque[Pair] = deque()
-    push = pending.append
-    for e in range(num_edges):
-        a, b = edges[e]
-        sim_a = sim[a]
-        sim_b = sim[b]
-        cd = cnt_down[e]
-        cu = cnt_up[e]
-        # One scan from the smaller side fills BOTH directions' counts:
-        # every witness edge (v, w) contributes to cnt_down[e][v] and
-        # cnt_up[e][w] alike.  Zero counts are not stored — the worklist
-        # removes those pairs, and the cascade lazily recounts on a miss.
-        if len(sim_a) <= len(sim_b):
-            cu_get = cu.get
-            for v in sim_a:
-                c = 0
-                for w in fwd[v]:
-                    if w in sim_b:
-                        c += 1
-                        cu[w] = cu_get(w, 0) + 1
-                if c:
-                    cd[v] = c
-                else:
-                    push((a, v))
-            for w in sim_b:
-                if w not in cu:
-                    push((b, w))
-        else:
-            cd_get = cd.get
-            for w in sim_b:
-                c = 0
-                for v in rev[w]:
-                    if v in sim_a:
-                        c += 1
-                        cd[v] = cd_get(v, 0) + 1
-                if c:
-                    cu[w] = c
-                else:
-                    push((b, w))
-            for v in sim_a:
-                if v not in cd:
-                    push((a, v))
-    return _run_fixpoint(cp, gi, sim, cnt_down, cnt_up, pending)
+    _count_witnesses(cp, gi, sim, sim, counts, pending.append)
+    return _run_fixpoint(cp, gi, sim, counts, pending)
 
 
 def _seed_by_label_full(
@@ -1108,24 +1085,20 @@ def _seed_by_label_full(
     return [set(groups.get(cp.labels[u], ())) for u in range(cp.size)]
 
 
-def dual_simulation_kernel(pattern: Pattern, data: DiGraph) -> MatchRelation:
-    """Maximum dual-simulation relation of ``Q`` on ``G`` — kernel engine.
-
-    Output-identical to :func:`repro.core.dualsim.dual_simulation` (the
-    maximum relation is unique by Lemma 1; both engines compute the
-    greatest fixpoint below the label seeds).
-    """
-    with _obs_span("kernel.dual_simulation") as _sp:
+def _kernel_relation(
+    span_name: str, pattern: Pattern, data: DiGraph, dual: bool
+) -> MatchRelation:
+    """The maximum graph (``dual`` false) or dual simulation relation."""
+    with _obs_span(span_name) as _sp:
         gi = get_index(data)
         if _sp.enabled:
             _sp.set(engine="kernel", pattern=pattern.size, nodes=gi.num_live)
-        cp = _CompiledPattern(pattern)
+        cp = _CompiledPattern(pattern, dual)
         with gi.reading():
             sim = _seed_by_label_full(cp, gi)
-            ok = all(sim) and _dual_sim_eager(cp, gi, sim)
-            nodes = gi.nodes
-            if not ok:
+            if not (all(sim) and _simulate(cp, gi, sim)):
                 return MatchRelation({u: set() for u in cp.nodes})
+            nodes = gi.nodes
             return MatchRelation(
                 {
                     cp.nodes[u]: {nodes[v] for v in sim[u]}
@@ -1134,95 +1107,14 @@ def dual_simulation_kernel(pattern: Pattern, data: DiGraph) -> MatchRelation:
             )
 
 
-# ======================================================================
-# Child-direction-only counter fixpoint (graph simulation)
-# ======================================================================
-def _sim_child_only(
-    cp: _CompiledPattern, gi: "GraphIndex", sim: List[Set[int]]
-) -> bool:
-    """Graph-simulation fixpoint: child witnesses only, counter-cascaded.
+def dual_simulation_kernel(pattern: Pattern, data: DiGraph) -> MatchRelation:
+    """Maximum dual-simulation relation of ``Q`` on ``G`` — kernel engine.
 
-    Plain graph simulation (``Q ≺ G``) drops ``v`` from ``sim(u)`` only
-    when some pattern edge ``(u, b)`` has no witness ``(v, w)`` with
-    ``w ∈ sim(b)`` — the parent direction of dual simulation is absent.
-    Structurally this is :func:`_dual_sim_eager` with the ``cnt_up``
-    half deleted: one batch pre-filter round for the label-seed mass
-    extinction, then exact per-(edge, parent) witness counts with O(1)
-    decrements.  Removing ``v`` from ``sim(u)`` can only invalidate
-    *predecessors* of ``v`` under pattern edges entering ``u``, so the
-    cascade walks ``rev`` rows exclusively.  Refines ``sim`` in place;
-    ``False`` on collapse (some candidate set emptied).
+    Output-identical to :func:`repro.core.dualsim.dual_simulation` (the
+    maximum relation is unique by Lemma 1; both engines compute the
+    greatest fixpoint below the label seeds).
     """
-    fwd = gi.fwd_rows
-    rev = gi.rev_rows
-    edges = cp.edges
-    # Batch pre-filter, child direction only (same stopping rule as
-    # _batch_prefilter: hand the tail to the exact counters).
-    while True:
-        removed = 0
-        remaining = 0
-        for a, b in edges:
-            sim_a = sim[a]
-            sim_b = sim[b]
-            stale = [v for v in sim_a if sim_b.isdisjoint(fwd[v])]
-            if stale:
-                if len(stale) == len(sim_a):
-                    return False
-                sim_a.difference_update(stale)
-                removed += len(stale)
-            remaining += len(sim_a)
-        if removed <= max(8, remaining >> 4):
-            break
-
-    num_edges = len(edges)
-    cnt_down: List[Dict[int, int]] = [{} for _ in range(num_edges)]
-    pending: Deque[Pair] = deque()
-    push = pending.append
-    for e in range(num_edges):
-        a, b = edges[e]
-        sim_b = sim[b]
-        cd = cnt_down[e]
-        for v in sim[a]:
-            c = 0
-            for w in fwd[v]:
-                if w in sim_b:
-                    c += 1
-            if c:
-                cd[v] = c
-            else:
-                push((a, v))
-
-    in_edges = cp.in_edges
-    while pending:
-        u, v = pending.popleft()
-        sim_u = sim[u]
-        if v not in sim_u:
-            continue
-        sim_u.discard(v)
-        if not sim_u:
-            return False
-        # Pattern edges (a, u): predecessors of v lose a child witness.
-        for e in in_edges[u]:
-            a = edges[e][0]
-            sim_a = sim[a]
-            cd = cnt_down[e]
-            for p in rev[v]:
-                if p in sim_a:
-                    c = cd.get(p)
-                    if c is None:
-                        # Lazy recount (the pair was enqueued with zero at
-                        # init and a cascade reached it first): count the
-                        # survivors, v already removed.
-                        c = 0
-                        for w in fwd[p]:
-                            if w in sim_u:
-                                c += 1
-                    else:
-                        c -= 1
-                    cd[p] = c
-                    if not c:
-                        push((a, p))
-    return True
+    return _kernel_relation("kernel.dual_simulation", pattern, data, True)
 
 
 def graph_simulation_kernel(pattern: Pattern, data: DiGraph) -> MatchRelation:
@@ -1233,23 +1125,7 @@ def graph_simulation_kernel(pattern: Pattern, data: DiGraph) -> MatchRelation:
     greatest fixpoint below the label seeds, and both collapse to the
     empty relation when any pattern node ends up with no matches).
     """
-    with _obs_span("kernel.graph_simulation") as _sp:
-        gi = get_index(data)
-        if _sp.enabled:
-            _sp.set(engine="kernel", pattern=pattern.size, nodes=gi.num_live)
-        cp = _CompiledPattern(pattern)
-        with gi.reading():
-            sim = _seed_by_label_full(cp, gi)
-            ok = all(sim) and _sim_child_only(cp, gi, sim)
-            if not ok:
-                return MatchRelation({u: set() for u in cp.nodes})
-            nodes = gi.nodes
-            return MatchRelation(
-                {
-                    cp.nodes[u]: {nodes[v] for v in sim[u]}
-                    for u in range(cp.size)
-                }
-            )
+    return _kernel_relation("kernel.graph_simulation", pattern, data, False)
 
 
 # ======================================================================
@@ -1440,56 +1316,16 @@ def _refine_ball(
             if v not in component:
                 push((u, v))
 
-    # Border seeding (lines 2–5 of Fig. 5): iterate the (small) candidate
-    # sets and test border membership, not the other way around.  Witness
-    # counts computed here are stored, so the cascade later decrements
-    # them instead of recounting.
-    num_edges = len(cp.edges)
-    cnt_down: List[Dict[int, int]] = [{} for _ in range(num_edges)]
-    cnt_up: List[Dict[int, int]] = [{} for _ in range(num_edges)]
+    # Border seeding (lines 2–5 of Fig. 5): only border candidates are
+    # validity-checked.  Their witness counts are stored, so the cascade
+    # later decrements them instead of recounting.
+    counts: List[Dict[int, int]] = [{} for _ in cp.checks]
     if border:
         border_set = set(border)
-        fwd = gi.fwd_rows
-        rev = gi.rev_rows
-        edges = cp.edges
-        out_edges = cp.out_edges
-        in_edges = cp.in_edges
-        for u in range(cp.size):
-            for v in sim[u]:
-                if v not in border_set:
-                    continue
-                valid = True
-                for e in out_edges[u]:
-                    sim_b = sim[edges[e][1]]
-                    cd = cnt_down[e]
-                    c = cd.get(v)
-                    if c is None:
-                        c = 0
-                        for w in fwd[v]:
-                            if w in sim_b:
-                                c += 1
-                        cd[v] = c
-                    if not c:
-                        valid = False
-                        break
-                if valid:
-                    for e in in_edges[u]:
-                        sim_a = sim[edges[e][0]]
-                        cu = cnt_up[e]
-                        c = cu.get(v)
-                        if c is None:
-                            c = 0
-                            for p in rev[v]:
-                                if p in sim_a:
-                                    c += 1
-                            cu[v] = c
-                        if not c:
-                            valid = False
-                            break
-                if not valid:
-                    push((u, v))
+        seeds = [border_set.intersection(s) for s in sim]
+        _count_witnesses(cp, gi, sim, seeds, counts, push)
 
-    if not _run_fixpoint(cp, gi, sim, cnt_down, cnt_up, pending):
+    if not _run_fixpoint(cp, gi, sim, counts, pending):
         return None
     return _extract_perfect_subgraph(cp, gi, center, sim, seen)
 
@@ -1525,13 +1361,13 @@ def kernel_match_plus(
                 radius=radius,
                 nodes=gi.num_live,
             )
-        cp = _CompiledPattern(pattern)
+        cp = _CompiledPattern(pattern, True)
         result = MatchResult(pattern)
 
         with gi.reading():
             with _obs_span("kernel.global_dual_filter"):
                 sim_global = _seed_by_label_full(cp, gi)
-                filtered = all(sim_global) and _dual_sim_eager(
+                filtered = all(sim_global) and _simulate(
                     cp, gi, sim_global
                 )
             if not filtered:

@@ -16,8 +16,8 @@ program instead of one ball at a time, over the kernel's compiled
   a chunk at once, and one block-diagonal union CSR holds every ball
   subgraph;
 * the HHK witness-counter fixpoint runs once over that union as
-  ``np.add.at`` scatter decrements against per-edge count arrays, with
-  boolean pending masks as the worklist.
+  ``np.add.at`` scatter decrements against one count array per witness
+  check, with boolean pending masks as the worklist.
 
 Output identity with the other two engines is by construction: the
 maximum dual-simulation relation is the unique greatest fixpoint below
@@ -193,61 +193,58 @@ def _masked_row_sums(
 def _np_dual_fixpoint(
     view: _ArrayView, cp: _CompiledPattern, cand: "np.ndarray"
 ) -> bool:
-    """Dual-simulation greatest fixpoint by simultaneous array rounds.
+    """Greatest fixpoint of ``cp``'s witness checks by simultaneous rounds.
 
     ``cand`` is the ``(pattern size, n)`` boolean candidate matrix,
-    refined in place.  Witness counts per pattern edge are initialized
-    with one masked row-sum pass, then maintained by ``np.add.at``
-    scatter decrements as candidates drop; a decrement is applied at
-    *every* row neighbor (candidate or not), which leaves garbage counts
-    only at non-candidates — harmless, because zero-count detection
-    always re-filters through the current candidate mask.  Each round
-    removes all currently-pending candidates of one pattern node at
-    once; simultaneous removal deletes only invalid pairs, so the
-    greatest fixpoint (Lemma 1) — and hence the output — is identical to
-    the kernel's one-at-a-time cascade.
+    refined in place.  Each check ``(x, y, forward)`` keeps one witness
+    count per data node: the masked row sums of ``cand[y]`` over the
+    forward rows (or the reverse rows when ``forward`` is false) of the
+    candidates of ``x``.  Counts are maintained by ``np.add.at`` scatter
+    decrements as candidates drop; a decrement is applied at *every*
+    neighbor of a removed witness (candidate or not), which leaves
+    garbage counts only at non-candidates — harmless, because zero-count
+    detection always re-filters through the current candidate mask.
+
+    Each round removes all currently-pending candidates of one pattern
+    node ``u`` at once, gathers their predecessors and successors at most
+    once, and decrements every check in ``cp.watch[u]``: a child check
+    loses witnesses at the removed nodes' predecessors, a parent check at
+    their successors.  Simultaneous removal deletes only invalid pairs,
+    so the greatest fixpoint (Lemma 1) — and hence the output — is
+    identical to the kernel's one-at-a-time cascade.
 
     Returns ``False`` on collapse (some candidate row emptied).  Note
     that the batched multi-ball caller runs this over a *disjoint union*
     of ball blocks, where a row going empty means every ball died on
     that pattern node — so the early exit stays correct there too.
     """
-    edges = cp.edges
-    if not edges:
+    checks = cp.checks
+    if not checks:
         return True
-    p = cp.size
-    num_edges = len(edges)
-    in_edges = cp.in_edges
-    out_edges = cp.out_edges
     n = view.n
-    fwd_indptr, fwd_indices = view.fwd_indptr, view.fwd_indices
-    rev_indptr, rev_indices = view.rev_indptr, view.rev_indices
+    # rows[forward]: the CSR a check of that direction counts witnesses
+    # along; a removed witness reaches its counters along rows[not forward].
+    rows = {
+        True: (view.fwd_indptr, view.fwd_indices),
+        False: (view.rev_indptr, view.rev_indices),
+    }
 
-    cnt_down: List["np.ndarray"] = [None] * num_edges  # type: ignore
-    cnt_up: List["np.ndarray"] = [None] * num_edges  # type: ignore
-    pending = np.zeros((p, n), dtype=bool)
-
-    for e in range(num_edges):
-        a, b = edges[e]
-        down = np.zeros(n, dtype=np.int64)
-        ids = np.nonzero(cand[a])[0]
+    counts: List["np.ndarray"] = []
+    pending = np.zeros((cp.size, n), dtype=bool)
+    for x, y, forward in checks:
+        cnt = np.zeros(n, dtype=np.int64)
+        ids = np.nonzero(cand[x])[0]
         if ids.size:
-            vals = _masked_row_sums(fwd_indptr, fwd_indices, ids, cand[b])
-            down[ids] = vals
-            pending[a][ids[vals == 0]] = True
-        cnt_down[e] = down
-        up = np.zeros(n, dtype=np.int64)
-        ids = np.nonzero(cand[b])[0]
-        if ids.size:
-            vals = _masked_row_sums(rev_indptr, rev_indices, ids, cand[a])
-            up[ids] = vals
-            pending[b][ids[vals == 0]] = True
-        cnt_up[e] = up
+            indptr, indices = rows[forward]
+            vals = _masked_row_sums(indptr, indices, ids, cand[y])
+            cnt[ids] = vals
+            pending[x][ids[vals == 0]] = True
+        counts.append(cnt)
 
     progressed = True
     while progressed:
         progressed = False
-        for u in range(p):
+        for u in range(cp.size):
             rem = np.nonzero(pending[u] & cand[u])[0]
             pending[u][:] = False
             if not rem.size:
@@ -256,26 +253,21 @@ def _np_dual_fixpoint(
             cand[u][rem] = False
             if not cand[u].any():
                 return False
-            preds = _gather_rows(rev_indptr, rev_indices, rem)
-            succs = _gather_rows(fwd_indptr, fwd_indices, rem)
-            # Pattern edges (a, u): predecessors lose a child witness.
-            for e in in_edges[u]:
-                a = edges[e][0]
-                down = cnt_down[e]
-                if preds.size:
-                    np.add.at(down, preds, -1)
-                    touched = np.unique(preds)
-                    newly = touched[(down[touched] == 0) & cand[a][touched]]
-                    pending[a][newly] = True
-            # Pattern edges (u, b): successors lose a parent witness.
-            for e in out_edges[u]:
-                b = edges[e][1]
-                up = cnt_up[e]
-                if succs.size:
-                    np.add.at(up, succs, -1)
-                    touched = np.unique(succs)
-                    newly = touched[(up[touched] == 0) & cand[b][touched]]
-                    pending[b][newly] = True
+            # forward -> (gathered neighbors, their distinct ids)
+            reached: Dict[bool, Tuple["np.ndarray", "np.ndarray"]] = {}
+            for c in cp.watch[u]:
+                x, _, forward = checks[c]
+                hit = reached.get(forward)
+                if hit is None:
+                    neigh = _gather_rows(*rows[not forward], rem)
+                    hit = reached[forward] = (neigh, np.unique(neigh))
+                neigh, touched = hit
+                if not neigh.size:
+                    continue
+                cnt = counts[c]
+                np.add.at(cnt, neigh, -1)
+                newly = touched[(cnt[touched] == 0) & cand[x][touched]]
+                pending[x][newly] = True
     return True
 
 
@@ -527,7 +519,7 @@ def np_match_plus(
                 radius=radius,
                 nodes=gi.num_live,
             )
-        cp = _CompiledPattern(pattern)
+        cp = _CompiledPattern(pattern, True)
         result = MatchResult(pattern)
 
         with gi.reading():

@@ -115,14 +115,6 @@ class RegularPattern:
         )
 
 
-def _witness_cache_successors(
-    rpattern: RegularPattern,
-    data: DiGraph,
-) -> Dict[Edge, Dict[Node, Set[Node]]]:
-    """Per pattern edge, memoized regex-successor sets by source node."""
-    return {edge: {} for edge in rpattern.pattern.edges()}
-
-
 def regular_dual_simulation(
     rpattern: RegularPattern,
     data: DiGraph,
@@ -144,9 +136,10 @@ def regular_dual_simulation(
         return regular_dual_simulation_kernel(rpattern, data)
     pattern = rpattern.pattern
     sim = initial_candidates(pattern, data)
-    succ_cache: Dict[Edge, Dict[Node, Set[Node]]] = _witness_cache_successors(
-        rpattern, data
-    )
+    # Per pattern edge, memoized regex-successor sets by source node.
+    succ_cache: Dict[Edge, Dict[Node, Set[Node]]] = {
+        edge: {} for edge in pattern.edges()
+    }
 
     def reachable(edge: Edge, source: Node) -> Set[Node]:
         cache = succ_cache[edge]

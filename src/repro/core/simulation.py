@@ -18,10 +18,11 @@ Like the strong-simulation entry points, :func:`graph_simulation` takes an
 ``engine`` argument and runs the ``sim`` cell of that engine's row in
 :data:`repro.core.engines.ENGINE_TABLE`: ``"python"`` is the reference
 worklist fixpoint below (:func:`simulation_fixpoint`); ``"kernel"`` and
-``"numpy"`` both run the child-direction-only counter fixpoint of
-:func:`repro.core.kernel.graph_simulation_kernel` over the compiled CSR
-index; ``"auto"`` (default) picks by graph size.  All compute the same
-unique maximum relation.
+``"numpy"`` both run :func:`repro.core.kernel.graph_simulation_kernel`,
+the kernel's witness-check counter fixpoint compiled with one child check
+per pattern edge (dual simulation adds the parent checks), over the
+compiled CSR index; ``"auto"`` (default) picks by graph size.  All
+compute the same unique maximum relation.
 """
 
 from __future__ import annotations

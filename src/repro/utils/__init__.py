@@ -5,7 +5,7 @@ from repro.utils.results import (
     result_envelope,
     write_result,
 )
-from repro.utils.rng import rng_from_seed, spawn_streams
+from repro.utils.rng import rng_from_seed
 from repro.utils.timer import Timer, timed
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "Timer",
     "result_envelope",
     "rng_from_seed",
-    "spawn_streams",
     "timed",
     "write_result",
 ]

@@ -8,7 +8,6 @@ EXPERIMENTS.md is reproducible bit-for-bit without global state.
 from __future__ import annotations
 
 import random
-from typing import Iterator
 
 
 def rng_from_seed(seed: int, salt: str = "") -> random.Random:
@@ -19,9 +18,3 @@ def rng_from_seed(seed: int, salt: str = "") -> random.Random:
     without the two sweeps aliasing.
     """
     return random.Random(f"{seed}:{salt}")
-
-
-def spawn_streams(seed: int, count: int, salt: str = "") -> Iterator[random.Random]:
-    """``count`` decorrelated RNG streams derived from one seed."""
-    for index in range(count):
-        yield rng_from_seed(seed, f"{salt}:{index}")

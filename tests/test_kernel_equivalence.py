@@ -23,7 +23,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 
-from repro.core.digraph import DiGraph
+from repro.core.digraph import DiGraph, GraphDelta
 from repro.core.dualsim import dual_simulation
 from repro.core.engines import ENGINE_TABLE
 from repro.core.kernel import (
@@ -35,6 +35,7 @@ from repro.core.kernel import (
 )
 from repro.core.matchplus import MatchPlusOptions, match_plus
 from repro.core.pattern import Pattern
+from repro.core.simulation import graph_simulation
 from repro.core.strong import match, matches_via_strong_simulation
 from repro.exceptions import MatchingError
 
@@ -244,6 +245,48 @@ class TestRandomizedEquivalence:
 
 
 # ----------------------------------------------------------------------
+# Deep cascades (far past the hypothesis graphs' 14 nodes)
+# ----------------------------------------------------------------------
+DEEP_NODES = 300
+
+
+def _one_label_ring(closed: bool) -> DiGraph:
+    """A directed path of ``DEEP_NODES`` nodes, closed into a cycle or not."""
+    edges = [(i, i + 1) for i in range(DEEP_NODES - 1)]
+    if closed:
+        edges.append((DEEP_NODES - 1, 0))
+    return DiGraph.from_parts({i: "A" for i in range(DEEP_NODES)}, edges)
+
+
+class TestDeepCascades:
+    """On the path, the 2-cycle pattern empties both relations only after
+    a cascade about ``DEEP_NODES`` pairs deep, through child checks from
+    the sink and parent checks from the source."""
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            Pattern.build({"a": "A", "b": "A"}, [("a", "b"), ("b", "a")]),
+            Pattern.build(
+                {"a": "A", "b": "A", "c": "A"}, [("a", "b"), ("b", "c")]
+            ),
+        ],
+        ids=["2-cycle", "3-chain"],
+    )
+    def test_compiled_engines_agree(self, closed, pattern):
+        data = _one_label_ring(closed)
+        sim = graph_simulation(pattern, data, engine="python")
+        dual = dual_simulation(pattern, data)
+        plus = canonical(match_plus(pattern, data, engine="python"))
+        for engine in ENGINE_TABLE:
+            assert ENGINE_TABLE[engine].dual(pattern, data) == dual
+        for engine in ("kernel", "numpy"):
+            assert graph_simulation(pattern, data, engine=engine) == sim
+            assert canonical(match_plus(pattern, data, engine=engine)) == plus
+
+
+# ----------------------------------------------------------------------
 # Kernel machinery
 # ----------------------------------------------------------------------
 class TestGraphIndex:
@@ -307,6 +350,11 @@ class TestGraphIndex:
         pattern = Pattern.build({"a": "A"}, [])
         assert len(match(pattern, DiGraph(), engine="kernel")) == 0
         assert len(match_plus(pattern, DiGraph(), engine="kernel")) == 0
+
+    def test_unknown_delta_kind_raises(self):
+        index = GraphIndex(DiGraph.from_parts({1: "A"}, []))
+        with pytest.raises(MatchingError, match="unknown graph delta kind"):
+            index._apply_delta_group([GraphDelta("bogus", node=1)])
 
 
 class TestEngineSelection:
