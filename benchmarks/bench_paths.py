@@ -1,10 +1,11 @@
 """Path matching: CSR kernel vs reference + equivalence gate.
 
-The PR-8 workload: bounded simulation and regular (regex-constrained)
-matching answered by the kernel — one multi-source BFS per fixpoint pop
-over the compiled CSR rows for every bound other than 1 and every
-global ``.*`` edge, memoized lazy-DFA walks for general regexes —
-versus the reference per-candidate BFS / NFA walks.  Three sections:
+Bounded simulation and regular (regex-constrained) matching answered
+by the kernel's witness-check fixpoint — one multi-source BFS per
+fixpoint pop over the compiled CSR rows for every bound other than 1
+and every global ``.*`` edge, memoized lazy-DFA walks for general
+regexes — versus the reference per-candidate BFS / NFA walks.  Three
+sections:
 
 * **bounded** — ``bounded_simulation`` over Figure-8(g)-shaped synthetic
   graphs at |V|=2500 (smoke: 600) with mixed per-edge bounds
@@ -19,7 +20,12 @@ versus the reference per-candidate BFS / NFA walks.  Three sections:
   ``full_compiles`` unchanged), with the final relation checked
   against a cold reference run;
 * **regular** — ``regular_dual_simulation`` and ``regular_strong_match``
-  with wildcard + regex edge constraints, python vs kernel.
+  with wildcard + regex edge constraints, python vs kernel; plus the
+  ``strong/optional`` row, ``regular_strong_match`` on perfbench
+  paths-mixed's regular query shape (sampled 3-node patterns, ``.?``
+  on every edge, hop bound 2), summed over the sampled patterns.  That
+  row times the per-ball fixpoint seeded from the global relation; it
+  is recorded, not gated.
 
 Every timed pair is an equivalence check first: the kernel result must
 be identical (canonical pair-set / signature form) to the reference.
@@ -61,6 +67,10 @@ BOUNDED_LARGE_SCALE_TARGET = 5.0
 STREAM_UPDATES_SMOKE = 8
 STREAM_UPDATES = 30
 REGULAR_CONSTRAINT_CYCLE = (".*", "l0*", "(l0|l1)*")
+#: perfbench paths-mixed's regular query shape.
+OPTIONAL_PATTERN_SIZE = 3
+OPTIONAL_CONSTRAINT = ".?"
+OPTIONAL_BOUND = 2
 
 
 def _mixed_bounds(pattern) -> Dict:
@@ -75,6 +85,18 @@ def _result_canonical(result) -> frozenset:
     return frozenset(
         (sg.signature(), sg.relation.pair_set()) for sg in result
     )
+
+
+def _timing_row(times: Dict[str, float]) -> Dict:
+    return {
+        "python_s": round(times["python"], 6),
+        "kernel_s": round(times["kernel"], 6),
+        "speedup": (
+            round(times["python"] / times["kernel"], 3)
+            if times["kernel"]
+            else None
+        ),
+    }
 
 
 def test_paths_kernel_vs_reference(scale):
@@ -242,16 +264,42 @@ def test_paths_kernel_vs_reference(scale):
                 )
                 for engine in ("python", "kernel")
             }
-            row[algo] = {
-                "python_s": round(algo_times["python"], 6),
-                "kernel_s": round(algo_times["kernel"], 6),
-                "speedup": (
-                    round(algo_times["python"] / algo_times["kernel"], 3)
-                    if algo_times["kernel"]
-                    else None
-                ),
-            }
+            row[algo] = _timing_row(algo_times)
         regular_rows.append(row)
+
+    # paths-mixed's regular queries: strong matching only, summed.
+    optional_times = {"python": 0.0, "kernel": 0.0}
+    optional_patterns = 0
+    for repeat in range(PATTERN_REPEATS):
+        pattern = sample_pattern_from_data(
+            reg_data, OPTIONAL_PATTERN_SIZE, seed=841 + repeat
+        )
+        if pattern is None:
+            continue
+        optional_patterns += 1
+        edges = list(pattern.edges())
+        rpattern = RegularPattern(
+            pattern,
+            {edge: OPTIONAL_CONSTRAINT for edge in edges},
+            {edge: OPTIONAL_BOUND for edge in edges},
+        )
+        strong_ref = _result_canonical(
+            regular_strong_match(rpattern, reg_data, engine="python")
+        )
+        assert _result_canonical(
+            regular_strong_match(rpattern, reg_data, engine="kernel")
+        ) == strong_ref, f"regular strong/optional diverged, repeat={repeat}"
+        for engine in optional_times:
+            optional_times[engine] += best_of(
+                lambda engine=engine, rpattern=rpattern: regular_strong_match(
+                    rpattern, reg_data, engine=engine
+                ),
+                1,
+            )
+    assert optional_patterns > 0
+    regular_rows.append(
+        {"constraints": "optional", "strong": _timing_row(optional_times)}
+    )
 
     payload = {
         "benchmark": "bench_paths",
@@ -264,7 +312,11 @@ def test_paths_kernel_vs_reference(scale):
         "regular": {
             "workload": (
                 f"synthetic |V|={regular_n}, {PATHS_BENCH_LABELS} labels, "
-                f"|Vq|=4, constraint cycles {list(REGULAR_CONSTRAINT_CYCLE)}"
+                f"|Vq|=4, constraint cycles {list(REGULAR_CONSTRAINT_CYCLE)}; "
+                f"optional: {optional_patterns} sampled "
+                f"|Vq|={OPTIONAL_PATTERN_SIZE} patterns, "
+                f"{OPTIONAL_CONSTRAINT!r} on every edge, "
+                f"hop bound {OPTIONAL_BOUND}"
             ),
             "n": regular_n,
             "rows": regular_rows,
@@ -288,6 +340,8 @@ def test_paths_kernel_vs_reference(scale):
     ]
     for row in regular_rows:
         for algo in ("dual", "strong"):
+            if algo not in row:
+                continue
             lines.append(
                 f"regular {algo}/{row['constraints']} (|V|={regular_n}): "
                 f"python={row[algo]['python_s']:.4f}s "

@@ -16,9 +16,11 @@ Two-path architecture
 reference path below answers every witness test with a memoized BFS per
 ``(node, bound)`` — simple, allocation-heavy, and kept verbatim as
 ground truth.  The ``kernel`` path
-(:func:`repro.core.reach.bounded_simulation_kernel`) runs the same
-fixpoint over the CSR rows of the graph's
-:class:`~repro.core.kernel.GraphIndex`: bound-1 edges are row tests,
+(:func:`repro.core.reach.bounded_simulation_kernel`) compiles the
+pattern to the kernel's witness checks — one child check per pattern
+edge, as for graph simulation — and refines them with the path
+kernel's one fixpoint over the CSR rows of the graph's
+:class:`~repro.core.kernel.GraphIndex`: bound-1 checks are row tests,
 and every other bound reads one multi-source BFS backwards from the
 popped node's whole candidate set, run once per pop and bound, so a
 witness test is a set membership instead of a BFS per candidate.  It

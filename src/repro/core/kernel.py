@@ -728,10 +728,6 @@ class GraphIndex(GrowableCSRIndex):
             self.ensure_current()
         return super().visit_state()
 
-    def new_epoch(self) -> int:
-        """Invalidate this thread's stamp buffer in O(1)."""
-        return self.visit_state().new_epoch()
-
     def __repr__(self) -> str:
         return (
             f"GraphIndex(|V|={self.num_live}, |E|={self.num_edges}, "

@@ -1,26 +1,32 @@
 """Path witnesses over the CSR substrate, plus the 2-hop distance labels.
 
 The bounded and regular matchers (:mod:`repro.core.bounded`,
-:mod:`repro.core.regular`) spend almost all of their time answering two
-kinds of question about the *data* graph:
-
-* ``dist(v, T) <= k`` — is some member of a target set within ``k``
-  directed hops of ``v``? (the bounded-edge witness test, and the
-  global ``.*`` edges of regular matching in either direction), and
-* regex-constrained successor sets (the ``[18]``-style path semantics).
-
-The reference implementations answer both with a fresh BFS per
-``(node, edge)`` pair.  The kernel path answers them over the integer
+:mod:`repro.core.regular`) refine a relation whose witnesses are
+directed *paths* of the data graph rather than edges.  The reference
+implementations answer each witness test with a fresh BFS or NFA walk
+per ``(node, edge)`` pair.  The kernel path runs them over the integer
 rows of a :class:`~repro.core.kernel.GraphIndex`:
 
-``_within``
-    One multi-source BFS from a whole target (source) set along the
-    reverse (forward) rows returns every slot with a path of
-    ``1..bound`` hops into (out of) the set.  A fixpoint pop runs it
-    once per distinct bound, and every pattern edge of that pop reads
-    the one result, so a witness test is a set membership.  Bound-1
-    and empty-regex edges stay CSR row tests; general regexes and
-    in-ball walks stay memoized lazy-DFA product walks.
+The check program
+    A pattern compiles to the kernel's witness checks
+    (:class:`~repro.core.kernel._CompiledPattern`): child checks only
+    for bounded simulation, child and parent checks for regular dual
+    simulation.  Each check gets one witness test: a CSR row test for
+    bound 1 and the empty regex (a direct edge); one :func:`_within`
+    BFS per fixpoint pop for any other hop bound and for the wildcard
+    ``.*`` in global scope; a memoized lazy-DFA product walk
+    (:func:`_dfa_walk`) for every other regex and for every non-direct
+    edge inside a ball, where a parent check walks the reverse rows
+    with the reversed machine.
+
+The fixpoint
+    One worklist loop, :func:`_path_fixpoint`, serves all three entry
+    points: each pop of a pattern node ``y`` re-tests the checks in
+    ``watch[y]`` against ``sim(y)`` and requeues every pattern node
+    that lost candidates.  :func:`_within` runs once per pop, direction
+    and bound, from the popped node's whole candidate set, so every
+    check of that pop reads one set and a witness test is a set
+    membership.
 
 ``ReachIndex``
     A pruned landmark-ordered 2-hop labeling (Akiba-style pruned
@@ -44,13 +50,15 @@ rows of a :class:`~repro.core.kernel.GraphIndex`:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.digraph import DiGraph, Node
+from repro.core.digraph import DiGraph
 from repro.core.kernel import (
     _DEAD,
     GraphIndex,
     _ball_bfs,
+    _CompiledPattern,
+    _seed_by_label_full,
     get_index,
 )
 from repro.core.matchrel import MatchRelation
@@ -199,7 +207,7 @@ def get_reach_index(data: DiGraph) -> ReachIndex:
 
 
 # ----------------------------------------------------------------------
-# Path witnesses: one multi-source BFS per fixpoint pop
+# Witness tests: one multi-source BFS per fixpoint pop, DFA walks
 # ----------------------------------------------------------------------
 def _within(rows: List[List[int]], seeds: Set[int], bound: Bound) -> Set[int]:
     """Slots reached from ``seeds`` in ``1..bound`` hops along ``rows``.
@@ -227,328 +235,222 @@ def _within(rows: List[List[int]], seeds: Set[int], bound: Bound) -> Set[int]:
     return reached
 
 
-def _memo_within(
-    memo: Dict[Bound, Set[int]],
+def _dfa_walk(
     rows: List[List[int]],
-    seeds: Set[int],
-    bound: Bound,
-) -> Set[int]:
-    """:func:`_within`, run at most once per bound for one ``memo``."""
-    hit = memo.get(bound)
-    if hit is None:
-        hit = memo[bound] = _within(rows, seeds, bound)
-    return hit
-
-
-# ----------------------------------------------------------------------
-# Kernel engine: bounded simulation
-# ----------------------------------------------------------------------
-def _to_relation(gi: GraphIndex, sim: Dict[Node, Set[int]]) -> MatchRelation:
-    nodes = gi.nodes
-    return MatchRelation(
-        {u: {nodes[v] for v in vs} for u, vs in sim.items()}
-    )
-
-
-def bounded_simulation_kernel(bounded_pattern, data: DiGraph) -> MatchRelation:
-    """CSR bounded simulation, output-identical to the reference.
-
-    Same fixpoint shape as :func:`repro.core.bounded.bounded_simulation`
-    (whose result — the unique maximum bounded-simulation relation — it
-    must and does reproduce).  Bound-1 edges are plain CSR row tests;
-    every other bound (unbounded included) reads one :func:`_within`
-    BFS per pop and bound from the popped node's candidates, shared by
-    every predecessor edge of that pop.
-    """
-    pattern = bounded_pattern.pattern
-    gi = get_index(data)
-    with gi.reading():
-        groups = gi.label_groups
-        fwd, rev = gi.fwd_rows, gi.rev_rows
-        sim: Dict[Node, Set[int]] = {
-            u: set(groups.get(pattern.label(u), ())) for u in pattern.nodes()
-        }
-        queue = deque(pattern.nodes())
-        queued: Set[Node] = set(queue)
-        while queue:
-            u_prime = queue.popleft()
-            queued.discard(u_prime)
-            targets = sim[u_prime]
-            within: Dict[Bound, Set[int]] = {}
-            for u in pattern.predecessors(u_prime):
-                bound = bounded_pattern.bound((u, u_prime))
-                if bound == 1:
-                    stale = [
-                        v for v in sim[u] if targets.isdisjoint(fwd[v])
-                    ]
-                else:
-                    stale = sim[u] - _memo_within(within, rev, targets, bound)
-                if not stale:
-                    continue
-                sim[u].difference_update(stale)
-                if not sim[u]:
-                    for candidates in sim.values():
-                        candidates.clear()
-                    return _to_relation(gi, sim)
-                if u not in queued:
-                    queue.append(u)
-                    queued.add(u)
-        if any(not candidates for candidates in sim.values()):
-            for candidates in sim.values():
-                candidates.clear()
-        return _to_relation(gi, sim)
-
-
-# ----------------------------------------------------------------------
-# Kernel engine: regular (regex-constrained) matching
-# ----------------------------------------------------------------------
-_DIRECT, _WILDCARD, _REGEX = 0, 1, 2
-
-
-class _RegularProgram:
-    """A :class:`RegularPattern` compiled for the int kernel.
-
-    Classifies each pattern edge: empty regex -> direct CSR row test,
-    the wildcard ``.*`` -> a :func:`_within` BFS (in global scope),
-    anything else -> memoized :class:`LazyDfa` product walks (a reversed
-    machine serves the child direction).
-    """
-
-    __slots__ = ("pattern", "edges", "kinds", "bounds", "dfas", "rdfas")
-
-    def __init__(self, rpattern) -> None:
-        self.pattern = rpattern.pattern
-        self.edges = list(self.pattern.edges())
-        self.kinds: Dict[Tuple[Node, Node], int] = {}
-        self.bounds: Dict[Tuple[Node, Node], Bound] = {}
-        self.dfas: Dict[Tuple[Node, Node], LazyDfa] = {}
-        self.rdfas: Dict[Tuple[Node, Node], LazyDfa] = {}
-        for edge in self.edges:
-            source = rpattern.sources[edge].strip()
-            self.bounds[edge] = rpattern.bounds[edge]
-            if source == "":
-                # Empty regex = direct edge regardless of any hop bound
-                # (the only path with no intermediates is one hop).
-                self.kinds[edge] = _DIRECT
-            else:
-                self.kinds[edge] = (
-                    _WILDCARD if source == ".*" else _REGEX
-                )
-                nfa = rpattern.nfas[edge]
-                self.dfas[edge] = LazyDfa(nfa)
-                self.rdfas[edge] = LazyDfa(reversed_nfa(nfa))
-
-
-def _dfa_successors(
-    gi: GraphIndex,
-    source: int,
+    labels: List,
+    start: int,
     dfa: LazyDfa,
     bound: Bound,
     members: Optional[Set[int]],
 ) -> Set[int]:
-    """Int mirror of :func:`repro.core.regex.regex_successors`.
+    """Slots at the end of a regex path of ``1..bound`` hops from ``start``.
 
-    Identical product-graph walk with DFA state ids standing in for the
-    reference's frozensets of NFA states (the interning bijection makes
-    the visited sets equivalent, and the pruning is depth-aware for the
-    same completeness reason); ``members`` restricts the walk to a ball.
+    Int mirror of :func:`repro.core.regex.regex_successors` along
+    ``fwd_rows`` with an edge's machine, and of
+    :func:`~repro.core.regex.regex_predecessors` along ``rev_rows`` with
+    its reversed machine: the same product-graph walk, with DFA state
+    ids standing in for the reference's frozensets of NFA states (the
+    interning bijection makes the visited sets equivalent) and the same
+    depth-aware pruning.  A slot qualifies when it is entered from an
+    accepting state (its own label is not consumed); ``members``
+    confines the walk to a ball.
     """
     results: Set[int] = set()
-    seen: Dict[int, Dict[int, int]] = {source: {dfa.start: 0}}
-    stack = [(source, dfa.start, 0)]
-    fwd = gi.fwd_rows
-    labels = gi.labels
+    seen: Dict[int, Dict[int, int]] = {start: {dfa.start: 0}}
+    stack = [(start, dfa.start, 0)]
     while stack:
         node, state, depth = stack.pop()
         if bound is not None and depth >= bound:
             continue
         accepting = dfa.accepting(state)
         next_depth = depth + 1
-        for child in fwd[node]:
-            if members is not None and child not in members:
+        for nxt_node in rows[node]:
+            if members is not None and nxt_node not in members:
                 continue
             if accepting:
-                results.add(child)
-            nxt = dfa.step(state, labels[child])
+                results.add(nxt_node)
+            nxt = dfa.step(state, labels[nxt_node])
             if nxt < 0:
                 continue
-            visited = seen.setdefault(child, {})
+            visited = seen.setdefault(nxt_node, {})
             prev = visited.get(nxt)
             if prev is not None and prev <= next_depth:
                 continue
             visited[nxt] = next_depth
-            stack.append((child, nxt, next_depth))
+            stack.append((nxt_node, nxt, next_depth))
     return results
 
 
-def _dfa_predecessors(
-    gi: GraphIndex,
-    target: int,
-    rdfa: LazyDfa,
-    bound: Bound,
-    members: Optional[Set[int]],
-) -> Set[int]:
-    """Nodes with a regex path into ``target`` (reversed-machine walk)."""
-    results: Set[int] = set()
-    seen: Dict[int, Dict[int, int]] = {target: {rdfa.start: 0}}
-    stack = [(target, rdfa.start, 0)]
-    rev = gi.rev_rows
-    labels = gi.labels
-    while stack:
-        node, state, depth = stack.pop()
-        if bound is not None and depth >= bound:
-            continue
-        accepting = rdfa.accepting(state)
-        next_depth = depth + 1
-        for parent in rev[node]:
-            if members is not None and parent not in members:
-                continue
-            if accepting:
-                results.add(parent)
-            nxt = rdfa.step(state, labels[parent])
-            if nxt < 0:
-                continue
-            visited = seen.setdefault(parent, {})
-            prev = visited.get(nxt)
-            if prev is not None and prev <= next_depth:
-                continue
-            visited[nxt] = next_depth
-            stack.append((parent, nxt, next_depth))
-    return results
+# ----------------------------------------------------------------------
+# The check program and its fixpoint
+# ----------------------------------------------------------------------
+#: Witness test kinds: a CSR row test, a :func:`_within` BFS, a DFA walk.
+_ROW, _WITHIN, _WALK = 0, 1, 2
+
+#: One check's witness test ``(kind, bound, dfa)``; ``dfa`` is the
+#: machine a walk runs (None where the check never walks).
+Test = Tuple[int, Bound, Optional[LazyDfa]]
+
+#: A compiled path pattern: its witness checks and one test per check.
+Program = Tuple[_CompiledPattern, List[Test]]
 
 
-def _regular_fixpoint(
-    prog: _RegularProgram,
-    gi: GraphIndex,
-    members: Optional[Set[int]],
-):
-    """The regular dual-simulation fixpoint over integer candidate sets.
+def _bounded_program(bounded_pattern) -> Program:
+    """Child checks; bound 1 is a row test, any other a :func:`_within`."""
+    cp = _CompiledPattern(bounded_pattern.pattern, False)
+    nodes = cp.nodes
+    bounds = bounded_pattern.bounds
+    tests: List[Test] = []
+    for x, y, _ in cp.checks:
+        bound = bounds[nodes[x], nodes[y]]
+        tests.append((_ROW if bound == 1 else _WITHIN, bound, None))
+    return cp, tests
 
-    ``members=None`` runs globally (wildcard edges read one
-    :func:`_within` BFS per pop, direction and bound); a member set runs
-    ball-restricted (wildcard edges fall back to DFA walks, which stay
-    inside the ball).
 
-    Returns ``(sim, successors)``: the converged candidate sets (all
-    cleared on collapse, like the reference) plus the memoized
-    per-(edge, node) successor closure, which the strong matcher reuses
-    to build match graphs without re-walking.
+def _regular_program(rpattern) -> Program:
+    """Child and parent checks of every edge, tested by its regex.
+
+    The empty regex is a row test whatever the hop bound (the only path
+    with no intermediates is one hop); ``.*`` reads a :func:`_within`
+    BFS in global scope; every other regex walks a :class:`LazyDfa`,
+    the reversed machine for a parent check.  Inside a ball, ``.*``
+    walks too (see :func:`_path_fixpoint`).
     """
-    pattern = prog.pattern
-    groups = gi.label_groups
-    if members is None:
-        sim: Dict[Node, Set[int]] = {
-            u: set(groups.get(pattern.label(u), ())) for u in pattern.nodes()
-        }
-    else:
-        sim = {
-            u: set(groups.get(pattern.label(u), ())) & members
-            for u in pattern.nodes()
-        }
+    cp = _CompiledPattern(rpattern.pattern, True)
+    nodes = cp.nodes
+    tests: List[Test] = []
+    for x, y, forward in cp.checks:
+        edge = (nodes[x], nodes[y]) if forward else (nodes[y], nodes[x])
+        source = rpattern.sources[edge].strip()
+        bound = rpattern.bounds[edge]
+        if source == "":
+            tests.append((_ROW, bound, None))
+            continue
+        nfa = rpattern.nfas[edge]
+        tests.append((
+            _WITHIN if source == ".*" else _WALK,
+            bound,
+            LazyDfa(nfa if forward else reversed_nfa(nfa)),
+        ))
+    return cp, tests
+
+
+def _path_fixpoint(
+    prog: Program,
+    gi: GraphIndex,
+    sim: List[Set[int]],
+    members: Optional[Set[int]],
+) -> Optional[Callable[[int, int], Set[int]]]:
+    """Refine the seeds ``sim`` in place to the greatest fixpoint.
+
+    ``sim[u]`` holds pattern node ``u``'s candidates as slots.  Each pop
+    of ``y`` runs the witness test of every check ``(x, y, forward)`` in
+    ``watch[y]`` on ``sim(x)`` and requeues ``x`` when it lost
+    candidates; the maximum relation is unique, so the order of pops
+    does not change it.  ``members=None`` runs over the whole graph; a
+    member set (a ball) confines every walk to it, and a ``.*`` check
+    walks instead of reading a :func:`_within` BFS, which would leave
+    the ball.
+
+    Returns the memoized walk ``walk(c, v)`` — the slots check ``c``'s
+    DFA walk reaches from ``v`` — which the strong matcher reuses to draw
+    match-graph edges, or None when some ``sim(x)`` empties (the caller
+    treats the whole relation as collapsed, like the reference).
+    """
+    cp, tests = prog
+    checks = cp.checks
+    watch = cp.watch
     fwd = gi.fwd_rows
     rev = gi.rev_rows
-    succ_cache: Dict[Tuple[Node, Node], Dict[int, Set[int]]] = {
-        edge: {} for edge in prog.edges
-    }
-    pred_cache: Dict[Tuple[Node, Node], Dict[int, Set[int]]] = {
-        edge: {} for edge in prog.edges
-    }
+    labels = gi.labels
+    memo: List[Dict[int, Set[int]]] = [{} for _ in checks]
 
-    def successors(edge: Tuple[Node, Node], v: int) -> Set[int]:
-        cache = succ_cache[edge]
-        hit = cache.get(v)
+    def walk(c: int, v: int) -> Set[int]:
+        hit = memo[c].get(v)
         if hit is None:
-            hit = _dfa_successors(
-                gi, v, prog.dfas[edge], prog.bounds[edge], members
-            )
-            cache[v] = hit
+            _, bound, dfa = tests[c]
+            rows = fwd if checks[c][2] else rev
+            hit = memo[c][v] = _dfa_walk(rows, labels, v, dfa, bound, members)
         return hit
 
-    def predecessors(edge: Tuple[Node, Node], v: int) -> Set[int]:
-        cache = pred_cache[edge]
-        hit = cache.get(v)
-        if hit is None:
-            hit = _dfa_predecessors(
-                gi, v, prog.rdfas[edge], prog.bounds[edge], members
-            )
-            cache[v] = hit
-        return hit
-
-    def collapse():
-        for candidates in sim.values():
-            candidates.clear()
-        return sim, successors
-
-    queue = deque(pattern.nodes())
-    queued: Set[Node] = set(queue)
+    queue = deque(range(cp.size))
+    queued = [True] * cp.size
     while queue:
-        w = queue.popleft()
-        queued.discard(w)
-        w_candidates = sim[w]
-        into: Dict[Bound, Set[int]] = {}  # paths into sim(w), by bound
-        out_of: Dict[Bound, Set[int]] = {}  # paths out of sim(w), by bound
-        # Parents u of w: v in sim(u) needs a regex path into sim(w).
-        for u in pattern.predecessors(w):
-            edge = (u, w)
-            kind = prog.kinds[edge]
-            if kind == _DIRECT:
-                stale = [
-                    v for v in sim[u] if w_candidates.isdisjoint(fwd[v])
-                ]
-            elif kind == _WILDCARD and members is None:
-                stale = sim[u] - _memo_within(
-                    into, rev, w_candidates, prog.bounds[edge]
-                )
+        y = queue.popleft()
+        queued[y] = False
+        sim_y = sim[y]
+        within: Dict[Tuple[bool, Bound], Set[int]] = {}
+        for c in watch[y]:
+            x, _, forward = checks[c]
+            kind, bound, _ = tests[c]
+            sim_x = sim[x]
+            if kind == _ROW:
+                rows = fwd if forward else rev
+                stale = [v for v in sim_x if sim_y.isdisjoint(rows[v])]
+            elif kind == _WITHIN and members is None:
+                # Paths into sim(y) for a child check, out of it for a
+                # parent check: the BFS runs against the check's rows.
+                reached = within.get((forward, bound))
+                if reached is None:
+                    reached = within[forward, bound] = _within(
+                        rev if forward else fwd, sim_y, bound
+                    )
+                stale = sim_x - reached
             else:
-                stale = [
-                    v
-                    for v in sim[u]
-                    if w_candidates.isdisjoint(successors(edge, v))
-                ]
+                stale = [v for v in sim_x if sim_y.isdisjoint(walk(c, v))]
             if stale:
-                sim[u].difference_update(stale)
-                if not sim[u]:
-                    return collapse()
-                if u not in queued:
-                    queue.append(u)
-                    queued.add(u)
-        # Children u of w: v in sim(u) needs a regex path *from* sim(w).
-        for u in pattern.successors(w):
-            edge = (w, u)
-            kind = prog.kinds[edge]
-            if kind == _DIRECT:
-                stale = [
-                    v for v in sim[u] if w_candidates.isdisjoint(rev[v])
-                ]
-            elif kind == _WILDCARD and members is None:
-                stale = sim[u] - _memo_within(
-                    out_of, fwd, w_candidates, prog.bounds[edge]
-                )
-            else:
-                stale = [
-                    v
-                    for v in sim[u]
-                    if w_candidates.isdisjoint(predecessors(edge, v))
-                ]
-            if stale:
-                sim[u].difference_update(stale)
-                if not sim[u]:
-                    return collapse()
-                if u not in queued:
-                    queue.append(u)
-                    queued.add(u)
-    if any(not candidates for candidates in sim.values()):
-        return collapse()
-    return sim, successors
+                if len(stale) == len(sim_x):
+                    return None
+                sim_x.difference_update(stale)
+                if not queued[x]:
+                    queue.append(x)
+                    queued[x] = True
+    return walk
+
+
+def _global_relation(prog: Program, gi: GraphIndex) -> List[Set[int]]:
+    """The maximum relation over the whole graph (every set empty on
+    collapse), refined from the label seeds (lines 1–2 of Fig. 3)."""
+    sim = _seed_by_label_full(prog[0], gi)
+    if not (all(sim) and _path_fixpoint(prog, gi, sim, None)):
+        return [set() for _ in sim]
+    return sim
+
+
+def _to_relation(
+    cp: _CompiledPattern, gi: GraphIndex, sim: List[Set[int]]
+) -> MatchRelation:
+    nodes = gi.nodes
+    return MatchRelation(
+        {cp.nodes[u]: {nodes[v] for v in sim[u]} for u in range(cp.size)}
+    )
+
+
+# ----------------------------------------------------------------------
+# Entry points
+# ----------------------------------------------------------------------
+def bounded_simulation_kernel(bounded_pattern, data: DiGraph) -> MatchRelation:
+    """CSR bounded simulation, output-identical to the reference.
+
+    The unique maximum bounded-simulation relation of
+    :func:`repro.core.bounded.bounded_simulation`, refined by
+    :func:`_path_fixpoint` over child checks: bound-1 edges are CSR row
+    tests, and every other bound (unbounded included) reads one
+    :func:`_within` BFS per pop and bound from the popped node's
+    candidates.
+    """
+    gi = get_index(data)
+    prog = _bounded_program(bounded_pattern)
+    with gi.reading():
+        return _to_relation(prog[0], gi, _global_relation(prog, gi))
 
 
 def regular_dual_simulation_kernel(rpattern, data: DiGraph) -> MatchRelation:
     """CSR regular dual simulation (reference-identical)."""
     gi = get_index(data)
-    prog = _RegularProgram(rpattern)
+    prog = _regular_program(rpattern)
     with gi.reading():
-        sim, _ = _regular_fixpoint(prog, gi, None)
-        return _to_relation(gi, sim)
+        return _to_relation(prog[0], gi, _global_relation(prog, gi))
 
 
 def regular_strong_match_kernel(
@@ -556,48 +458,52 @@ def regular_strong_match_kernel(
 ) -> MatchResult:
     """CSR regular strong matching (reference-identical).
 
-    Global regular dual simulation, then the reference's
-    per-ball pipeline — ball-restricted fixpoint, path-semantics match
-    graph, undirected component of the center — over integer ids,
+    Global regular dual simulation, then the reference's per-ball
+    pipeline — ball-restricted fixpoint, path-semantics match graph,
+    undirected component of the center — over integer ids,
     materializing object graphs only for successful balls.
+
+    Each ball's fixpoint starts from the global relation ∩ ball, not
+    from the label groups ∩ ball, by Match+'s argument: every witness
+    path of a ball's maximum relation lies inside the ball, so that
+    relation is a regular dual simulation of G and lies inside the
+    global maximum.  Both seeds therefore refine to the same relation.
     """
     pattern = rpattern.pattern
     if radius is None:
         radius = rpattern.default_radius()
     result = MatchResult(pattern)
     gi = get_index(data)
-    prog = _RegularProgram(rpattern)
+    prog = _regular_program(rpattern)
+    cp, tests = prog
     with gi.reading():
-        global_sim, _ = _regular_fixpoint(prog, gi, None)
-        matched: Set[int] = set()
-        for candidates in global_sim.values():
-            matched |= candidates
-        if not matched:
-            return result
+        global_sim = _global_relation(prog, gi)
+        matched: Set[int] = set().union(*global_sim)
         nodes = gi.nodes
         labels = gi.labels
         fwd = gi.fwd_rows
         for center in sorted(matched, key=lambda i: repr(nodes[i])):
             order, _, _, _ = _ball_bfs(gi, center, radius)
             members = set(order)
-            sim, successors = _regular_fixpoint(prog, gi, members)
-            if not any(sim.values()):
-                continue
-            if not any(center in candidates for candidates in sim.values()):
+            sim = [candidates & members for candidates in global_sim]
+            walk = all(sim) and _path_fixpoint(prog, gi, sim, members)
+            if not walk or not any(center in matches for matches in sim):
                 continue
             # Path-semantics match graph: one edge per witnessed pattern
-            # edge between endpoint matches (interiors not materialized).
+            # edge (its child check) between endpoint matches (interiors
+            # not materialized).
             match_edges: Set[Tuple[int, int]] = set()
             madj: Dict[int, List[int]] = {}
-            for edge in prog.edges:
-                u, u_prime = edge
+            for c, (u, u_prime, forward) in enumerate(cp.checks):
+                if not forward:
+                    continue
                 targets = sim[u_prime]
-                direct = prog.kinds[edge] == _DIRECT
+                row = tests[c][0] == _ROW
                 for v in sim[u]:
-                    if direct:
+                    if row:
                         witnesses = targets.intersection(fwd[v])
                     else:
-                        witnesses = successors(edge, v) & targets
+                        witnesses = walk(c, v) & targets
                     for v_prime in witnesses:
                         if (v, v_prime) in match_edges:
                             continue
@@ -623,8 +529,8 @@ def regular_strong_match_kernel(
             )
             restricted = MatchRelation(
                 {
-                    u: {nodes[v] for v in candidates & component}
-                    for u, candidates in sim.items()
+                    cp.nodes[u]: {nodes[v] for v in candidates & component}
+                    for u, candidates in enumerate(sim)
                 }
             )
             result.add(PerfectSubgraph(subgraph, restricted, nodes[center]))

@@ -27,15 +27,19 @@ Two-path architecture
 Both matchers carry an ``engine`` seam.  The ``python`` reference path
 in this module walks the product graph with fresh NFA state-sets per
 query (kept verbatim as ground truth).  The ``kernel`` path
-(:mod:`repro.core.reach`) compiles each regex once into an interned
-lazy DFA, classifies every pattern edge — direct edges become CSR row
-tests; a global wildcard ``.*`` reads one multi-source BFS per
+(:mod:`repro.core.reach`) compiles the pattern to the kernel's witness
+checks — a child and a parent check per pattern edge, as for dual
+simulation — and gives each check one witness test: direct edges are
+CSR row tests; a global wildcard ``.*`` reads one multi-source BFS per
 fixpoint pop, direction and bound, the same witness sets bounded
-simulation uses; general regexes and every in-ball walk become
-memoized DFA product walks — and runs the same fixpoint over integer
-candidate sets of the graph's :class:`~repro.core.kernel.GraphIndex`.
-Outputs are identical by the uniqueness of the maximum relation,
-enforced differentially in ``tests/test_paths_equivalence.py``.
+simulation uses; general regexes and every in-ball check walk a regex
+compiled once into an interned lazy DFA (a parent check walks the
+reversed machine backwards), memoized per node.  One fixpoint, shared
+with bounded simulation, refines integer candidate sets of the graph's
+:class:`~repro.core.kernel.GraphIndex`; strong matching seeds each
+ball from the global relation.  Outputs are identical by the
+uniqueness of the maximum relation, enforced differentially in
+``tests/test_paths_equivalence.py``.
 """
 
 from __future__ import annotations

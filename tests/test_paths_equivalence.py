@@ -1,14 +1,16 @@
-"""Differential suite for the path-matching engines (PR 8).
+"""Differential suite for the path-matching engines.
 
-The kernel path answers bounded / regular matching with one
-multi-source BFS per fixpoint pop over the CSR rows (``_within``); the
+The kernel path answers bounded / regular matching with the kernel's
+witness checks over the CSR rows: row tests, one multi-source BFS per
+fixpoint pop (``_within``) and memoized DFA walks (``_dfa_walk``); the
 python path is the reference BFS / NFA product walk.  Both compute
 unique greatest fixpoints, so the contract is *output identity* —
 enforced here over paper fixtures, random graphs (hypothesis), regex
-constraint pools, and interleaved mutation streams, plus direct
-properties of the witness sets (against a per-pair BFS) and of the
-``ReachIndex`` 2-hop labels (exact distances, dropped by every
-mutation, built by no path query).
+constraint pools, interleaved mutation streams and cascades along a
+long chain, plus direct properties of the witness sets (against a
+per-pair BFS), of the DFA walks (against the reference product walks)
+and of the ``ReachIndex`` 2-hop labels (exact distances, dropped by
+every mutation, built by no path query).
 """
 
 from __future__ import annotations
@@ -20,15 +22,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.ball import extract_ball
 from repro.core.bounded import BoundedPattern, _ReachabilityOracle, bounded_simulation
 from repro.core.digraph import DiGraph
 from repro.core.kernel import get_index
 from repro.core.pattern import Pattern
 from repro.core.reach import (
     PATH_ENGINES,
+    _dfa_walk,
     _within,
     get_reach_index,
     resolve_path_engine,
+)
+from repro.core.regex import (
+    LazyDfa,
+    compile_regex,
+    regex_predecessors,
+    regex_successors,
+    reversed_nfa,
+)
+from repro.core.regular import (
+    RegularPattern,
+    regular_dual_simulation,
+    regular_strong_match,
 )
 from repro.exceptions import MatchingError
 from tests.conftest import (
@@ -48,6 +64,11 @@ from tests.engines import (
 
 #: Regex constraint pool cycled over pattern edges in the regex tests.
 CONSTRAINT_POOL = (".*", "l0", "l0*", "(l0|l1)*", "l1?", ".")
+
+#: A constraint whose reversed language differs from its own.  Every
+#: pool entry reads the same both ways, so only this one shows a parent
+#: check that walks the edge's machine instead of the reversed one.
+ASYMMETRIC = "l0 l1*"
 
 
 def _chain(labels):
@@ -205,6 +226,49 @@ class TestWithin:
             )
 
 
+class TestDfaWalk:
+    """The int DFA walk against the reference product walks: forward
+    with the edge's machine, backward with the reversed machine, and
+    confined to a radius-1 ball."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(graph_seeds)
+    def test_walk_matches_reference_walks(self, seed):
+        data = random_digraph(seed, max_nodes=12, edge_prob=0.3)
+        nodes = list(data.nodes())
+        for node in nodes[::3]:
+            data.add_edge(node, node)
+        gi = get_index(data)
+        fwd, rev, labels = gi.fwd_rows, gi.rev_rows, gi.labels
+
+        def walk(rows, v, dfa, bound, members=None):
+            start = gi.index_of[v]
+            return {
+                gi.nodes[i]
+                for i in _dfa_walk(rows, labels, start, dfa, bound, members)
+            }
+
+        for source in CONSTRAINT_POOL + (".?", ASYMMETRIC):
+            nfa = compile_regex(source)
+            dfa, rdfa = LazyDfa(nfa), LazyDfa(reversed_nfa(nfa))
+            for bound in (1, 2, 3, None):
+                for v in nodes:
+                    where = f"{source!r}, bound {bound}, {v!r}, seed {seed}"
+                    assert walk(fwd, v, dfa, bound) == regex_successors(
+                        data, v, nfa, bound
+                    ), f"forward walk wrong: {where}"
+                    assert walk(rev, v, rdfa, bound) == regex_predecessors(
+                        data, v, nfa, bound
+                    ), f"reversed walk wrong: {where}"
+                    ball = extract_ball(data, v, 1).graph
+                    members = {gi.index_of[u] for u in ball.nodes()}
+                    assert walk(
+                        fwd, v, dfa, bound, members
+                    ) == regex_successors(
+                        ball, v, nfa, bound
+                    ), f"in-ball walk wrong: {where}"
+
+
 # ----------------------------------------------------------------------
 # The 2-hop labels: exact distances, dropped by every mutation
 # ----------------------------------------------------------------------
@@ -303,12 +367,6 @@ class TestPathQueriesBuildNoLabels:
         ).pair_set()
 
     def test_wildcard_queries_build_none(self):
-        from repro.core.regular import (
-            RegularPattern,
-            regular_dual_simulation,
-            regular_strong_match,
-        )
-
         pattern, data = self.fresh_pair()
         rpattern = RegularPattern(
             pattern, {edge: ".*" for edge in pattern.edges()}
@@ -355,6 +413,18 @@ class TestPathEquivalence:
             data,
             bounds=mixed_bounds(pattern),
             constraints=_constraints(pattern),
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(graph_with_sampled_pattern())
+    def test_asymmetric_regex_property(self, pair):
+        data, pattern = pair
+        edges = list(pattern.edges())
+        assert_paths_identical(
+            pattern,
+            data,
+            bounds={edge: None for edge in edges},
+            constraints={edge: ASYMMETRIC for edge in edges},
         )
 
     @settings(max_examples=20, deadline=None)
@@ -410,3 +480,66 @@ class TestUpdateWorkloads:
         stats = get_index(data).stats
         assert stats.reach_builds == 0
         assert stats.full_compiles == 1
+
+
+# ----------------------------------------------------------------------
+# Cascades along a long chain
+# ----------------------------------------------------------------------
+DEEP_NODES = 200
+
+TWO_CYCLE = Pattern.build({"a": "A", "b": "A"}, [("a", "b"), ("b", "a")])
+THREE_CHAIN = Pattern.build(
+    {"a": "A", "b": "A", "c": "A"}, [("a", "b"), ("b", "c")]
+)
+
+
+def _one_label_ring(closed: bool) -> DiGraph:
+    """A directed path of ``DEEP_NODES`` nodes, closed into a cycle or not."""
+    edges = [(i, i + 1) for i in range(DEEP_NODES - 1)]
+    if closed:
+        edges.append((DEEP_NODES - 1, 0))
+    return DiGraph.from_parts({i: "A" for i in range(DEEP_NODES)}, edges)
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
+@pytest.mark.parametrize(
+    "pattern", [TWO_CYCLE, THREE_CHAIN], ids=["2-cycle", "3-chain"]
+)
+class TestDeepCascades:
+    """On the path, the 2-cycle pattern empties every relation only after
+    a cascade that runs the whole length of the path: child checks
+    remove candidates from the sink end, parent checks (regular
+    matching) from the source end."""
+
+    @staticmethod
+    def assert_cascade_empties(closed, pattern, relation):
+        if not closed and pattern is TWO_CYCLE:
+            assert relation.is_empty(), "the path fixture drove no cascade"
+
+    @pytest.mark.parametrize("bound", [2, None], ids=["bound-2", "unbounded"])
+    def test_bounded_simulation(self, closed, pattern, bound):
+        data = _one_label_ring(closed)
+        bp = BoundedPattern(pattern, {edge: bound for edge in pattern.edges()})
+        reference = bounded_simulation(bp, data, engine="python")
+        self.assert_cascade_empties(closed, pattern, reference)
+        assert bounded_simulation(bp, data, engine="kernel") == reference
+
+    @pytest.mark.parametrize("constraint", [".?", ".*"])
+    def test_regular_matching(self, closed, pattern, constraint):
+        data = _one_label_ring(closed)
+        edges = list(pattern.edges())
+        rpattern = RegularPattern(
+            pattern,
+            {edge: constraint for edge in edges},
+            {edge: 2 for edge in edges},
+        )
+        reference = regular_dual_simulation(rpattern, data, engine="python")
+        self.assert_cascade_empties(closed, pattern, reference)
+        assert regular_dual_simulation(
+            rpattern, data, engine="kernel"
+        ) == reference
+        assert canonical_result(
+            regular_strong_match(rpattern, data, engine="kernel")
+        ) == canonical_result(
+            regular_strong_match(rpattern, data, engine="python")
+        )
