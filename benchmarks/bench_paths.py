@@ -24,8 +24,9 @@ sections:
   ``strong/optional`` row, ``regular_strong_match`` on perfbench
   paths-mixed's regular query shape (sampled 3-node patterns, ``.?``
   on every edge, hop bound 2), summed over the sampled patterns.  That
-  row times the per-ball fixpoint seeded from the global relation; it
-  is recorded, not gated.
+  row times the kernel's ball step on path checks (Match+'s border
+  seeding by hop reach, global walks read where they stay in the
+  ball); it is recorded, not gated.
 
 Every timed pair is an equivalence check first: the kernel result must
 be identical (canonical pair-set / signature form) to the reference.

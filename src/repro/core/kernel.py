@@ -25,10 +25,11 @@ re-implements the two inner engines on top of it:
 
 Ball extraction
     Bounded undirected layered BFS over the flat arrays with a reusable
-    epoch-stamped ``visited`` buffer — no per-ball ``DiGraph``
-    reconstruction, no per-ball O(|V|) allocation.  Candidate sets carry
-    ball membership implicitly from the seeding step onward, so the
-    fixpoint, pruning and extraction all run over global CSR rows.
+    epoch-stamped ``visited`` buffer, returning the ball's layers — no
+    per-ball ``DiGraph`` reconstruction, no per-ball O(|V|) allocation.
+    Candidate sets carry ball membership implicitly from the seeding
+    step onward, so the fixpoint, pruning and extraction all run over
+    global ids.
 
 Witness checks
     A pattern compiles to *witness checks* ``(x, y, forward)``: every
@@ -37,7 +38,14 @@ Witness checks
     false.  Graph simulation has one child check ``(a, b, True)`` per
     pattern edge ``(a, b)``; dual simulation (Sec. 2.2) adds the parent
     check ``(b, a, False)`` of the same edge.  Nothing else differs
-    between the two relations: one fixpoint refines both.
+    between the two relations: one fixpoint refines both.  Check ``c``
+    reads the witnesses of ``v`` as ``rows[c][v]`` and the candidates a
+    lost witness ``w`` supported as ``back[c][w]``: for a plain pattern
+    a CSR row and the opposite one (:func:`_row_views`); for a path
+    pattern (:mod:`repro.core.reach`) a DFA walk and the partner check's
+    reversed walk, check ``c ^ 1``.  Its *hop reach* ``b`` is the most
+    hops a witness may lie away: 1 for a row test, the hop bound for a
+    path check (unbounded for ``None``).
 
 The fixpoint
     A counter-based deletion-propagation cascade in the style of
@@ -49,6 +57,17 @@ The fixpoint
     computed *lazily* on first touch, so a ball whose projection needs few
     deletions pays only for the border pairs it actually inspects
     (Proposition 5), never for a full re-initialization.
+
+The ball step
+    :func:`_refine_ball` is the one per-ball step, ``Match+``'s
+    ``dualFilter`` (Fig. 5), for plain Match+ and for regular strong
+    matching alike: the global relation projected onto the ball, refined
+    by deletion only, then :func:`_extract_perfect_subgraph`.
+    Proposition 5 generalizes by hop reach: a candidate at depth
+    ``d ≤ r − b`` keeps a global witness whose path stays in the ball,
+    so the first round tests only deeper candidates (the border layer
+    for ``b = 1``).  Connectivity pruning follows CSR edges and runs
+    only when every ``b`` is 1.
 
 Entry points — all *output-identical* to the reference Python path:
 
@@ -126,6 +145,16 @@ Pair = Tuple[int, int]
 
 #: A witness check ``(x, y, forward)`` (see :class:`_CompiledPattern`).
 Check = Tuple[int, int, bool]
+
+#: A check's hop reach: 1 for a row test, else its hop bound (None when
+#: unbounded).
+Reach = Optional[int]
+
+#: Per check, indexable by data node: ``rows[c][v]`` iterates the
+#: witnesses of ``v`` under check ``c`` (a CSR row for a row test, a
+#: path walk otherwise) and ``back[c][w]`` the nodes that ``w``
+#: witnesses for (the opposite rows, or the partner check's walk).
+Rows = List
 
 #: Sentinel stored in ``labels[i]`` for tombstoned (removed) node slots.
 #: A fresh object, so it can never collide with a user label (including
@@ -891,33 +920,56 @@ class _CompiledPattern:
     its reverse row (the parent check of pattern edge ``(y, x)``).
     ``dual`` picks the relation, and each entry point fixes it: graph
     simulation compiles the child check of every pattern edge, dual
-    simulation also its parent check.  ``watch[y]`` lists the checks
-    that draw witnesses from ``sim(y)``, the ones a removal from
-    ``sim(y)`` can break.
+    simulation also its parent check, right after it, so check ``c``'s
+    partner on the same edge is ``c ^ 1``.  ``watch[y]`` lists the
+    checks that draw witnesses from ``sim(y)``, the ones a removal from
+    ``sim(y)`` can break.  ``reach[c]`` is check ``c``'s hop reach, the
+    most hops its witness may lie from the candidate: ``reach`` maps
+    each pattern edge to the reach of both its checks (a path pattern's
+    hop bound, None when unbounded); without it every check is a CSR
+    row test, reach 1.
     """
 
-    __slots__ = ("size", "nodes", "labels", "edges", "checks", "watch")
+    __slots__ = ("size", "nodes", "labels", "checks", "watch", "reach")
 
-    def __init__(self, pattern: Pattern, dual: bool) -> None:
+    def __init__(
+        self,
+        pattern: Pattern,
+        dual: bool,
+        reach: Optional[Dict[Tuple[Node, Node], Reach]] = None,
+    ) -> None:
         nodes: List[Node] = list(pattern.nodes())
         self.nodes = nodes
         index = {u: i for i, u in enumerate(nodes)}
         self.size = len(nodes)
         self.labels = [pattern.label(u) for u in nodes]
-        edges: List[Tuple[int, int]] = [
-            (index[a], index[b]) for a, b in pattern.edges()
-        ]
-        self.edges = edges
         checks: List[Check] = []
-        for a, b in edges:
-            checks.append((a, b, True))
+        reaches: List[Reach] = []
+        for a, b in pattern.edges():
+            hops = 1 if reach is None else reach[a, b]
+            checks.append((index[a], index[b], True))
+            reaches.append(hops)
             if dual:
-                checks.append((b, a, False))
+                checks.append((index[b], index[a], False))
+                reaches.append(hops)
         self.checks = checks
+        self.reach = reaches
         watch: List[List[int]] = [[] for _ in nodes]
         for c, (_, y, _) in enumerate(checks):
             watch[y].append(c)
         self.watch = watch
+
+
+def _row_views(cp: _CompiledPattern, gi: GraphIndex) -> Tuple[Rows, Rows]:
+    """``(rows, back)`` of row tests: per check, the CSR rows holding
+    its witnesses and the opposite rows, its cascade sources (a child
+    check reads forward rows and is fed by reverse rows, a parent check
+    the other way round)."""
+    fwd = gi.fwd_rows
+    rev = gi.rev_rows
+    rows = [fwd if forward else rev for _, _, forward in cp.checks]
+    back = [rev if forward else fwd for _, _, forward in cp.checks]
+    return rows, back
 
 
 # ======================================================================
@@ -925,7 +977,8 @@ class _CompiledPattern:
 # ======================================================================
 def _run_fixpoint(
     cp: _CompiledPattern,
-    gi: GraphIndex,
+    rows: Rows,
+    back: Rows,
     sim: List[Set[int]],
     counts: List[Dict[int, int]],
     pending: Deque[Pair],
@@ -938,17 +991,15 @@ def _run_fixpoint(
     candidate, so ``w in sim[y]`` subsumes the ball-membership test.
 
     ``counts[c][v]`` is the surviving witness count of candidate ``v``
-    under check ``c``.  Entries are created lazily: the first time a
-    removal touches a pair, its count is computed by one row scan
-    (already reflecting the removal), after which every later removal is
-    a O(1) decrement.  A count hitting zero enqueues the pair — no pair
-    is ever re-scanned.
+    under check ``c``, whose witnesses are ``rows[c][v]``.  Entries are
+    created lazily: the first time a removal touches a pair, its count
+    is computed by one scan of its witnesses (already reflecting the
+    removal), after which every later removal is a O(1) decrement.  A
+    count hitting zero enqueues the pair — no pair is ever re-scanned.
 
     Returns ``False`` when some ``sim(u)`` empties (the caller must treat
     the whole relation as collapsed, per line 10 of Fig. 3).
     """
-    fwd = gi.fwd_rows
-    rev = gi.rev_rows
     checks = cp.checks
     watch = cp.watch
     push = pending.append
@@ -961,20 +1012,19 @@ def _run_fixpoint(
         if not sim_u:
             return False
         # Every check drawing witnesses from sim(u) loses witness v; the
-        # candidates that counted it are v's neighbors against the
-        # check's direction.
+        # candidates that counted it are back[c][v].
         for c in watch[u]:
-            x, _, forward = checks[c]
-            rows, back = (fwd, rev) if forward else (rev, fwd)
+            x = checks[c][0]
+            out = rows[c]
             sim_x = sim[x]
             cnt = counts[c]
-            for p in back[v]:
+            for p in back[c][v]:
                 if p in sim_x:
                     k = cnt.get(p)
                     if k is None:
                         # Lazy init: count the survivors (v already gone).
                         k = 0
-                        for w in rows[p]:
+                        for w in out[p]:
                             if w in sim_u:
                                 k += 1
                     else:
@@ -986,7 +1036,7 @@ def _run_fixpoint(
 
 
 def _batch_prefilter(
-    cp: _CompiledPattern, gi: GraphIndex, sim: List[Set[int]]
+    cp: _CompiledPattern, rows: Rows, sim: List[Set[int]]
 ) -> bool:
     """Bulk-remove unsupported candidates before counting witnesses.
 
@@ -1003,17 +1053,15 @@ def _batch_prefilter(
 
     Returns ``False`` on collapse (some candidate set emptied).
     """
-    fwd = gi.fwd_rows
-    rev = gi.rev_rows
     checks = cp.checks
     while True:
         removed = 0
         remaining = 0
-        for x, y, forward in checks:
-            rows = fwd if forward else rev
+        for c, (x, y, _) in enumerate(checks):
+            out = rows[c]
             sim_x = sim[x]
             sim_y = sim[y]
-            stale = [v for v in sim_x if sim_y.isdisjoint(rows[v])]
+            stale = [v for v in sim_x if sim_y.isdisjoint(out[v])]
             if stale:
                 if len(stale) == len(sim_x):
                     return False
@@ -1026,27 +1074,25 @@ def _batch_prefilter(
 
 def _count_witnesses(
     cp: _CompiledPattern,
-    gi: GraphIndex,
+    rows: Rows,
     sim: List[Set[int]],
     seeds: List[Set[int]],
     counts: List[Dict[int, int]],
     push: Callable[[Pair], None],
 ) -> None:
-    """Count the witnesses of every ``v`` in ``seeds[x]`` per check on ``x``.
+    """Count the witnesses of every ``v`` in ``seeds[c]`` under check ``c``.
 
     Each count is stored, so the cascade later decrements it instead of
     recounting; every seeded pair left without a witness is enqueued
     through ``push``.
     """
-    fwd = gi.fwd_rows
-    rev = gi.rev_rows
-    for c, (x, y, forward) in enumerate(cp.checks):
-        rows = fwd if forward else rev
+    for c, (x, y, _) in enumerate(cp.checks):
+        out = rows[c]
         sim_y = sim[y]
         cnt = counts[c]
-        for v in seeds[x]:
+        for v in seeds[c]:
             k = 0
-            for w in rows[v]:
+            for w in out[v]:
                 if w in sim_y:
                     k += 1
             cnt[v] = k
@@ -1065,12 +1111,14 @@ def _simulate(
     global graph and dual simulation relations.  Refines ``sim`` in
     place; ``False`` on collapse.
     """
-    if not _batch_prefilter(cp, gi, sim):
+    rows, back = _row_views(cp, gi)
+    if not _batch_prefilter(cp, rows, sim):
         return False
     counts: List[Dict[int, int]] = [{} for _ in cp.checks]
     pending: Deque[Pair] = deque()
-    _count_witnesses(cp, gi, sim, sim, counts, pending.append)
-    return _run_fixpoint(cp, gi, sim, counts, pending)
+    seeds = [sim[x] for x, _, _ in cp.checks]
+    _count_witnesses(cp, rows, sim, seeds, counts, pending.append)
+    return _run_fixpoint(cp, rows, back, sim, counts, pending)
 
 
 def _seed_by_label_full(
@@ -1129,43 +1177,46 @@ def graph_simulation_kernel(pattern: Pattern, data: DiGraph) -> MatchRelation:
 # ======================================================================
 def _ball_bfs(
     gi: GraphIndex, center: int, radius: int
-) -> Tuple[List[int], List[int], List[int], int]:
+) -> Tuple[List[List[int]], List[int], int]:
     """Bounded undirected layered BFS from ``center``.
 
-    Returns ``(order, border, stamp, epoch)``: ball nodes in BFS order
-    (center first), the border layer (nodes at distance exactly
-    ``radius``; empty when the ball exhausts its component earlier), and
-    the calling thread's stamp buffer plus the epoch under which
-    ``stamp[v] == epoch`` marks ball membership.
+    Returns ``(layers, stamp, epoch)``: ``layers[d]`` holds the ball
+    nodes at distance ``d`` (``layers[0] == [center]``; there are fewer
+    than ``radius + 1`` layers when the ball exhausts its component
+    earlier), and the calling thread's stamp buffer plus the epoch under
+    which ``stamp[v] == epoch`` marks ball membership.
     """
     visit = gi.visit_state()
     epoch = visit.new_epoch()
     stamp = visit.stamp
     rows = gi.und_rows
     stamp[center] = epoch
-    order = [center]
     frontier = [center]
-    border: List[int] = [center] if radius == 0 else []
-    depth = 0
-    extend = order.extend
+    layers = [frontier]
     mark = stamp.__setitem__
-    while frontier and depth < radius:
+    for _ in range(radius):
         # One comprehension per layer: the `mark` call fires only for
         # first visits (short-circuit) and returns None, keeping the
         # filter truthy — the loop body runs at comprehension dispatch
         # speed, which measurably beats an explicit nested loop here.
-        nxt = [
+        frontier = [
             w
             for v in frontier
             for w in rows[v]
             if stamp[w] != epoch and not mark(w, epoch)
         ]
-        extend(nxt)
-        frontier = nxt
-        depth += 1
-        if depth == radius:
-            border = nxt
-    return order, border, stamp, epoch
+        if not frontier:
+            break
+        layers.append(frontier)
+    return layers, stamp, epoch
+
+
+def _deeper(layers: List[List[int]], depth: int) -> Set[int]:
+    """The ball nodes at distance greater than ``depth`` from the center."""
+    deep: Set[int] = set()
+    for layer in layers[max(depth + 1, 0):]:
+        deep.update(layer)
+    return deep
 
 
 def _center_component(
@@ -1199,18 +1250,24 @@ def _center_component(
 def _extract_perfect_subgraph(
     cp: _CompiledPattern,
     gi: GraphIndex,
+    rows: Rows,
+    back: Rows,
     center: int,
     sim: List[Set[int]],
     seen: Optional[Set[Tuple[FrozenSet[int], FrozenSet[Pair]]]] = None,
 ) -> Optional[PerfectSubgraph]:
     """Procedure ``ExtractMaxPG`` over integer candidate sets.
 
-    Builds the match graph w.r.t. the refined relation (scanning each
-    pattern edge from its cheaper side, as ``build_match_graph`` does),
-    takes the undirected component containing the center, and materializes
-    it as a real ``DiGraph`` + ``MatchRelation`` — identical to the
-    reference implementation's output.  Only successful balls pay for
-    object-graph construction.
+    Builds the match graph w.r.t. the refined relation: one edge
+    ``(v, w)`` per witness ``w`` of ``v`` under the child check of a
+    pattern edge, read from its cheaper side (``rows`` out of the
+    source's matches or ``back`` into the target's, as
+    ``build_match_graph`` does), so a path check draws one edge per
+    witnessed path, between its endpoints.  Takes the undirected
+    component containing the center, and materializes it as a real
+    ``DiGraph`` + ``MatchRelation`` — identical to the reference
+    implementation's output.  Only successful balls pay for object-graph
+    construction.
 
     ``seen`` enables integer-level deduplication: neighboring centers
     usually rediscover the same perfect subgraph (Proposition 4 is what
@@ -1221,22 +1278,24 @@ def _extract_perfect_subgraph(
     """
     if not any(center in s for s in sim):
         return None  # center unmatched: line 1 of ExtractMaxPG
-    fwd = gi.fwd_rows
-    rev = gi.rev_rows
     match_edges: Set[Pair] = set()
     madj: Dict[int, List[int]] = {}
-    for a, b in cp.edges:
+    for c, (a, b, forward) in enumerate(cp.checks):
+        if not forward:
+            continue
         sim_a, sim_b = sim[a], sim[b]
         if len(sim_a) <= len(sim_b):
+            out = rows[c]
             for v in sim_a:
-                for w in fwd[v]:
+                for w in out[v]:
                     if w in sim_b and (v, w) not in match_edges:
                         match_edges.add((v, w))
                         madj.setdefault(v, []).append(w)
                         madj.setdefault(w, []).append(v)
         else:
+            into = back[c]
             for w in sim_b:
-                for v in rev[w]:
+                for v in into[w]:
                     if v in sim_a and (v, w) not in match_edges:
                         match_edges.add((v, w))
                         madj.setdefault(v, []).append(w)
@@ -1283,47 +1342,62 @@ def _refine_ball(
     center: int,
     radius: int,
     sim_global: List[Set[int]],
-    seen: Optional[Set[Tuple[FrozenSet[int], FrozenSet[Pair]]]] = None,
+    seen: Optional[Set[Tuple[FrozenSet[int], FrozenSet[Pair]]]],
+    views: Callable[[List[List[int]]], Tuple[Rows, Rows]],
 ) -> Optional[PerfectSubgraph]:
     """The ``dualFilter`` step of ``Match+`` on a restricted ball.
 
     Ball distances are measured over the full graph but only globally
     matched nodes enter the candidate sets (``extract_ball_restricted``
     semantics — the global sets contain matched nodes only, so projecting
-    on ball membership suffices).  Proposition 5 localizes the initial
-    violations to border pairs: only those are validity-checked; interior
-    pairs are touched exclusively through the lazy deletion cascade.
-    Connectivity-pruning removals feed the same cascade, exactly like the
-    reference path's ``extra_removals``.
+    on ball membership suffices).  ``views(layers)`` gives the ball's
+    ``(rows, back)``: the same CSR rows (:func:`_row_views`) for every
+    ball of a plain pattern, per-ball walks for a path pattern
+    (:func:`repro.core.reach._ball_views`).
+
+    Proposition 5 localizes the initial violations, by each check's hop
+    reach ``b``: a candidate at depth ``d ≤ r − b`` has a global witness
+    whose path stays within depth ``d + b ≤ r``, hence in the ball, so
+    only deeper candidates are validity-checked (for ``b = 1`` the
+    border layer, lines 2–5 of Fig. 5; every candidate when ``b`` is
+    unbounded).  The other pairs are touched exclusively through the
+    lazy deletion cascade.  Connectivity pruning follows CSR edges, so
+    it runs only when every check is a row test; its removals feed the
+    same cascade, exactly like the reference path's ``extra_removals``.
     """
-    _, border, stamp, epoch = _ball_bfs(gi, center, radius)
+    layers, stamp, epoch = _ball_bfs(gi, center, radius)
     sim: List[Set[int]] = []
     for s in sim_global:
         projected = {v for v in s if stamp[v] == epoch}
         if not projected:
             return None
         sim.append(projected)
+    rows, back = views(layers)
 
     pending: Deque[Pair] = deque()
     push = pending.append
-    component = _center_component(gi, center, sim)
-    for u in range(cp.size):
-        for v in sim[u]:
-            if v not in component:
-                push((u, v))
+    reaches = set(cp.reach)
+    if reaches == {1}:
+        component = _center_component(gi, center, sim)
+        for u in range(cp.size):
+            for v in sim[u]:
+                if v not in component:
+                    push((u, v))
 
-    # Border seeding (lines 2–5 of Fig. 5): only border candidates are
-    # validity-checked.  Their witness counts are stored, so the cascade
-    # later decrements them instead of recounting.
+    # First round: only the candidates deeper than r − b are tested.
+    # Their witness counts are stored, so the cascade later decrements
+    # them instead of recounting.
+    deep: Dict[Reach, List[Set[int]]] = {}
+    for b in reaches:
+        tested = _deeper(layers, -1 if b is None else radius - b)
+        deep[b] = [tested.intersection(s) for s in sim]
+    seeds = [deep[b][x] for b, (x, _, _) in zip(cp.reach, cp.checks)]
     counts: List[Dict[int, int]] = [{} for _ in cp.checks]
-    if border:
-        border_set = set(border)
-        seeds = [border_set.intersection(s) for s in sim]
-        _count_witnesses(cp, gi, sim, seeds, counts, push)
+    _count_witnesses(cp, rows, sim, seeds, counts, push)
 
-    if not _run_fixpoint(cp, gi, sim, counts, pending):
+    if not _run_fixpoint(cp, rows, back, sim, counts, pending):
         return None
-    return _extract_perfect_subgraph(cp, gi, center, sim, seen)
+    return _extract_perfect_subgraph(cp, gi, rows, back, center, sim, seen)
 
 
 # ======================================================================
@@ -1373,12 +1447,12 @@ def kernel_match_plus(
             for s in sim_global:
                 matched |= s
             seen: Set[Tuple[FrozenSet[int], FrozenSet[Pair]]] = set()
+            row_views = _row_views(cp, gi)
             with _obs_span("kernel.ball_scan"):
-                for center in range(gi.n):
-                    if center not in matched:
-                        continue
+                for center in sorted(matched):
                     subgraph = _refine_ball(
-                        cp, gi, center, radius, sim_global, seen=seen
+                        cp, gi, center, radius, sim_global, seen,
+                        lambda _: row_views,
                     )
                     if subgraph is not None:
                         result.add(subgraph)

@@ -47,6 +47,7 @@ from repro.core.kernel import (
     Pair,
     _CompiledPattern,
     _extract_perfect_subgraph,
+    _row_views,
     get_index,
 )
 from repro.core.pattern import Pattern
@@ -483,6 +484,7 @@ def _np_refine_chunk(
     starts = seg_ptr[:-1]
     for u in range(cp.size):
         valid &= np.maximum.reduceat(cand[u], starts)
+    rows, back = _row_views(cp, gi)
     for i in np.nonzero(valid)[0].tolist():
         s, e = int(seg_ptr[i]), int(seg_ptr[i + 1])
         nodes_seg = member_node[s:e]
@@ -491,7 +493,9 @@ def _np_refine_chunk(
             set(nodes_seg[np.nonzero(sub[u])[0]].tolist())
             for u in range(cp.size)
         ]
-        subgraph = _extract_perfect_subgraph(cp, gi, int(cc[i]), sim, seen)
+        subgraph = _extract_perfect_subgraph(
+            cp, gi, rows, back, int(cc[i]), sim, seen
+        )
         if subgraph is not None:
             result.add(subgraph)
 

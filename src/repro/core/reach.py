@@ -11,22 +11,34 @@ The check program
     A pattern compiles to the kernel's witness checks
     (:class:`~repro.core.kernel._CompiledPattern`): child checks only
     for bounded simulation, child and parent checks for regular dual
-    simulation.  Each check gets one witness test: a CSR row test for
-    bound 1 and the empty regex (a direct edge); one :func:`_within`
-    BFS per fixpoint pop for any other hop bound and for the wildcard
-    ``.*`` in global scope; a memoized lazy-DFA product walk
-    (:func:`_dfa_walk`) for every other regex and for every non-direct
-    edge inside a ball, where a parent check walks the reverse rows
-    with the reversed machine.
+    simulation.  Each check gets one witness test and a hop reach: a
+    CSR row test for bound 1 and the empty regex (a direct edge, reach
+    1); one :func:`_within` BFS per fixpoint pop for any other hop bound
+    and for the wildcard ``.*``; a memoized lazy-DFA product walk
+    (:func:`_dfa_walk`, held by :class:`_Walks`) for every other regex,
+    where a parent check walks the reverse rows with the reversed
+    machine.  A path check's reach is its hop bound (None when
+    unbounded).
 
 The fixpoint
-    One worklist loop, :func:`_path_fixpoint`, serves all three entry
-    points: each pop of a pattern node ``y`` re-tests the checks in
-    ``watch[y]`` against ``sim(y)`` and requeues every pattern node
-    that lost candidates.  :func:`_within` runs once per pop, direction
-    and bound, from the popped node's whole candidate set, so every
-    check of that pop reads one set and a witness test is a set
-    membership.
+    One worklist loop, :func:`_path_fixpoint`, computes the global
+    relation for all three entry points: each pop of a pattern node
+    ``y`` re-tests the checks in ``watch[y]`` against ``sim(y)`` and
+    requeues every pattern node that lost candidates.  :func:`_within`
+    runs once per pop, direction and bound, from the popped node's
+    whole candidate set, so every check of that pop reads one set and a
+    witness test is a set membership.  It returns its walk memo.
+
+The ball step
+    Regular strong matching refines each ball with the kernel's one
+    ball step, :func:`~repro.core.kernel._refine_ball`, as ``Match+``
+    does: the global relation ∩ ball, the first round seeded by hop
+    reach, the counter cascade and the match-graph component.
+    :func:`_ball_views` gives it each check's witnesses in the ball: a
+    walk from depth ``≤ r − b + 1`` stays inside the ball, so it reads
+    the global memo; deeper candidates, and every candidate of an
+    unbounded check, walk inside the ball, memoized per ball.  The
+    cascade reads a check's sources as its partner check's walks.
 
 ``ReachIndex``
     A pruned landmark-ordered 2-hop labeling (Akiba-style pruned
@@ -50,20 +62,23 @@ The fixpoint
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.digraph import DiGraph
 from repro.core.kernel import (
     _DEAD,
     GraphIndex,
-    _ball_bfs,
+    Rows,
     _CompiledPattern,
+    _deeper,
+    _refine_ball,
+    _row_views,
     _seed_by_label_full,
     get_index,
 )
 from repro.core.matchrel import MatchRelation
 from repro.core.regex import LazyDfa, reversed_nfa
-from repro.core.result import MatchResult, PerfectSubgraph
+from repro.core.result import MatchResult
 from repro.obs.trace import span as _obs_span
 
 Bound = Optional[int]
@@ -281,15 +296,61 @@ def _dfa_walk(
     return results
 
 
+class _Walks(dict):
+    """One check's memoized DFA walks: ``walks[v]`` runs
+    :func:`_dfa_walk` from ``v`` on its first read.  A ball's memo
+    (:meth:`in_ball`) walks only from the nodes in ``deep``, confined
+    to the ball's ``members``; every other node reads the global memo
+    ``glob`` (see :func:`_ball_views`)."""
+
+    __slots__ = ("rows", "labels", "dfa", "bound", "members", "deep", "glob")
+
+    def __init__(
+        self,
+        rows: List[List[int]],
+        labels: List,
+        dfa: LazyDfa,
+        bound: Bound,
+        members: Optional[Set[int]] = None,
+        deep: Optional[Set[int]] = None,
+        glob: Optional["_Walks"] = None,
+    ) -> None:
+        super().__init__()
+        self.rows = rows
+        self.labels = labels
+        self.dfa = dfa
+        self.bound = bound
+        self.members = members
+        self.deep = deep
+        self.glob = glob
+
+    def in_ball(self, members: Set[int], deep: Set[int]) -> "_Walks":
+        """This global memo's view of one ball."""
+        return _Walks(
+            self.rows, self.labels, self.dfa, self.bound, members, deep, self
+        )
+
+    def __missing__(self, v: int) -> Set[int]:
+        if self.members is None or v in self.deep:
+            hit = _dfa_walk(
+                self.rows, self.labels, v, self.dfa, self.bound, self.members
+            )
+        else:
+            hit = self.glob[v]
+        self[v] = hit
+        return hit
+
+
 # ----------------------------------------------------------------------
 # The check program and its fixpoint
 # ----------------------------------------------------------------------
 #: Witness test kinds: a CSR row test, a :func:`_within` BFS, a DFA walk.
 _ROW, _WITHIN, _WALK = 0, 1, 2
 
-#: One check's witness test ``(kind, bound, dfa)``; ``dfa`` is the
-#: machine a walk runs (None where the check never walks).
-Test = Tuple[int, Bound, Optional[LazyDfa]]
+#: One check's witness test ``(kind, dfa)``; ``dfa`` is the machine a
+#: walk runs (None where the check never walks).  The hop bound is the
+#: check's reach, ``_CompiledPattern.reach``.
+Test = Tuple[int, Optional[LazyDfa]]
 
 #: A compiled path pattern: its witness checks and one test per check.
 Program = Tuple[_CompiledPattern, List[Test]]
@@ -297,82 +358,71 @@ Program = Tuple[_CompiledPattern, List[Test]]
 
 def _bounded_program(bounded_pattern) -> Program:
     """Child checks; bound 1 is a row test, any other a :func:`_within`."""
-    cp = _CompiledPattern(bounded_pattern.pattern, False)
-    nodes = cp.nodes
-    bounds = bounded_pattern.bounds
-    tests: List[Test] = []
-    for x, y, _ in cp.checks:
-        bound = bounds[nodes[x], nodes[y]]
-        tests.append((_ROW if bound == 1 else _WITHIN, bound, None))
-    return cp, tests
+    cp = _CompiledPattern(
+        bounded_pattern.pattern, False, bounded_pattern.bounds
+    )
+    return cp, [(_ROW if bound == 1 else _WITHIN, None) for bound in cp.reach]
 
 
 def _regular_program(rpattern) -> Program:
     """Child and parent checks of every edge, tested by its regex.
 
     The empty regex is a row test whatever the hop bound (the only path
-    with no intermediates is one hop); ``.*`` reads a :func:`_within`
-    BFS in global scope; every other regex walks a :class:`LazyDfa`,
+    with no intermediates is one hop), so its reach is 1; ``.*`` reads
+    a :func:`_within` BFS; every other regex walks a :class:`LazyDfa`,
     the reversed machine for a parent check.  Inside a ball, ``.*``
-    walks too (see :func:`_path_fixpoint`).
+    walks too (see :func:`_ball_views`).
     """
-    cp = _CompiledPattern(rpattern.pattern, True)
+    sources = {edge: text.strip() for edge, text in rpattern.sources.items()}
+    cp = _CompiledPattern(rpattern.pattern, True, {
+        edge: 1 if source == "" else rpattern.bounds[edge]
+        for edge, source in sources.items()
+    })
     nodes = cp.nodes
     tests: List[Test] = []
     for x, y, forward in cp.checks:
         edge = (nodes[x], nodes[y]) if forward else (nodes[y], nodes[x])
-        source = rpattern.sources[edge].strip()
-        bound = rpattern.bounds[edge]
+        source = sources[edge]
         if source == "":
-            tests.append((_ROW, bound, None))
+            tests.append((_ROW, None))
             continue
         nfa = rpattern.nfas[edge]
         tests.append((
             _WITHIN if source == ".*" else _WALK,
-            bound,
             LazyDfa(nfa if forward else reversed_nfa(nfa)),
         ))
     return cp, tests
 
 
 def _path_fixpoint(
-    prog: Program,
-    gi: GraphIndex,
-    sim: List[Set[int]],
-    members: Optional[Set[int]],
-) -> Optional[Callable[[int, int], Set[int]]]:
+    prog: Program, gi: GraphIndex, sim: List[Set[int]]
+) -> Optional[List[Optional[_Walks]]]:
     """Refine the seeds ``sim`` in place to the greatest fixpoint.
 
     ``sim[u]`` holds pattern node ``u``'s candidates as slots.  Each pop
     of ``y`` runs the witness test of every check ``(x, y, forward)`` in
     ``watch[y]`` on ``sim(x)`` and requeues ``x`` when it lost
     candidates; the maximum relation is unique, so the order of pops
-    does not change it.  ``members=None`` runs over the whole graph; a
-    member set (a ball) confines every walk to it, and a ``.*`` check
-    walks instead of reading a :func:`_within` BFS, which would leave
-    the ball.
+    does not change it.
 
-    Returns the memoized walk ``walk(c, v)`` — the slots check ``c``'s
-    DFA walk reaches from ``v`` — which the strong matcher reuses to draw
-    match-graph edges, or None when some ``sim(x)`` empties (the caller
-    treats the whole relation as collapsed, like the reference).
+    Returns the walk memo, one :class:`_Walks` per check that has a
+    machine (None for a row test), or None when some ``sim(x)`` empties
+    (the caller treats the whole relation as collapsed, like the
+    reference).  The memo holds every walk this fixpoint ran; the ball
+    step of strong matching reads it and adds the walks it lacks.
     """
     cp, tests = prog
     checks = cp.checks
     watch = cp.watch
-    fwd = gi.fwd_rows
-    rev = gi.rev_rows
-    labels = gi.labels
-    memo: List[Dict[int, Set[int]]] = [{} for _ in checks]
-
-    def walk(c: int, v: int) -> Set[int]:
-        hit = memo[c].get(v)
-        if hit is None:
-            _, bound, dfa = tests[c]
-            rows = fwd if checks[c][2] else rev
-            hit = memo[c][v] = _dfa_walk(rows, labels, v, dfa, bound, members)
-        return hit
-
+    rows, back = _row_views(cp, gi)
+    walks = [
+        None if dfa is None else _Walks(rows[c], gi.labels, dfa, cp.reach[c])
+        for c, (_, dfa) in enumerate(tests)
+    ]
+    witnesses = [
+        walks[c] if kind == _WALK else rows[c]
+        for c, (kind, _) in enumerate(tests)
+    ]
     queue = deque(range(cp.size))
     queued = [True] * cp.size
     while queue:
@@ -382,22 +432,20 @@ def _path_fixpoint(
         within: Dict[Tuple[bool, Bound], Set[int]] = {}
         for c in watch[y]:
             x, _, forward = checks[c]
-            kind, bound, _ = tests[c]
             sim_x = sim[x]
-            if kind == _ROW:
-                rows = fwd if forward else rev
-                stale = [v for v in sim_x if sim_y.isdisjoint(rows[v])]
-            elif kind == _WITHIN and members is None:
+            if tests[c][0] == _WITHIN:
                 # Paths into sim(y) for a child check, out of it for a
                 # parent check: the BFS runs against the check's rows.
+                bound = cp.reach[c]
                 reached = within.get((forward, bound))
                 if reached is None:
                     reached = within[forward, bound] = _within(
-                        rev if forward else fwd, sim_y, bound
+                        back[c], sim_y, bound
                     )
                 stale = sim_x - reached
             else:
-                stale = [v for v in sim_x if sim_y.isdisjoint(walk(c, v))]
+                out = witnesses[c]
+                stale = [v for v in sim_x if sim_y.isdisjoint(out[v])]
             if stale:
                 if len(stale) == len(sim_x):
                     return None
@@ -405,16 +453,60 @@ def _path_fixpoint(
                 if not queued[x]:
                     queue.append(x)
                     queued[x] = True
-    return walk
+    return walks
 
 
-def _global_relation(prog: Program, gi: GraphIndex) -> List[Set[int]]:
-    """The maximum relation over the whole graph (every set empty on
-    collapse), refined from the label seeds (lines 1–2 of Fig. 3)."""
+def _global_relation(
+    prog: Program, gi: GraphIndex
+) -> Tuple[List[Set[int]], Optional[List[Optional[_Walks]]]]:
+    """The maximum relation over the whole graph, refined from the label
+    seeds (lines 1–2 of Fig. 3), and its walk memo; every set empty and
+    no memo on collapse."""
     sim = _seed_by_label_full(prog[0], gi)
-    if not (all(sim) and _path_fixpoint(prog, gi, sim, None)):
-        return [set() for _ in sim]
-    return sim
+    walks = _path_fixpoint(prog, gi, sim) if all(sim) else None
+    if walks is None:
+        return [set() for _ in sim], None
+    return sim, walks
+
+
+def _ball_views(
+    prog: Program,
+    gi: GraphIndex,
+    walks: List[Optional[_Walks]],
+    radius: int,
+) -> Callable[[List[List[int]]], Tuple[Rows, Rows]]:
+    """The ``views`` of :func:`~repro.core.kernel._refine_ball` for a
+    path program: per ball, each check's ``(rows, back)``.
+
+    A row test reads the CSR rows.  A path check of hop reach ``b``
+    reads, from a candidate at depth ``d ≤ r − b + 1``, the global walk
+    in ``walks``: its paths pass through nodes at depth ``≤ d + b − 1 ≤
+    r``, all in the ball, so it equals the ball's walk on every node of
+    the ball, and every reader intersects it with candidate sets that
+    lie in the ball.  Deeper candidates, and every candidate of an
+    unbounded check, walk inside the ball.  ``back[c]`` is the partner
+    check's view, ``c ^ 1``: its reversed walk from ``w`` reaches ``v``
+    exactly when the walk from ``v`` reaches ``w``.
+    """
+    cp = prog[0]
+    base, _ = _row_views(cp, gi)
+
+    def views(layers: List[List[int]]) -> Tuple[Rows, Rows]:
+        members = set().union(*layers)
+        deep = {
+            b: members if b is None else _deeper(layers, radius - b + 1)
+            for b in set(cp.reach)
+        }
+        rows = list(base)
+        for c, glob in enumerate(walks):
+            if glob is not None:
+                walk_from = deep[cp.reach[c]]
+                if walk_from:
+                    glob = glob.in_ball(members, walk_from)
+                rows[c] = glob
+        return rows, [rows[c ^ 1] for c in range(len(rows))]
+
+    return views
 
 
 def _to_relation(
@@ -442,7 +534,7 @@ def bounded_simulation_kernel(bounded_pattern, data: DiGraph) -> MatchRelation:
     gi = get_index(data)
     prog = _bounded_program(bounded_pattern)
     with gi.reading():
-        return _to_relation(prog[0], gi, _global_relation(prog, gi))
+        return _to_relation(prog[0], gi, _global_relation(prog, gi)[0])
 
 
 def regular_dual_simulation_kernel(rpattern, data: DiGraph) -> MatchRelation:
@@ -450,7 +542,7 @@ def regular_dual_simulation_kernel(rpattern, data: DiGraph) -> MatchRelation:
     gi = get_index(data)
     prog = _regular_program(rpattern)
     with gi.reading():
-        return _to_relation(prog[0], gi, _global_relation(prog, gi))
+        return _to_relation(prog[0], gi, _global_relation(prog, gi)[0])
 
 
 def regular_strong_match_kernel(
@@ -458,16 +550,18 @@ def regular_strong_match_kernel(
 ) -> MatchResult:
     """CSR regular strong matching (reference-identical).
 
-    Global regular dual simulation, then the reference's per-ball
-    pipeline — ball-restricted fixpoint, path-semantics match graph,
-    undirected component of the center — over integer ids,
-    materializing object graphs only for successful balls.
+    Global regular dual simulation, then Match+'s ball step
+    (:func:`~repro.core.kernel._refine_ball`) around each matched node,
+    with the checks' witnesses read through :func:`_ball_views`: the
+    ball's relation is refined from the global relation ∩ ball by
+    deletion only, seeded at the candidates whose witnesses may leave
+    the ball, and its match graph draws one edge per witnessed path.
 
-    Each ball's fixpoint starts from the global relation ∩ ball, not
-    from the label groups ∩ ball, by Match+'s argument: every witness
-    path of a ball's maximum relation lies inside the ball, so that
-    relation is a regular dual simulation of G and lies inside the
-    global maximum.  Both seeds therefore refine to the same relation.
+    Starting from the global relation, not from the label groups ∩
+    ball, is sound by Match+'s argument: every witness path of a ball's
+    maximum relation lies inside the ball, so that relation is a
+    regular dual simulation of G and lies inside the global maximum.
+    Both seeds therefore refine to the same relation.
     """
     pattern = rpattern.pattern
     if radius is None:
@@ -475,63 +569,19 @@ def regular_strong_match_kernel(
     result = MatchResult(pattern)
     gi = get_index(data)
     prog = _regular_program(rpattern)
-    cp, tests = prog
     with gi.reading():
-        global_sim = _global_relation(prog, gi)
-        matched: Set[int] = set().union(*global_sim)
+        global_sim, walks = _global_relation(prog, gi)
+        if walks is None:
+            return result
+        views = _ball_views(prog, gi, walks, radius)
         nodes = gi.nodes
-        labels = gi.labels
-        fwd = gi.fwd_rows
-        for center in sorted(matched, key=lambda i: repr(nodes[i])):
-            order, _, _, _ = _ball_bfs(gi, center, radius)
-            members = set(order)
-            sim = [candidates & members for candidates in global_sim]
-            walk = all(sim) and _path_fixpoint(prog, gi, sim, members)
-            if not walk or not any(center in matches for matches in sim):
-                continue
-            # Path-semantics match graph: one edge per witnessed pattern
-            # edge (its child check) between endpoint matches (interiors
-            # not materialized).
-            match_edges: Set[Tuple[int, int]] = set()
-            madj: Dict[int, List[int]] = {}
-            for c, (u, u_prime, forward) in enumerate(cp.checks):
-                if not forward:
-                    continue
-                targets = sim[u_prime]
-                row = tests[c][0] == _ROW
-                for v in sim[u]:
-                    if row:
-                        witnesses = targets.intersection(fwd[v])
-                    else:
-                        witnesses = walk(c, v) & targets
-                    for v_prime in witnesses:
-                        if (v, v_prime) in match_edges:
-                            continue
-                        match_edges.add((v, v_prime))
-                        madj.setdefault(v, []).append(v_prime)
-                        if v_prime != v:
-                            madj.setdefault(v_prime, []).append(v)
-            component = {center}
-            stack = [center]
-            while stack:
-                x = stack.pop()
-                for y in madj.get(x, ()):
-                    if y not in component:
-                        component.add(y)
-                        stack.append(y)
-            subgraph = DiGraph._build_unchecked(
-                ((nodes[i], labels[i]) for i in component),
-                (
-                    (nodes[a], nodes[b])
-                    for a, b in match_edges
-                    if a in component
-                ),
+        seen: Set[Tuple[FrozenSet[int], FrozenSet[Tuple[int, int]]]] = set()
+        for center in sorted(
+            set().union(*global_sim), key=lambda i: repr(nodes[i])
+        ):
+            subgraph = _refine_ball(
+                prog[0], gi, center, radius, global_sim, seen, views
             )
-            restricted = MatchRelation(
-                {
-                    cp.nodes[u]: {nodes[v] for v in candidates & component}
-                    for u, candidates in enumerate(sim)
-                }
-            )
-            result.add(PerfectSubgraph(subgraph, restricted, nodes[center]))
+            if subgraph is not None:
+                result.add(subgraph)
     return result

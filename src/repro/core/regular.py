@@ -30,14 +30,19 @@ query (kept verbatim as ground truth).  The ``kernel`` path
 (:mod:`repro.core.reach`) compiles the pattern to the kernel's witness
 checks — a child and a parent check per pattern edge, as for dual
 simulation — and gives each check one witness test: direct edges are
-CSR row tests; a global wildcard ``.*`` reads one multi-source BFS per
+CSR row tests; a wildcard ``.*`` reads one multi-source BFS per
 fixpoint pop, direction and bound, the same witness sets bounded
-simulation uses; general regexes and every in-ball check walk a regex
-compiled once into an interned lazy DFA (a parent check walks the
-reversed machine backwards), memoized per node.  One fixpoint, shared
-with bounded simulation, refines integer candidate sets of the graph's
-:class:`~repro.core.kernel.GraphIndex`; strong matching seeds each
-ball from the global relation.  Outputs are identical by the
+simulation uses; general regexes walk a regex compiled once into an
+interned lazy DFA (a parent check walks the reversed machine
+backwards), memoized per node.  One fixpoint, shared with bounded
+simulation, computes the global relation over integer candidate sets
+of the graph's :class:`~repro.core.kernel.GraphIndex`.  Strong matching
+then refines every ball with Match+'s ball step, the kernel's only one
+(:func:`~repro.core.kernel._refine_ball`): it starts from the global
+relation ∩ ball, tests in its first round only the candidates deeper
+than the radius minus the edge's hop bound, reads the global walks
+from every candidate whose walks cannot leave the ball, and walks
+inside the ball from the rest.  Outputs are identical by the
 uniqueness of the maximum relation, enforced differentially in
 ``tests/test_paths_equivalence.py``.
 """

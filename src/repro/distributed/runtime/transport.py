@@ -298,6 +298,18 @@ class ProcessTransport(Transport):
                 f"site {site} worker process died mid-protocol: {exc}"
             ) from exc
 
+    def _send(self, site: int, frame: tuple) -> None:
+        """Send one frame to ``site``; a dead worker (broken pipe) fails
+        like a failed receive, naming the site and the frame's protocol
+        phase, and closes the transport."""
+        try:
+            self._conns[site].send(frame)
+        except OSError as exc:
+            raise self._fail(
+                f"site {site} worker process died: sending its "
+                f"{frame[0]!r} frame failed: {exc}"
+            ) from exc
+
     def _ack(self, site: int, command: str) -> None:
         reply = self._recv(site)
         if reply[0] != "ok":
@@ -326,9 +338,7 @@ class ProcessTransport(Transport):
             return
         for site in sorted(pending):
             deltas, owners = pending[site]
-            self._conns[site].send(
-                ("update", encode_deltas(tuple(deltas)), owners)
-            )
+            self._send(site, ("update", encode_deltas(tuple(deltas)), owners))
         for site in sorted(pending):
             deltas, _ = pending[site]
             self._ack(site, f"a batch of {len(deltas)} delta(s)")
@@ -338,13 +348,13 @@ class ProcessTransport(Transport):
         self._guard_open()
         self._flush_updates()
         wire_pattern = encode_pattern(pattern)
-        for conn in self._conns.values():
-            conn.send(("query", wire_pattern, radius))
+        for site in self._conns:
+            self._send(site, ("query", wire_pattern, radius))
         return self._filter_replies(self._conns)
 
     def filter_round(self, inboxes):
         for site, inbox in inboxes.items():
-            self._conns[site].send(("filter", inbox))
+            self._send(site, ("filter", inbox))
         return self._filter_replies(inboxes)
 
     def _filter_replies(self, sites) -> Dict[int, FilterReply]:
@@ -361,8 +371,8 @@ class ProcessTransport(Transport):
 
     def evaluate(self):
         trace = tracing_enabled()
-        for conn in self._conns.values():
-            conn.send(("evaluate", trace))
+        for site in self._conns:
+            self._send(site, ("evaluate", trace))
         pending = {conn: site for site, conn in self._conns.items()}
         partials: Dict[int, List[PerfectSubgraph]] = {}
         logs: Dict[int, list] = {}
@@ -384,9 +394,9 @@ class ProcessTransport(Transport):
                             self._serve(node) for node in message[1]
                         )
                     except Exception as exc:
-                        conn.send(("error", str(exc)))
+                        self._send(site, ("error", str(exc)))
                     else:
-                        conn.send(("records", records))
+                        self._send(site, ("records", records))
                 elif kind == "done":
                     partials[site] = decode_partials(message[1])
                     logs[site] = decode_bus_log(message[2])
@@ -432,7 +442,7 @@ class ProcessTransport(Transport):
         self._flush_updates()
         for site, worker in self._workers.items():
             worker.forget_remote(node)
-            self._conns[site].send(("forget", node))
+            self._send(site, ("forget", node))
         for site in self._conns:
             self._ack(site, "forget")
 
@@ -440,8 +450,8 @@ class ProcessTransport(Transport):
         self._guard_open()
         self._flush_updates()
         stats: Dict[int, Dict[str, object]] = {}
-        for site, conn in self._conns.items():
-            conn.send(("stats",))
+        for site in self._conns:
+            self._send(site, ("stats",))
             reply = self._recv(site)
             if reply[0] != "stats":
                 raise self._fail(f"site {site} stats failed:\n{reply[1]}")

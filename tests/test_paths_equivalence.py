@@ -543,3 +543,77 @@ class TestDeepCascades:
         ) == canonical_result(
             regular_strong_match(rpattern, data, engine="python")
         )
+
+
+# ----------------------------------------------------------------------
+# The ball step's depth rules for path checks
+# ----------------------------------------------------------------------
+#: ``x -> y`` and ``x -> t``, each ``.?`` within 2 hops, so every check
+#: has hop reach b = 2; at radius r = 2 the first round tests the
+#: candidates deeper than r - b = 0, and a walk from depth at most
+#: r - b + 1 = 1 reads the global walk.
+FORK = Pattern.build({"x": "X", "y": "Y", "t": "T"}, [("x", "y"), ("x", "t")])
+
+
+def _fork(pattern: Pattern) -> RegularPattern:
+    edges = list(pattern.edges())
+    return RegularPattern(
+        pattern, {edge: ".?" for edge in edges}, {edge: 2 for edge in edges}
+    )
+
+
+class TestBallDepthRules:
+    """Around the center ``s`` (label T) at radius 2, a candidate of
+    ``x`` whose only ``y`` witness path leaves the ball must drop out of
+    that ball's relation, although the global relation keeps it."""
+
+    @staticmethod
+    def assert_drops(data: DiGraph, dropped) -> None:
+        rpattern = _fork(FORK)
+        assert dropped in regular_dual_simulation(
+            rpattern, data, engine="python"
+        ).matches_of_raw("x")
+        ball = extract_ball(data, "s", 2).graph
+        assert dropped not in regular_dual_simulation(
+            rpattern, ball, engine="python"
+        ).matches_of_raw("x"), "the fixture does not exercise the rule"
+        assert canonical_result(
+            regular_strong_match(rpattern, data, radius=2, engine="kernel")
+        ) == canonical_result(
+            regular_strong_match(rpattern, data, radius=2, engine="python")
+        )
+
+    def test_first_round_tests_depth_r_minus_b_plus_1(self):
+        # v sits at depth 1 = r - b + 1: its global walk stays inside
+        # the ball, but its only Y witness, w, lies at depth 3.  Only a
+        # first-round test of v removes it.
+        data = DiGraph.from_parts(
+            {"s": "T", "u": "X", "v": "X", "c": "Y", "i": "Z", "w": "Y"},
+            [("u", "s"), ("v", "s"), ("u", "c"), ("v", "i"), ("i", "w")],
+        )
+        self.assert_drops(data, "v")
+
+    def test_walk_from_depth_r_minus_b_plus_2_stays_in_ball(self):
+        # v sits at depth 2 = r - b + 2 and reaches c only through o,
+        # at depth 3: its global walk finds c, its walk in the ball
+        # does not.
+        data = DiGraph.from_parts(
+            {"s": "T", "u": "X", "c": "Y", "a": "Z", "v": "X", "o": "Z"},
+            [
+                ("u", "s"), ("u", "c"), ("a", "s"),
+                ("v", "a"), ("v", "o"), ("o", "c"),
+            ],
+        )
+        self.assert_drops(data, "v")
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    @settings(max_examples=20, deadline=None)
+    @given(graph_with_sampled_pattern())
+    def test_radius_property(self, radius, pair):
+        data, pattern = pair
+        rpattern = _fork(pattern)
+        kernel, python = (
+            regular_strong_match(rpattern, data, radius=radius, engine=engine)
+            for engine in ("kernel", "python")
+        )
+        assert canonical_result(kernel) == canonical_result(python)

@@ -20,6 +20,7 @@ no site compiles an index) and the service integration
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -281,6 +282,27 @@ class TestProcessRuntime:
         cluster.close()  # idempotent
         with pytest.raises(DistributedError):
             cluster.run(pattern)
+
+    def test_killed_worker_fails_typed_and_closes(self):
+        """A worker killed between two queries: the next run's broadcast
+        hits the broken pipe and raises DistributedError naming the site
+        and the frame, closing the transport, so the run after it fails
+        at once through the closed guard.  Both fail within a bound."""
+        data, pattern = data_g1(), pattern_q1()
+        cluster = Cluster(data, bfs_partition(data, 2), 2, backend="processes")
+        try:
+            assert cluster.run(pattern).result
+            process = cluster._transport._procs[1]
+            process.kill()
+            process.join(timeout=10)
+            started = time.perf_counter()
+            with pytest.raises(DistributedError, match="site 1 .*'query'"):
+                cluster.run(pattern)
+            with pytest.raises(DistributedError, match="closed"):
+                cluster.run(pattern)
+            assert time.perf_counter() - started < 10
+        finally:
+            cluster.close()
 
     def test_distributed_match_does_not_leak_processes(self, small_synthetic):
         pattern = sample_pattern_from_data(small_synthetic, 3, seed=5)
